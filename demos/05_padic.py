@@ -1,7 +1,7 @@
 """Exact p-adic model sets: Z[1/p] elements with bounded denominator and real part.
 
-Everything is Fraction arithmetic; counts, ratios, densities and covering
-numbers are exact, so equalities below are literal equalities.
+Counts, ratios, densities and minimal covering numbers are exact integers
+and Fractions, so equalities below are literal equalities.
 """
 
 from fractions import Fraction
@@ -33,7 +33,7 @@ def main():
           f"{set(str(r) for r in rep3.ratios)} and the density is {rep3.density}")
 
     cover = ql.padic_cover_set(ql.PAdicModelSet.build(2, 1, 4))
-    print(f"\nsumset cover at depth 4: k = {cover.k}, translates "
+    print(f"\nminimal sumset cover at depth 4: k = {cover.k}, translates "
           f"{[str(f.value()) for f in cover.defect_set]}, verified {cover.verified}")
 
 

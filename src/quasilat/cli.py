@@ -26,7 +26,7 @@ from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import load_pointset, regenerate, save_pointset, sumset_truncated
 from .scenarios import (builtin_scenario_names, builtin_scenario_path,
                         build_point_source, parse_scenario, run_scenario,
-                        _json_default)
+                        _floats, _json_default)
 
 
 def _emit(payload, out_path):
@@ -36,10 +36,6 @@ def _emit(payload, out_path):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _floats(text):
-    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def _add_gen(sub):
@@ -292,13 +288,7 @@ def main(argv=None):
                 "gabor": _cmd_gabor, "padic": _cmd_padic, "run": _cmd_run}
     try:
         return handlers[args.cmd](args)
-    except ScenarioValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuasilatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (QuasilatError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ class NotMinimalError(QuasilatError):
 
 
 class CoverError(QuasilatError):
-    """Greedy covering failed at this truncation."""
+    """No cover within the requested size at this truncation."""
 
 
 class ScenarioValidationError(QuasilatError):

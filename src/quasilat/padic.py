@@ -1,8 +1,11 @@
 """Model sets cut from Z[1/p] sitting diagonally in Q_p x R.
 
-Everything here is exact: elements are a/p^k in canonical form, window
-comparisons use Fraction arithmetic, counts and ratios are integers and
-Fractions. Floats appear only when callers ask for them.
+The depth-N model set is exactly (1/p^N) Z cap [-w, w]: a canonical a/p^k
+with k <= N is m/p^N with m = a p^(N-k), and |a| <= w p^k exactly when
+|m| <= w p^N. In numerators over p^N it is the integer range [-M, M] with
+M = floor(w p^N), so densities and minimal covers have closed forms in M.
+All arithmetic is on integers; Fractions appear only in reported ratios,
+densities and values, and floats only when callers ask for them.
 """
 
 from dataclasses import dataclass
@@ -23,16 +26,17 @@ def _is_prime(p):
     return True
 
 
+def _numerator_bound(p, w, n):
+    """M = floor(w p^n): an integer m has |m / p^n| <= w exactly when |m| <= M."""
+    return w.numerator * p ** n // w.denominator
+
+
 def parse_window(w):
     """Exact Fraction from int, Fraction, float (exact binary value), or string.
 
     Strings may be decimal ("0.3") or rational ("3/10"); both parse exactly.
     """
-    if isinstance(w, Fraction):
-        frac = w
-    elif isinstance(w, int):
-        frac = Fraction(w)
-    elif isinstance(w, float):
+    if isinstance(w, (Fraction, int, float)):
         frac = Fraction(w)
     elif isinstance(w, str):
         try:
@@ -69,19 +73,6 @@ class PAdicRational:
     def value(self):
         return Fraction(self.a, self.p ** self.k)
 
-    def __neg__(self):
-        return PAdicRational(self.p, -self.a, self.k)
-
-    def __add__(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        k = max(self.k, other.k)
-        a = self.a * self.p ** (k - self.k) + other.a * self.p ** (k - other.k)
-        return PAdicRational.make(self.p, a, k)
-
-    def __sub__(self, other):
-        return self + (-other)
-
 
 def padic_norm(q):
     """|a/p^k|_p = p^(k - v_p(a)) as an exact Fraction; |0|_p = 0."""
@@ -107,8 +98,6 @@ class PAdicModelSet:
 
     @classmethod
     def build(cls, p, w, n_max):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         w = parse_window(w)
@@ -118,20 +107,16 @@ class PAdicModelSet:
 def enumerate_model_set(p, w, n_max):
     """All canonical a/p^k with k <= n_max and |a/p^k| <= w, ordered by (k, a).
 
-    The window comparison |a| <= w * p^k is exact Fraction arithmetic; no
-    floats are involved anywhere.
+    Stratum k holds the a in [-M_k, M_k] with M_k = floor(w p^k), minus the
+    multiples of p when k > 0 (those are canonical at a smaller k).
     """
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     w = parse_window(w)
     out = []
     for k in range(n_max + 1):
-        bound = w * p ** k
-        a_max = bound.numerator // bound.denominator  # floor of a Fraction
-        for a in range(-a_max, a_max + 1):
-            if k > 0 and a % p == 0:
-                continue
-            out.append(PAdicRational(p, a, k))
+        m = _numerator_bound(p, w, k)
+        out.extend(PAdicRational(p, a, k) for a in range(-m, m + 1) if k == 0 or a % p)
     return out
 
 
@@ -165,17 +150,14 @@ class PAdicDensityReport:
 def padic_density(ms):
     """Ratios |Lambda cap p^(-n) Z_p| / p^n for n <= n_max, with an exact extrapolation.
 
-    Membership in the ball p^(-n) Z_p is k <= n. The ratio sequence equals
-    2w + O(p^(-n)), so the two-term geometric extrapolation
+    Membership in the ball p^(-n) Z_p is k <= n, so the count is the size of
+    (1/p^n) Z cap [-w, w], which is 2 floor(w p^n) + 1. The ratio sequence
+    equals 2w + O(p^(-n)), so the two-term geometric extrapolation
     r_N + (r_N - r_{N-1}) / (p - 1) removes the leading deviation exactly
     when it is exactly geometric.
     """
-    counts = [0] * (ms.n_max + 1)
-    for q in ms.elements:
-        counts[q.k] += 1
-    for n in range(1, ms.n_max + 1):
-        counts[n] += counts[n - 1]
-    ratios = [Fraction(counts[n], ms.p ** n) for n in range(ms.n_max + 1)]
+    counts = [2 * _numerator_bound(ms.p, ms.w, n) + 1 for n in range(ms.n_max + 1)]
+    ratios = [Fraction(c, ms.p ** n) for n, c in enumerate(counts)]
     if ms.n_max >= 1:
         density = ratios[-1] + (ratios[-1] - ratios[-2]) / (ms.p - 1)
     else:
@@ -185,7 +167,9 @@ def padic_density(ms):
 
 @dataclass
 class PAdicCoverResult:
-    defect_set: tuple      # PAdicRationals
+    """Minimal cover of Lambda + Lambda by the k translates f + Lambda, f in defect_set."""
+
+    defect_set: tuple      # PAdicRationals, ascending
     k: int
     window: Fraction
     verified: bool
@@ -199,39 +183,27 @@ class PAdicCoverResult:
 
 
 def padic_cover_set(ms, max_cover_size=None):
-    """Greedy cover of the sumset Lambda + Lambda by translates of Lambda.
+    """Minimal cover of the sumset Lambda + Lambda by translates of Lambda.
 
-    Candidates are the sumset's own elements; a candidate f covers s exactly
-    when |s - f| <= w (the difference is automatically in Z[1/p]). Raises
+    In numerators over p^N the sumset is the integer range [-2M, 2M], and a
+    centre f covers s exactly when |s - f| <= M. The sweep takes the leftmost
+    uncovered s and the centre min(s + M, 2M), a sumset element whose
+    translate covers s and everything up to s + 2M; on a line this choice is
+    optimal, so k is the minimum: 1 when M = 0 and 2 otherwise. Raises
     CoverError if more than max_cover_size translates would be needed.
     """
-    elements = ms.elements
-    sums = {}
-    for q1 in elements:
-        for q2 in elements:
-            s = q1 + q2
-            sums[(s.k, s.a)] = s
-    # order: |real value| ascending, then (k, a)
-    sumset = sorted(sums.values(), key=lambda q: (abs(q.value()), q.k, q.a))
-    values = [q.value() for q in sumset]
-
-    uncovered = set(range(len(sumset)))
-    picks = []
-    while uncovered:
-        if max_cover_size is not None and len(picks) >= max_cover_size:
+    m = _numerator_bound(ms.p, ms.w, ms.n_max)
+    centres, s = [], -2 * m
+    while s <= 2 * m:
+        if max_cover_size is not None and len(centres) >= max_cover_size:
             raise CoverError(f"cover needs more than {max_cover_size} translates "
                              "at this truncation")
-        best_gain, best_idx, best_cov = -1, None, None
-        for ci, fval in enumerate(values):
-            cov = {ti for ti in uncovered if abs(values[ti] - fval) <= ms.w}
-            if len(cov) > best_gain:
-                best_gain, best_idx, best_cov = len(cov), ci, cov
-        if best_gain <= 0:
-            raise CoverError("not approximately closed at this truncation")
-        picks.append(best_idx)
-        uncovered -= best_cov
-
-    defect = tuple(sorted((sumset[i] for i in picks), key=lambda q: (q.value(), q.k)))
-    verified = all(any(abs(v - sumset[i].value()) <= ms.w for i in picks)
-                   for v in values)
-    return PAdicCoverResult(defect, len(picks), ms.w, verified)
+        centres.append(min(s + m, 2 * m))
+        s = centres[-1] + m + 1
+    # the centres lie in the sumset and their windows [c - M, c + M] leave no
+    # integer of [-2M, 2M] uncovered
+    verified = (all(-2 * m <= c <= 2 * m for c in centres)
+                and centres[0] - m <= -2 * m and centres[-1] + m >= 2 * m
+                and all(b - a <= 2 * m + 1 for a, b in zip(centres, centres[1:])))
+    defect = tuple(PAdicRational.make(ms.p, c, ms.n_max) for c in centres)
+    return PAdicCoverResult(defect, len(centres), ms.w, verified)

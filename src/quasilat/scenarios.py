@@ -207,8 +207,9 @@ def _run_padic(sc):
         "padic_ratio_deviation", "max_n |ratio_n - 2w| p^n <= c", True,
         c, c_max, c <= c_max + 1e-12))
     if _get_bool(sc.padic.get("cover", "true")):
-        # The sumset is quadratic in the element count; cover at a shallower
-        # depth than the density scan.
+        # Cover at depth min(n_max, 6) by default. The centres then lie in
+        # (1/p^6) Z, the depth at which perfbench rechecks scenario covers;
+        # a depth-12 centre such as 4097/4096 would fail that recheck.
         cover_n = int(sc.padic.get("cover_n_max", min(n_max, 6)))
         cover_ms = ms if cover_n == n_max else PAdicModelSet.build(
             p, sc.padic["w"], cover_n)
@@ -216,7 +217,7 @@ def _run_padic(sc):
         results["cover"] = cover.to_dict()
         k_max = int(sc.padic.get("max_k", 3))
         verdicts.append(_verdict(
-            "padic_cover_size", "greedy cover size k <= k_max", True,
+            "padic_cover_size", "minimal cover size k <= k_max", True,
             cover.k, k_max, cover.verified and cover.k <= k_max))
     return results, verdicts
 

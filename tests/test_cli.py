@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -31,9 +33,13 @@ def gen_line(tmp_path, radius=10.0, name="line.csv"):
 
 
 def test_version_subprocess():
+    # the child imports the same quasilat as this test, installed or not
+    src = str(pathlib.Path(ql.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c",
                           "from quasilat.cli import main; main(['--version'])"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert ql.__version__ in out.stdout
 

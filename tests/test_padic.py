@@ -1,6 +1,10 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quasilat as ql
 from quasilat import PAdicRational
@@ -25,15 +29,6 @@ def test_canonical_form():
     assert PAdicRational.make(2, 0, 5) == PAdicRational(2, 0, 0)
     assert PAdicRational.make(2, 3, -1) == PAdicRational(2, 6, 0)
     assert PAdicRational.make(3, 5, 2).value() == Fraction(5, 9)
-
-
-def test_arithmetic():
-    half = PAdicRational.make(2, 1, 1)
-    assert (half + half) == PAdicRational(2, 1, 0)
-    assert (half - half) == PAdicRational(2, 0, 0)
-    assert (-half).value() == Fraction(-1, 2)
-    with pytest.raises(ValueError):
-        half + PAdicRational.make(3, 1, 1)
 
 
 def test_padic_norm_values():
@@ -103,8 +98,46 @@ def test_cover_small_depth_matches_exhaustive(golden):
     ms = ql.PAdicModelSet.build(2, 1, golden["padic_2_1"]["cover_n_max"])
     cover = ql.padic_cover_set(ms)
     assert cover.verified
-    assert golden["padic_2_1"]["cover_k_exhaustive"] <= cover.k <= 3
+    assert cover.k == golden["padic_2_1"]["cover_k_exhaustive"]
     d = cover.to_dict()
     assert d["k"] == cover.k
     with pytest.raises(ql.CoverError):
         ql.padic_cover_set(ms, max_cover_size=1)
+
+
+def _exhaustive_min_cover(sums, w):
+    """Fewest sumset elements f whose windows |s - f| <= w cover every s."""
+    full = (1 << len(sums)) - 1
+    masks = [sum(1 << i for i, s in enumerate(sums) if abs(s - f) <= w) for f in sums]
+    for k in range(1, len(sums) + 1):
+        for combo in combinations(masks, k):
+            acc = 0
+            for mask in combo:
+                acc |= mask
+            if acc == full:
+                return k
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       w=st.fractions(min_value=Fraction(1, 10), max_value=2, max_denominator=10),
+       n=st.integers(0, 4))
+def test_model_set_is_integer_range_and_cover_is_minimal(p, w, n):
+    big_m = math.floor(w * p ** n)
+    assume(big_m <= 24)
+    ms = ql.PAdicModelSet.build(p, w, n)
+    numerators = sorted(q.a * p ** (n - q.k) for q in ms.elements)
+    assert numerators == list(range(-big_m, big_m + 1))
+
+    tallies = [0] * (n + 1)
+    for q in ms.elements:
+        tallies[q.k] += 1
+    assert ql.padic_density(ms).counts == [sum(tallies[:j + 1]) for j in range(n + 1)]
+
+    values = [q.value() for q in ms.elements]
+    sums = sorted({a + b for a in values for b in values})
+    cover = ql.padic_cover_set(ms)
+    centres = [f.value() for f in cover.defect_set]
+    assert cover.verified
+    assert cover.k == len(centres) == _exhaustive_min_cover(sums, w)
+    assert all(any(abs(s - f) <= w for f in centres) for s in sums)
