@@ -159,3 +159,13 @@ def verify_cover(sumset, base, defect_set, coverage_tol=1e-6,
         dist, _ = tree.query(targets - f, k=1, p=np.inf)
         covered |= dist <= coverage_tol
     return bool(covered.all())
+
+
+def checked_cover(sumset, base, coverage_tol, verified_region_radius=None):
+    """find_cover_set re-checked by verify_cover: the cover's dict plus ``reverified``."""
+    cover = find_cover_set(sumset, base, coverage_tol=coverage_tol,
+                           verified_region_radius=verified_region_radius)
+    out = cover.to_dict()
+    out["reverified"] = verify_cover(sumset, base, cover.defect_set, coverage_tol,
+                                     cover.verified_region_radius)
+    return out

@@ -8,25 +8,19 @@ verdict or expectation fails, 2 for usage and validation errors.
 
 import argparse
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .approxcheck import delone_report, find_cover_set, verify_cover
+from .approxcheck import checked_cover, delone_report
 from .density import FolnerBoxes, density_scan
 from .errors import QuasilatError, ScenarioValidationError
-from .gabor import (GaborSystem, GridSpec, biorthogonal_dual,
-                    completeness_residual, frame_bounds, gaussian_window,
-                    hermite_basis, hap_residual, riesz_bounds,
-                    uniform_min_delta)
+from .gabor import GaborSystem, GridSpec, gaussian_window
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import load_pointset, regenerate, save_pointset, sumset_truncated
-from .scenarios import (builtin_scenario_names, builtin_scenario_path,
-                        build_point_source, parse_scenario, run_scenario,
-                        _floats, _json_default)
+from .scenarios import (GABOR_CHECKS, GABOR_OPTIONS, builtin_scenario_names,
+                        builtin_scenario_path, build_point_source, gabor_options,
+                        parse_scenario, run_scenario, _floats, _json_default)
 
 
 def _emit(payload, out_path):
@@ -81,24 +75,26 @@ def _add_gabor(sub):
     common.add_argument("--grid-T", type=float, required=True, dest="grid_T")
     common.add_argument("--grid-dt", type=float, default=0.01)
     common.add_argument("--out")
+    # the flags below fill the GABOR_OPTIONS keys that scenario files use
+    common.set_defaults(**GABOR_OPTIONS)
 
     fp = gsub.add_parser("frame-bounds", parents=[common])
-    fp.add_argument("--hermite-N", type=int, default=40, dest="hermite_N")
-    fp.add_argument("--hermite-step", type=int, default=10)
+    fp.add_argument("--hermite-N", type=int, dest="hermite_n")
+    fp.add_argument("--hermite-step", type=int)
 
     rp = gsub.add_parser("riesz", parents=[common])
-    rp.add_argument("--edge-margin", type=float, default=2.0)
+    rp.add_argument("--edge-margin", type=float, dest="riesz_margin")
 
     dp = gsub.add_parser("dual", parents=[common])
-    dp.add_argument("--edge-margin", type=float, default=0.0)
+    dp.add_argument("--edge-margin", type=float, default=0.0, dest="riesz_margin")
 
     hp = gsub.add_parser("hap", parents=[common])
-    hp.add_argument("--K", type=float, default=6.0)
-    hp.add_argument("--x-grid", type=int, default=5)
-    hp.add_argument("--x-extent", type=float, default=1.0)
+    hp.add_argument("--K", type=float, dest="hap_box")
+    hp.add_argument("--x-grid", type=int, dest="hap_x_count")
+    hp.add_argument("--x-extent", type=float, dest="hap_x_extent")
 
     cp = gsub.add_parser("complete", parents=[common])
-    cp.add_argument("--probes", type=int, default=10)
+    cp.add_argument("--probes", type=int, dest="probe_count")
 
 
 def _add_padic(sub):
@@ -125,19 +121,7 @@ def _add_run(sub):
 
 
 def _cmd_gen(args):
-    cfg = {"kind": args.kind}
-    if args.kind == "lattice":
-        if not args.basis:
-            raise ScenarioValidationError("gen --kind lattice requires --basis")
-        cfg["basis"] = args.basis
-        if args.dim:
-            cfg["dim"] = args.dim
-    elif args.kind in ("fibonacci", "fibonacci_product"):
-        cfg["window"] = args.window
-        cfg["beta"] = args.beta
-    else:
-        cfg["q"] = args.q
-    ps = regenerate(build_point_source(cfg, args.radius))
+    ps = regenerate(build_point_source(vars(args), args.radius))
     save_pointset(ps, args.out)
     print(f"wrote {len(ps)} points to {args.out}")
     return 0
@@ -161,52 +145,18 @@ def _cmd_approx(args):
         if radius is None:
             radius = base.truncation_radius / 2.0
         sumset = sumset_truncated(base, base, radius)
-    cover = find_cover_set(sumset, base, coverage_tol=args.coverage_tol,
-                           verified_region_radius=args.region)
-    ok = verify_cover(sumset, base, cover.defect_set, args.coverage_tol,
-                      cover.verified_region_radius)
-    payload = cover.to_dict()
-    payload["reverified"] = ok
+    payload = checked_cover(sumset, base, args.coverage_tol, args.region)
     payload["delone"] = delone_report(base, args.delone_margin).to_dict()
     _emit(payload, args.out)
-    return 0 if ok else 1
-
-
-def _gabor_system(args):
-    pts = load_pointset(args.points)
-    grid = GridSpec(args.grid_T, args.grid_dt)
-    return GaborSystem(gaussian_window(grid), pts), grid
+    return 0 if payload["reverified"] else 1
 
 
 def _cmd_gabor(args):
-    sys_, grid = _gabor_system(args)
-    if args.gabor_cmd == "frame-bounds":
-        fb = frame_bounds(sys_, args.hermite_N, n_step=args.hermite_step)
-        _emit(fb.to_dict(), args.out)
-    elif args.gabor_cmd == "riesz":
-        rb = riesz_bounds(sys_, edge_margin=args.edge_margin)
-        _emit(rb.to_dict(), args.out)
-    elif args.gabor_cmd == "dual":
-        pts = sys_.points
-        if args.edge_margin > 0:
-            sys_ = GaborSystem(sys_.window,
-                               pts.restrict(pts.truncation_radius - args.edge_margin))
-        dual = biorthogonal_dual(sys_)
-        delta = uniform_min_delta(sys_)
-        _emit({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual,
-               "delta": delta,
-               "delta_times_max_dual_norm": delta * math.sqrt(dual.B_sup)},
-              args.out)
-    elif args.gabor_cmd == "hap":
-        axis = np.linspace(-args.x_extent, args.x_extent, args.x_grid)
-        res = [[float(hap_residual(sys_, sys_.window, (a, b), args.K))
-                for b in axis] for a in axis]
-        _emit({"x_axis": axis.tolist(), "residuals": res,
-               "max_residual": float(np.max(res))}, args.out)
-    else:
-        probes = hermite_basis(grid, args.probes)
-        _emit({"probe_count": args.probes,
-               "max_residual": completeness_residual(sys_, probes)}, args.out)
+    pts = load_pointset(args.points)
+    system = GaborSystem(gaussian_window(GridSpec(args.grid_T, args.grid_dt)), pts)
+    run, _ = GABOR_CHECKS["frame" if args.gabor_cmd == "frame-bounds" else args.gabor_cmd]
+    block, _ = run(system, gabor_options(vars(args)))
+    _emit(block, args.out)
     return 0
 
 
@@ -221,8 +171,7 @@ def _cmd_padic(args):
 
 
 def _run_one(path):
-    report = run_scenario(parse_scenario(path))
-    return report
+    return run_scenario(parse_scenario(path))
 
 
 def _cmd_run(args):

@@ -11,6 +11,7 @@ densities and values, and floats only when callers ask for them.
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CoverError
 
@@ -94,14 +95,19 @@ class PAdicModelSet:
     p: int
     w: Fraction
     n_max: int
-    elements: tuple
 
     @classmethod
     def build(cls, p, w, n_max):
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        w = parse_window(w)
-        return cls(p, w, n_max, tuple(enumerate_model_set(p, w, n_max)))
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        return cls(p, parse_window(w), n_max)
+
+    @cached_property
+    def elements(self):
+        """The PAdicRationals of enumerate_model_set, built on first access."""
+        return tuple(enumerate_model_set(self.p, self.w, self.n_max))
 
 
 def enumerate_model_set(p, w, n_max):

@@ -14,20 +14,21 @@ import importlib.resources
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .approxcheck import find_cover_set, verify_cover
-from .density import DensityReport, FolnerBoxes, density_scan, translate_count_grid
+from .approxcheck import checked_cover
+from .density import FolnerBoxes, density_scan, translate_count_grid
 from .errors import ScenarioValidationError
 from .gabor import (D_PI, GaborSystem, GridSpec, biorthogonal_dual,
                     completeness_residual, frame_bounds, gaussian_window,
                     hap_residual, hermite_basis, riesz_bounds, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density
-from .pointset import (Lattice, from_points, lattice_points_in_box,
-                       min_separation, regenerate, sumset_truncated, symmetrize)
+from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme,
+                       from_points, lattice_points_in_box, load_pointset,
+                       min_separation, regenerate, sumset_truncated)
 
 # Decision thresholds for the spectral flags.
 A_FLOOR = 1e-2          # frame / Riesz lower bounds below this do not count
@@ -35,6 +36,11 @@ COMPLETE_FLOOR = 1e-3   # max probe residual for the completeness proxy
 HAP_FLOOR = 0.05        # max local approximation residual
 DELTA_FLOOR = 1e-2      # uniform minimality gap
 DEFAULT_SLACK = 0.05
+
+# Defaults of the [gabor] options; a cfg key or a CLI flag overrides each one.
+GABOR_OPTIONS = {"hermite_n": 40, "hermite_step": 10, "riesz_margin": 2.0,
+                 "hap_box": 6.0, "hap_x_extent": 1.0, "hap_x_count": 5,
+                 "probe_count": 10}
 
 
 @dataclass
@@ -48,11 +54,6 @@ class Scenario:
     expect: dict = field(default_factory=dict)
     slack: float = DEFAULT_SLACK
 
-    def to_dict(self):
-        return {"name": self.name, "points": self.points, "density": self.density,
-                "approx": self.approx, "gabor": self.gabor, "padic": self.padic,
-                "expect": self.expect, "slack": self.slack}
-
 
 def _section(cfg, name):
     return {k: v for k, v in cfg[name].items()} if cfg.has_section(name) else {}
@@ -64,6 +65,15 @@ def _floats(text):
 
 def _get_bool(value):
     return str(value).strip().lower() in ("1", "true", "yes", "on")
+
+
+def gabor_options(gc):
+    """GABOR_OPTIONS overridden by the keys of gc, cast to the defaults' types."""
+    return {k: type(v)(gc.get(k, v)) for k, v in GABOR_OPTIONS.items()}
+
+
+def _gabor_checks(gc):
+    return [c.strip() for c in gc.get("checks", "").split(",") if c.strip()]
 
 
 def parse_scenario(path):
@@ -96,6 +106,8 @@ def validate_scenario(sc):
     if kind not in ("lattice", "fibonacci", "fibonacci_product",
                     "symmetrized_sparse", "csv"):
         raise ScenarioValidationError(f"unknown points kind: {kind!r}")
+    if kind == "lattice" and not sc.points.get("basis"):
+        raise ScenarioValidationError("lattice points need a basis")
     if kind == "csv":
         import os
         if not os.path.exists(sc.points.get("path", "")):
@@ -109,29 +121,23 @@ def validate_scenario(sc):
         raise ScenarioValidationError("density truncation below largest box radius")
     if sc.gabor:
         radius = float(sc.gabor.get("radius", sc.points.get("radius", 0)))
-        grid_T = float(sc.gabor.get("grid_t", sc.gabor.get("grid_T", 0)))
+        grid_T = float(sc.gabor.get("grid_t", 0))
         grid_dt = float(sc.gabor.get("grid_dt", 0.01))
         if grid_T < 2.0 * radius:
             raise ScenarioValidationError("gabor grid_T must be at least twice the radius")
         if radius > 1.0 / (4.0 * grid_dt):
             raise ScenarioValidationError("gabor modulations exceed the 1/(4 dt) cap")
-        checks = [c.strip() for c in sc.gabor.get("checks", "").split(",") if c.strip()]
-        if "frame" in checks:
-            n = int(sc.gabor.get("hermite_n", sc.gabor.get("hermite_N", 40)))
-            if radius + 1e-9 < math.sqrt(n / math.pi) + 6.0:
-                raise ScenarioValidationError(
-                    "gabor radius below the test-basis guard margin sqrt(N/pi) + 6")
-        if "hap" in checks:
-            extent = float(sc.gabor.get("hap_x_extent", 1.0))
-            box = float(sc.gabor.get("hap_box", 6.0))
-            if extent + box > radius + 1e-9:
-                raise ScenarioValidationError("hap box leaves the gabor truncation")
-
-
-def _sparse_diagonal_points(q, radius):
-    m_max = int(math.floor(radius + 1e-9))
-    ms = np.arange(-m_max, m_max + 1, dtype=float)
-    return np.stack([ms / q, ms], axis=1)
+        checks = _gabor_checks(sc.gabor)
+        unknown = [c for c in checks if c not in GABOR_CHECKS]
+        if unknown:
+            raise ScenarioValidationError(
+                f"unknown gabor checks {unknown}; known: {', '.join(GABOR_CHECKS)}")
+        opt = gabor_options(sc.gabor)
+        if "frame" in checks and radius + 1e-9 < math.sqrt(opt["hermite_n"] / math.pi) + 6.0:
+            raise ScenarioValidationError(
+                "gabor radius below the test-basis guard margin sqrt(N/pi) + 6")
+        if "hap" in checks and opt["hap_x_extent"] + opt["hap_box"] > radius + 1e-9:
+            raise ScenarioValidationError("hap box leaves the gabor truncation")
 
 
 def build_point_source(points_cfg, radius):
@@ -139,36 +145,35 @@ def build_point_source(points_cfg, radius):
     kind = points_cfg.get("kind")
     radius = float(radius)
     if kind == "lattice":
+        if not points_cfg.get("basis"):
+            raise ScenarioValidationError("lattice points need a basis")
         basis = _floats(points_cfg["basis"])
-        d = int(points_cfg.get("dim", round(math.isqrt(len(basis)))))
+        d = int(points_cfg.get("dim") or math.isqrt(len(basis)))
         if d * d != len(basis):
             raise ScenarioValidationError("lattice basis length must be dim^2")
         rows = [basis[i * d:(i + 1) * d] for i in range(d)]
         return {"kind": "lattice", "basis": rows, "radius": radius}
-    if kind == "fibonacci":
+    if kind in ("fibonacci", "fibonacci_product"):
         w = float(points_cfg.get("window", 1.0))
-        tau = (1.0 + math.sqrt(5.0)) / 2.0
-        return {"kind": "cut_and_project",
-                "total_basis": [[1.0, tau], [1.0, 1.0 - tau]],
-                "d": 1, "m": 1, "window": [w], "radius": radius}
-    if kind == "fibonacci_product":
-        w = float(points_cfg.get("window", 1.0))
+        top, bottom = fibonacci_scheme(w).total_basis.tolist()
+        if kind == "fibonacci":
+            return {"kind": "cut_and_project", "total_basis": [top, bottom],
+                    "d": 1, "m": 1, "window": [w], "radius": radius}
         beta = float(points_cfg.get("beta", 0.5))
-        tau = (1.0 + math.sqrt(5.0)) / 2.0
         return {"kind": "cut_and_project",
-                "total_basis": [[1.0, tau, 0.0], [0.0, 0.0, beta],
-                                [1.0, 1.0 - tau, 0.0]],
+                "total_basis": [top + [0.0], [0.0, 0.0, beta], bottom + [0.0]],
                 "d": 2, "m": 1, "window": [w], "radius": radius}
     if kind == "symmetrized_sparse":
         q = float(points_cfg.get("q", 4))
-        base_pts = _sparse_diagonal_points(q, radius)
+        m_max = math.floor(radius + 1e-9)
+        ms = np.arange(-m_max, m_max + 1, dtype=float)
         return {"kind": "symmetrize",
-                "base": {"kind": "explicit", "points": base_pts.tolist(),
+                "base": {"kind": "explicit",
+                         "points": np.stack([ms / q, ms], axis=1).tolist(),
                          "truncation_radius": radius},
                 "sublattice_basis": [[q, 0.0], [0.0, 1.0]],
                 "radius": radius}
     if kind == "csv":
-        from .pointset import load_pointset
         return load_pointset(points_cfg["path"]).source
     raise ScenarioValidationError(f"unknown points kind: {kind!r}")
 
@@ -176,12 +181,10 @@ def build_point_source(points_cfg, radius):
 def _intrinsic_density(source):
     """Exact density of a lattice or model-set recipe, None otherwise."""
     if source.get("kind") == "lattice":
-        det = abs(float(np.linalg.det(np.array(source["basis"]))))
-        return 1.0 / det
+        return 1.0 / Lattice(np.array(source["basis"])).covolume
     if source.get("kind") == "cut_and_project":
-        det = abs(float(np.linalg.det(np.array(source["total_basis"]))))
-        measure = float(np.prod([2.0 * h for h in source["window"]]))
-        return measure / det
+        return CutAndProjectScheme(np.array(source["total_basis"]), source["d"],
+                                   source["m"], Window(tuple(source["window"]))).density()
     return None
 
 
@@ -222,56 +225,72 @@ def _run_padic(sc):
     return results, verdicts
 
 
-def _run_gabor(sc, results, verdicts, flags):
+def _check_frame(system, opt):
+    fb = frame_bounds(system, opt["hermite_n"], n_step=opt["hermite_step"])
+    return fb.to_dict(), fb.converged and fb.A_est > A_FLOOR
+
+
+def _check_riesz(system, opt):
+    rb = riesz_bounds(system, edge_margin=opt["riesz_margin"])
+    return rb.to_dict(), rb.A_est > A_FLOOR
+
+
+def _check_dual(system, opt):
+    pts = system.points
+    interior = GaborSystem(system.window,
+                           pts.restrict(pts.truncation_radius - opt["riesz_margin"]))
+    dual = biorthogonal_dual(interior)
+    delta = uniform_min_delta(interior)
+    return ({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual,
+             "delta": delta, "delta_times_max_dual_norm": delta * math.sqrt(dual.B_sup)},
+            delta > DELTA_FLOOR)
+
+
+def _check_hap(system, opt):
+    box = opt["hap_box"]
+    axis = np.linspace(-opt["hap_x_extent"], opt["hap_x_extent"], opt["hap_x_count"])
+    residuals = [[float(hap_residual(system, system.window, (x1, x2), box))
+                  for x2 in axis] for x1 in axis]
+    worst = float(np.max(residuals))
+    return ({"box_radius": box, "x_axis": [float(v) for v in axis],
+             "residuals": residuals, "max_residual": worst}, worst < HAP_FLOOR)
+
+
+def _check_complete(system, opt):
+    count = opt["probe_count"]
+    res = completeness_residual(system, hermite_basis(system.window.grid, count))
+    return {"probe_count": count, "max_residual": res}, res < COMPLETE_FLOOR
+
+
+# check name -> (runner(system, options) -> (report block, flag value), flag name)
+GABOR_CHECKS = {"frame": (_check_frame, "frame"),
+                "riesz": (_check_riesz, "riesz"),
+                "dual": (_check_dual, "minimal"),
+                "hap": (_check_hap, "hap"),
+                "complete": (_check_complete, "complete_proxy")}
+
+# flag -> (verdict, density it bounds, whether the bound is divided by k).
+# A flag bounding D_minus implies D_minus >= d_pi (1 - slack) [/ k]; one
+# bounding D_plus implies D_plus <= d_pi (1 + slack).
+IMPLIED = {"frame": ("frame_lower_density", "D_minus", True),
+           "complete_proxy": ("complete_proxy_lower_density", "D_minus", True),
+           "hap": ("hap_lower_density", "D_minus", False),
+           "riesz": ("riesz_upper_density", "D_plus", False),
+           "minimal": ("minimal_upper_density", "D_plus", False)}
+
+
+def _run_gabor(sc, results, flags):
     gc = sc.gabor
     radius = float(gc.get("radius", sc.points.get("radius", 0)))
-    grid = GridSpec(float(gc.get("grid_t", gc.get("grid_T"))),
-                    float(gc.get("grid_dt", 0.01)))
-    source = build_point_source(sc.points, radius)
-    pts = regenerate(source)
-    window = gaussian_window(grid)
-    sys = GaborSystem(window, pts)
+    grid = GridSpec(float(gc["grid_t"]), float(gc.get("grid_dt", 0.01)))
+    pts = regenerate(build_point_source(sc.points, radius))
+    system = GaborSystem(gaussian_window(grid), pts)
     out = {"radius": radius, "grid_T": grid.T, "grid_dt": grid.dt,
            "point_count": len(pts)}
-    checks = [c.strip() for c in gc.get("checks", "").split(",") if c.strip()]
-
-    if "frame" in checks:
-        n = int(gc.get("hermite_n", gc.get("hermite_N", 40)))
-        step = int(gc.get("hermite_step", 10))
-        fb = frame_bounds(sys, n, n_step=step)
-        out["frame"] = fb.to_dict()
-        flags["frame"] = fb.converged and fb.A_est > A_FLOOR
-    if "riesz" in checks:
-        margin = float(gc.get("riesz_margin", 2.0))
-        rb = riesz_bounds(sys, edge_margin=margin)
-        out["riesz"] = rb.to_dict()
-        flags["riesz"] = rb.A_est > A_FLOOR
-    if "dual" in checks:
-        margin = float(gc.get("riesz_margin", 2.0))
-        interior = GaborSystem(window, pts.restrict(pts.truncation_radius - margin))
-        dual = biorthogonal_dual(interior)
-        delta = uniform_min_delta(interior)
-        out["dual"] = {"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual,
-                       "delta": delta,
-                       "delta_times_max_dual_norm": delta * math.sqrt(dual.B_sup)}
-        flags["minimal"] = delta > DELTA_FLOOR
-    if "hap" in checks:
-        box = float(gc.get("hap_box", 6.0))
-        extent = float(gc.get("hap_x_extent", 1.0))
-        count = int(gc.get("hap_x_count", 5))
-        axis = np.linspace(-extent, extent, count)
-        residuals = [[float(hap_residual(sys, window, (x1, x2), box))
-                      for x2 in axis] for x1 in axis]
-        out["hap"] = {"box_radius": box, "x_axis": [float(v) for v in axis],
-                      "residuals": residuals,
-                      "max_residual": float(np.max(residuals))}
-        flags["hap"] = out["hap"]["max_residual"] < HAP_FLOOR
-    if "complete" in checks:
-        count = int(gc.get("probe_count", 10))
-        probes = hermite_basis(grid, count)
-        res = completeness_residual(sys, probes)
-        out["complete"] = {"probe_count": count, "max_residual": res}
-        flags["complete_proxy"] = res < COMPLETE_FLOOR
+    opt = gabor_options(gc)
+    for name in _gabor_checks(gc):
+        run, flag = GABOR_CHECKS[name]
+        out[name], flags[flag] = run(system, opt)
     results["gabor"] = out
 
 
@@ -324,14 +343,10 @@ def _run_subadditivity(sc, source, results, verdicts):
 
 def run_scenario(sc):
     """Execute a scenario and return a Report."""
-    results = {}
-    verdicts = []
-    flags = {}
-
     if sc.padic:
-        results, verdicts = _run_padic(sc)
-        return _finalize(sc, results, verdicts)
+        return _finalize(sc, *_run_padic(sc))
 
+    results, verdicts, flags = {}, [], {}
     radii = _floats(sc.density["radii"])
     trunc = float(sc.density.get("truncation", max(radii)))
     source = build_point_source(sc.points, trunc)
@@ -355,67 +370,44 @@ def run_scenario(sc):
 
     k_eff = 1
     if sc.approx:
-        base_r = float(sc.approx.get("base_radius"))
-        sum_r = float(sc.approx.get("sumset_radius"))
-        tol = float(sc.approx.get("coverage_tol", 1e-6))
-        base = regenerate(build_point_source(sc.points, base_r))
-        sumset = sumset_truncated(base, base, sum_r)
-        cover = find_cover_set(sumset, base, coverage_tol=tol)
-        ok = verify_cover(sumset, base, cover.defect_set, tol,
-                          cover.verified_region_radius)
-        results["approx"] = cover.to_dict()
-        results["approx"]["reverified"] = ok
-        k_eff = cover.k if cover.k >= 1 else 1
-        if not ok:
+        base = regenerate(build_point_source(sc.points, float(sc.approx["base_radius"])))
+        sumset = sumset_truncated(base, base, float(sc.approx["sumset_radius"]))
+        results["approx"] = checked_cover(
+            sumset, base, float(sc.approx.get("coverage_tol", 1e-6)))
+        k_eff = max(results["approx"]["k"], 1)
+        if not results["approx"]["reverified"]:
             verdicts.append(_verdict("cover_reverified", "independent cover check",
                                      True, 0, 1, False))
     if "k" in sc.expect:
         k_eff = int(sc.expect["k"])
 
     if sc.gabor:
-        _run_gabor(sc, results, verdicts, flags)
+        _run_gabor(sc, results, flags)
 
     if _get_bool(sc.density.get("subadditivity", "false")):
         _run_subadditivity(sc, source, results, verdicts)
 
-    slack = sc.slack
-    d_pi = D_PI
-    if "frame" in flags:
-        verdicts.append(_verdict(
-            "frame_lower_density", "D_minus >= d_pi (1 - slack) / k",
-            flags["frame"], dens.D_minus, d_pi * (1.0 - slack) / k_eff,
-            (not flags["frame"]) or dens.D_minus >= d_pi * (1.0 - slack) / k_eff))
-    if "complete_proxy" in flags:
-        verdicts.append(_verdict(
-            "complete_proxy_lower_density", "D_minus >= d_pi (1 - slack) / k",
-            flags["complete_proxy"], dens.D_minus, d_pi * (1.0 - slack) / k_eff,
-            (not flags["complete_proxy"])
-            or dens.D_minus >= d_pi * (1.0 - slack) / k_eff))
-    if "hap" in flags:
-        verdicts.append(_verdict(
-            "hap_lower_density", "D_minus >= d_pi (1 - slack)",
-            flags["hap"], dens.D_minus, d_pi * (1.0 - slack),
-            (not flags["hap"]) or dens.D_minus >= d_pi * (1.0 - slack)))
-    if "riesz" in flags:
-        verdicts.append(_verdict(
-            "riesz_upper_density", "D_plus <= d_pi (1 + slack)",
-            flags["riesz"], dens.D_plus, d_pi * (1.0 + slack),
-            (not flags["riesz"]) or dens.D_plus <= d_pi * (1.0 + slack)))
-    if "minimal" in flags:
-        verdicts.append(_verdict(
-            "minimal_upper_density", "D_plus <= d_pi (1 + slack)",
-            flags["minimal"], dens.D_plus, d_pi * (1.0 + slack),
-            (not flags["minimal"]) or dens.D_plus <= d_pi * (1.0 + slack)))
+    for flag, (name, side, per_k) in IMPLIED.items():
+        if flag not in flags:
+            continue
+        lhs = getattr(dens, side)
+        if side == "D_minus":
+            inequality = "D_minus >= d_pi (1 - slack)" + (" / k" if per_k else "")
+            rhs = D_PI * (1.0 - sc.slack) / (k_eff if per_k else 1)
+            holds = lhs >= rhs
+        else:
+            inequality = "D_plus <= d_pi (1 + slack)"
+            rhs = D_PI * (1.0 + sc.slack)
+            holds = lhs <= rhs
+        verdicts.append(_verdict(name, inequality, flags[flag], lhs, rhs,
+                                 not flags[flag] or holds))
 
-    for key, flag_name in (("frame", "frame"), ("riesz", "riesz"), ("hap", "hap"),
-                           ("complete_proxy", "complete_proxy"),
-                           ("minimal", "minimal")):
-        if key in sc.expect and str(sc.expect[key]).strip() != "":
-            want = _get_bool(sc.expect[key])
-            got = flags.get(flag_name)
-            verdicts.append(_verdict(
-                f"expected_{key}", f"{flag_name} flag == expectation",
-                True, got, want, got == want))
+    for flag in ("frame", "riesz", "hap", "complete_proxy", "minimal"):
+        if str(sc.expect.get(flag, "")).strip():
+            want = _get_bool(sc.expect[flag])
+            got = flags.get(flag)
+            verdicts.append(_verdict(f"expected_{flag}", f"{flag} flag == expectation",
+                                     True, got, want, got == want))
     if "k" in sc.expect and "approx" in results:
         want = int(sc.expect["k"])
         verdicts.append(_verdict("expected_k", "cover size k == expectation",
@@ -462,12 +454,13 @@ def _json_default(obj):
 
 
 def _finalize(sc, results, verdicts):
-    blob = json.dumps(sc.to_dict(), sort_keys=True).encode()
+    scenario = asdict(sc)
+    blob = json.dumps(scenario, sort_keys=True).encode()
     provenance = {"package": "quasilat", "version": __version__,
                   "settings_hash": hashlib.sha256(blob).hexdigest(),
                   "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     passed = all(v["passed"] for v in verdicts)
-    return Report(sc.to_dict(), results, verdicts, passed, provenance)
+    return Report(scenario, results, verdicts, passed, provenance)
 
 
 def builtin_scenario_names():

@@ -119,6 +119,30 @@ def test_gabor_commands(tmp_path):
     assert json.loads(out2.read_text())["subspace_dim"] > 0
 
 
+def test_gabor_commands_match_scenario_blocks(tmp_path):
+    # non-default options on both sides pin each flag to its option key
+    cfg = tmp_path / "gabor.cfg"
+    cfg.write_text("[scenario]\nname = gabor-tiny\n"
+                   "[points]\nkind = lattice\nbasis = 2, 0, 0, 1\nradius = 6\n"
+                   "[density]\nradii = 2, 4\ntruncation = 10\n"
+                   "[gabor]\ngrid_T = 12\nchecks = riesz, dual, hap, complete\n"
+                   "riesz_margin = 1.5\nhap_box = 3\nhap_x_extent = 0.5\n"
+                   "hap_x_count = 2\nprobe_count = 4\n")
+    report = ql.run_scenario(ql.parse_scenario(cfg))
+    blocks = json.loads(report.to_json())["results"]["gabor"]
+    pts = tmp_path / "nodes.csv"
+    assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
+                 "--radius", "6", "--out", str(pts)]) == 0
+    flags = {"riesz": ["--edge-margin", "1.5"], "dual": ["--edge-margin", "1.5"],
+             "hap": ["--K", "3", "--x-extent", "0.5", "--x-grid", "2"],
+             "complete": ["--probes", "4"]}
+    for check, extra in flags.items():
+        out = tmp_path / f"{check}.json"
+        assert main(["gabor", check, "--points", str(pts), "--grid-T", "12",
+                     "--out", str(out)] + extra) == 0
+        assert json.loads(out.read_text()) == blocks[check], check
+
+
 def test_gabor_guard_exits_2(tmp_path, capsys):
     pts = tmp_path / "nodes.csv"
     assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
@@ -166,6 +190,30 @@ def test_run_failing_scenario_exits_1(tmp_path, capsys):
     rc = main(["run", str(cfg)])
     assert rc == 1
     assert "FAILURES PRESENT" in capsys.readouterr().out
+
+
+def test_run_parallel_matches_serial(tmp_path, capsys, monkeypatch):
+    paths = []
+    for name in ("tiny-a", "tiny-b"):
+        paths.append(tmp_path / f"{name}.cfg")
+        paths[-1].write_text(TINY_SCENARIO.replace("cli-tiny", name))
+    assert main(["run"] + [str(p) for p in paths]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setenv("QUASILAT_THREADS", "2")
+    assert main(["run", "--parallel"] + [str(p) for p in paths]) == 0
+    assert capsys.readouterr().out == serial
+    assert "tiny-b::density_matches_formula" in serial
+
+
+def test_lattice_without_basis_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nobasis.cfg"
+    cfg.write_text(TINY_SCENARIO.replace("basis = 1\n", ""))
+    assert main(["run", str(cfg)]) == 2
+    assert "basis" in capsys.readouterr().err
+    rc = main(["gen", "--kind", "lattice", "--radius", "3",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "basis" in capsys.readouterr().err
 
 
 def test_run_unknown_target_exits_2(capsys):

@@ -61,6 +61,13 @@ def test_build_validation():
         ql.enumerate_model_set(9, 1, 2)
 
 
+def test_elements_enumerated_on_first_access():
+    ms = ql.PAdicModelSet.build(3, "1/2", 4)
+    assert "elements" not in vars(ms)
+    assert ms.elements == tuple(ql.enumerate_model_set(3, Fraction(1, 2), 4))
+    assert ms.elements is ms.elements
+
+
 def test_density_matches_golden_p2(golden):
     ms = ql.PAdicModelSet.build(2, 1, 12)
     rep = ql.padic_density(ms)

@@ -77,6 +77,9 @@ def test_parse_rejects_missing_pieces(tmp_path):
     shallow = TINY.replace("truncation = 10", "truncation = 3")
     with pytest.raises(ql.ScenarioValidationError, match="truncation"):
         ql.parse_scenario(write_cfg(tmp_path, shallow))
+    no_basis = TINY.replace("basis = 1\n", "")
+    with pytest.raises(ql.ScenarioValidationError, match="basis"):
+        ql.parse_scenario(write_cfg(tmp_path, no_basis))
 
 
 def test_parse_rejects_inconsistent_gabor(tmp_path):
@@ -95,6 +98,9 @@ def test_parse_rejects_inconsistent_gabor(tmp_path):
     aliased = base + "\n[gabor]\nradius = 30\ngrid_T = 60\ngrid_dt = 0.01\n"
     with pytest.raises(ql.ScenarioValidationError, match="1/\\(4 dt\\)"):
         ql.parse_scenario(write_cfg(tmp_path, aliased))
+    misspelled = base + "\n[gabor]\nradius = 8\ngrid_T = 16\nchecks = riesz, reisz\n"
+    with pytest.raises(ql.ScenarioValidationError, match="unknown gabor checks.*reisz"):
+        ql.parse_scenario(write_cfg(tmp_path, misspelled))
 
 
 def test_validate_padic_requirements():
