@@ -1,8 +1,10 @@
-"""Delone diagnostics and greedy covering of truncated sumsets.
+"""Delone diagnostics and covering of truncated sumsets.
 
 A set is approximately closed (with constant k) when its sumset is covered by
 k translates of the set. find_cover_set certifies an upper bound for k on the
-truncation by greedy set cover; verify_cover re-checks a cover with no greedy
+truncation by greedy set cover, then searches all candidate pairs when greedy
+needs three or more, so a k of at most 3 is the minimum over sumset-point
+translates (``k_minimal``); verify_cover re-checks a cover with no search
 state shared.
 """
 
@@ -33,7 +35,11 @@ class DeloneReport:
 
 @dataclass
 class CoverResult:
-    """Greedy cover: sumset within the verified region lies in defect_set + base."""
+    """Cover: sumset within the verified region lies in defect_set + base.
+
+    ``to_dict`` reports ``k_minimal``: true when k <= 3, where k is the minimum
+    over translates by sumset points; a larger k is an upper bound.
+    """
 
     defect_set: np.ndarray
     k: int
@@ -42,6 +48,7 @@ class CoverResult:
 
     def to_dict(self):
         return {"k": self.k,
+                "k_minimal": self.k <= 3,
                 "defect_set": [list(map(float, f)) for f in self.defect_set],
                 "coverage_tol": self.coverage_tol,
                 "verified_region_radius": self.verified_region_radius}
@@ -88,10 +95,13 @@ def _coverage_matrix(candidates, targets, base_tree, tol):
 
 def find_cover_set(sumset, base, coverage_tol=1e-6, verified_region_radius=None,
                    max_iterations=64):
-    """Greedy cover of the sumset truncation by translates of base.
+    """Cover of the sumset truncation by translates of base: greedy, then pairs.
 
     Candidates are the sumset's own points. Ties are broken by sup-norm, then
     lexicographically, so a lattice always yields k = 1 with defect set {0}.
+    Greedy finds a 1-cover whenever one exists; when it needs three or more
+    translates, the first candidate pair in that order that covers every
+    target replaces its answer, so k <= 3 is minimal over the candidates.
     The default verified region is the whole sumset truncation; generating
     the base out to at least twice the sumset radius guarantees every
     coverage witness s - f lies inside the base truncation, so truncation
@@ -134,6 +144,13 @@ def find_cover_set(sumset, base, coverage_tol=1e-6, verified_region_radius=None,
                              "uncovered sumset point with no candidate translate")
         picks.append(best)
         uncovered &= ~cover[best]
+
+    if len(picks) >= 3:
+        # a pair (i, j) covers every target iff no target is missed by both
+        missed = (~cover).astype(np.float32)
+        pairs = np.argwhere(np.triu(missed @ missed.T == 0, 1))
+        if len(pairs):
+            picks = list(pairs[0])  # first pair in (norm, lex) candidate order
 
     defect = candidates[sorted(picks)]
     lex = np.lexsort(defect.T[::-1])

@@ -33,19 +33,52 @@ def _as_points(points, dim):
 
 
 def _canonical(points, tol=DEDUP_TOL):
-    """Lex-sort points and merge neighbours closer than tol in sup norm."""
-    if len(points) == 0:
+    """Lex-sorted points with sup-norm near-duplicates removed.
+
+    Rule: in lexicographic order, a point is dropped exactly when it lies
+    within ``tol`` (sup norm) of an earlier point that was kept. The result
+    depends only on the input set, not on its order.
+
+    Method: sort-and-chain grouping. For each coordinate in turn, points are
+    sorted by (group, coordinate) and a new group starts wherever the group
+    changes or the coordinate gap exceeds ``tol``; any two points within
+    ``tol`` therefore share a final group. A group whose spread is at most
+    ``tol`` in every coordinate keeps its lex-first member; only a wider
+    group (a chain) applies the rule above member by member.
+    """
+    n = len(points)
+    if n == 0:
         return points
     pts = points + 0.0  # normalizes -0.0 to +0.0
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    keep = np.ones(len(pts), dtype=bool)
-    last = 0
-    for i in range(1, len(pts)):
-        if np.max(np.abs(pts[i] - pts[last])) <= tol:
-            keep[i] = False
-        else:
-            last = i
+    pts = pts[np.lexsort(pts.T[::-1])]
+    # order: lex indices sorted by (group, coordinate c); group never decreases
+    # along order, and lex order is already sorted by the first coordinate
+    order = np.arange(n)
+    group = np.zeros(n, dtype=np.int64)
+    for c in range(pts.shape[1]):
+        x = pts[order, c]
+        split = np.diff(group) != 0
+        if np.any(np.diff(x)[~split] < 0):
+            sub = np.lexsort((x, group))
+            order, x = order[sub], x[sub]
+        starts = np.r_[True, split | (np.diff(x) > tol)]
+        group = np.cumsum(starts)
+    first = np.flatnonzero(starts)
+    if len(first) == n:  # no two points within tol
+        return pts
+    members = pts[order]
+    spread = (np.maximum.reduceat(members, first, axis=0)
+              - np.minimum.reduceat(members, first, axis=0))
+    keep = np.zeros(n, dtype=bool)
+    keep[np.minimum.reduceat(order, first)] = True  # lex-first member of each group
+    bounds = np.r_[first, n]
+    for g in np.flatnonzero(np.any(spread > tol, axis=1)):
+        lex = np.sort(order[bounds[g]:bounds[g + 1]])
+        kept = [lex[0]]
+        for i in lex[1:]:
+            if np.min(np.max(np.abs(pts[kept] - pts[i]), axis=1)) > tol:
+                kept.append(i)
+        keep[kept] = True
     return pts[keep]
 
 
@@ -360,8 +393,8 @@ def save_pointset(ps, path):
     path = str(path)
     with open(path, "w") as fh:
         fh.write(f"dim={ps.dim}\n")
-        for p in ps.points:
-            fh.write(",".join(format(x, ".17g") for x in p) + "\n")
+        row = ",".join(["%.17g"] * ps.dim) + "\n"
+        fh.write(row * len(ps) % tuple(ps.points.ravel().tolist()))
     sidecar = {"source": ps.source, "truncation_radius": ps.truncation_radius,
                "dim": ps.dim, "count": len(ps)}
     with open(path + ".json", "w") as fh:

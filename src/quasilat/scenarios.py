@@ -119,9 +119,14 @@ def validate_scenario(sc):
     trunc = float(sc.density.get("truncation", 0) or 0)
     if kind != "csv" and trunc < max(radii):
         raise ScenarioValidationError("density truncation below largest box radius")
+    for key in ("base_radius", "sumset_radius"):
+        if sc.approx and key not in sc.approx:
+            raise ScenarioValidationError(f"[approx] missing {key}")
     if sc.gabor:
+        if "grid_t" not in sc.gabor:
+            raise ScenarioValidationError("[gabor] missing grid_T")
         radius = float(sc.gabor.get("radius", sc.points.get("radius", 0)))
-        grid_T = float(sc.gabor.get("grid_t", 0))
+        grid_T = float(sc.gabor["grid_t"])
         grid_dt = float(sc.gabor.get("grid_dt", 0.01))
         if grid_T < 2.0 * radius:
             raise ScenarioValidationError("gabor grid_T must be at least twice the radius")

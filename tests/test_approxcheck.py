@@ -33,10 +33,11 @@ def test_delone_flags_asymmetric_set():
 
 
 def test_greedy_cover_toy_set():
+    # greedy takes {0, -1, 1}; the pair search finds the 2-cover {-1, 1}
     base, sumset = toy_pair()
     cover = ql.find_cover_set(sumset, base)
-    assert cover.k == 3
-    np.testing.assert_allclose(cover.defect_set[:, 0], [-1.0, 0.0, 1.0])
+    assert cover.k == 2
+    np.testing.assert_allclose(cover.defect_set[:, 0], [-1.0, 1.0])
     assert cover.verified_region_radius == 2.0
     assert ql.verify_cover(sumset, base, cover.defect_set)
     assert not ql.verify_cover(sumset, base, [[0.0]])
@@ -44,11 +45,21 @@ def test_greedy_cover_toy_set():
 
 
 def test_greedy_k_upper_bounds_exhaustive(golden):
-    # greedy is an upper bound certificate; the exhaustive search on the same
-    # toy instance needs only two translates
+    # k <= 3 is minimal: it equals the exhaustive search on the toy instance
     base, sumset = toy_pair()
     cover = ql.find_cover_set(sumset, base)
-    assert cover.k >= golden["fibonacci"]["toy_k_exhaustive"]
+    assert cover.k == golden["fibonacci"]["toy_k_exhaustive"]
+
+
+def test_pair_search_finds_fibonacci_two_cover():
+    # greedy alone needs 3 translates here although 2 suffice
+    base = ql.model_set_generate(ql.fibonacci_scheme(1.0), 60.0)
+    sumset = ql.sumset_truncated(base, base, 30.0)
+    cover = ql.find_cover_set(sumset, base)
+    assert cover.k == 2
+    assert cover.to_dict()["k_minimal"] is True
+    assert ql.verify_cover(sumset, base, cover.defect_set, cover.coverage_tol,
+                           cover.verified_region_radius)
 
 
 def test_lattice_covers_itself():
@@ -88,5 +99,6 @@ def test_cover_failure_modes():
 def test_cover_result_serializes():
     base, sumset = toy_pair()
     d = ql.find_cover_set(sumset, base).to_dict()
-    assert d["k"] == 3
+    assert d["k"] == 2
+    assert d["k_minimal"] is True
     assert isinstance(d["defect_set"][0][0], float)

@@ -216,6 +216,15 @@ def test_lattice_without_basis_exits_2(tmp_path, capsys):
     assert "basis" in capsys.readouterr().err
 
 
+def test_incomplete_scenario_blocks_exit_2(tmp_path, capsys):
+    for block, missing in (("[approx]\nbase_radius = 8\n", "sumset_radius"),
+                           ("[gabor]\nchecks = riesz\n", "grid_T")):
+        cfg = tmp_path / "incomplete.cfg"
+        cfg.write_text(TINY_SCENARIO + "\n" + block)
+        assert main(["run", str(cfg)]) == 2
+        assert missing in capsys.readouterr().err
+
+
 def test_run_unknown_target_exits_2(capsys):
     rc = main(["run", "definitely-not-a-scenario"])
     assert rc == 2

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasilat as ql
+from quasilat.pointset import DEDUP_TOL, _canonical
 
 
 def test_integer_lattice_box_count_and_order():
@@ -214,3 +217,66 @@ def test_regenerate_every_recipe_kind():
         assert regen.truncation_radius == ps.truncation_radius
     with pytest.raises(ValueError, match="unknown point set recipe"):
         ql.regenerate({"kind": "mystery"})
+
+
+def _dedup_rule(points):
+    """Reference rule: in lex order, drop a point within DEDUP_TOL of an earlier kept one."""
+    pts = points + 0.0
+    kept = []
+    for p in pts[np.lexsort(pts.T[::-1])]:
+        if all(np.max(np.abs(p - q)) > DEDUP_TOL for q in kept):
+            kept.append(p)
+    return np.array(kept).reshape(-1, points.shape[1])
+
+
+# integer centres plus noise around DEDUP_TOL, so clusters, chains and exact copies occur
+_NOISE = [0.0, 0.3, -0.3, 0.6, -0.6, 0.9, 1.0, -1.0, 1.1, 1.6, -1.6, 2.2]
+_coord = st.builds(lambda c, e: c + e * DEDUP_TOL,
+                   st.sampled_from([-2.0, 0.0, 1.0 / 3.0, 1.0]), st.sampled_from(_NOISE))
+
+
+@st.composite
+def _noisy_sets(draw):
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[_coord] * dim), min_size=1, max_size=40))
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=_noisy_sets(), data=st.data())
+def test_canonical_properties(pts, data):
+    out = _canonical(pts)
+    np.testing.assert_array_equal(out, _dedup_rule(pts))
+    gaps = np.max(np.abs(out[:, None, :] - out[None, :, :]), axis=2)
+    assert np.all(gaps[np.triu_indices(len(out), 1)] > DEDUP_TOL)
+    np.testing.assert_array_equal(_canonical(out), out)
+    perm = data.draw(st.permutations(range(len(pts))))
+    np.testing.assert_array_equal(_canonical(pts[perm]), out)
+    assert all(np.any(np.all(row == pts, axis=1)) for row in out)
+    reach = np.max(np.abs(pts[:, None, :] - out[None, :, :]), axis=2)
+    assert np.all(np.min(reach, axis=1) <= DEDUP_TOL)
+
+
+def test_canonical_drops_copy_separated_in_lex_order():
+    pts = np.array([[1.0, 5.0], [1.0 + 5e-13, 0.0], [1.0 + 1e-12, 5.0]])
+    np.testing.assert_array_equal(_canonical(pts), pts[:2])
+
+
+def test_sumset_float_noise_copies_merge():
+    # sums of (1/sqrt 2) Z^2 land on (1/sqrt 2) Z^2 up to rounding noise
+    base = ql.lattice_points_in_box(ql.Lattice(math.sqrt(0.5) * np.eye(2)), 8.0)
+    sumset = ql.sumset_truncated(base, base, 4.0)
+    assert len(sumset) == 121
+    rep = ql.density_scan(sumset, ql.FolnerBoxes(2, (1.0, 2.0, 3.0)))
+    assert rep.lower_counts == [4, 25, 64]
+    assert rep.upper_counts == [9, 36, 81]
+
+
+def test_save_pointset_text_matches_per_element_format(tmp_path):
+    values = [0.1, 1.0 / 3.0, 1e-300, -2.5e16, 0.0, 5e-324, -1.5, 123456789.125]
+    ps = ql.from_points(np.array(values).reshape(-1, 2))
+    path = tmp_path / "v.csv"
+    ql.save_pointset(ps, path)
+    want = "dim=2\n" + "".join(",".join(format(x, ".17g") for x in p) + "\n"
+                               for p in ps.points)
+    assert path.read_text() == want

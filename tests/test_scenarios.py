@@ -80,6 +80,9 @@ def test_parse_rejects_missing_pieces(tmp_path):
     no_basis = TINY.replace("basis = 1\n", "")
     with pytest.raises(ql.ScenarioValidationError, match="basis"):
         ql.parse_scenario(write_cfg(tmp_path, no_basis))
+    no_base_radius = TINY + "\n[approx]\nsumset_radius = 2\n"
+    with pytest.raises(ql.ScenarioValidationError, match="base_radius"):
+        ql.parse_scenario(write_cfg(tmp_path, no_base_radius))
 
 
 def test_parse_rejects_inconsistent_gabor(tmp_path):
@@ -101,6 +104,9 @@ def test_parse_rejects_inconsistent_gabor(tmp_path):
     misspelled = base + "\n[gabor]\nradius = 8\ngrid_T = 16\nchecks = riesz, reisz\n"
     with pytest.raises(ql.ScenarioValidationError, match="unknown gabor checks.*reisz"):
         ql.parse_scenario(write_cfg(tmp_path, misspelled))
+    no_grid = TINY + "\n[gabor]\nchecks = riesz\n"
+    with pytest.raises(ql.ScenarioValidationError, match="grid_T"):
+        ql.parse_scenario(write_cfg(tmp_path, no_grid))
 
 
 def test_validate_padic_requirements():
