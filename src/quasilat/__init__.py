@@ -25,10 +25,11 @@ from .padic import (PAdicCoverResult, PAdicDensityReport, PAdicModelSet,
                     PAdicRational, enumerate_model_set, padic_cover_set,
                     padic_density, padic_norm, parse_window)
 from .gabor import (D_PI, DualFamily, GaborSystem, GridSpec, SpectralBounds,
-                    Waveform, biorthogonal_dual, cocycle, completeness_residual,
-                    frame_bounds, gaussian_window, gram_matrix, hap_residual,
-                    hermite_basis, inner, orthogonality_check, riesz_bounds,
-                    tf_shift, uniform_min_delta)
+                    Waveform, atom_coordinates, biorthogonal_dual, cocycle,
+                    completeness_residual, frame_bounds, gaussian_window,
+                    gram_matrix, hap_residual, hermite_basis, hermite_cutoff,
+                    inner, orthogonality_check, riesz_bounds, tf_shift,
+                    uniform_min_delta)
 from .scenarios import (Report, Scenario, builtin_scenario_names,
                         builtin_scenario_path, parse_scenario, run_scenario)
 
@@ -52,7 +53,7 @@ __all__ = [
     "DualFamily", "inner", "gaussian_window", "hermite_basis", "tf_shift",
     "cocycle", "orthogonality_check", "frame_bounds", "riesz_bounds",
     "gram_matrix", "biorthogonal_dual", "uniform_min_delta", "hap_residual",
-    "completeness_residual",
+    "completeness_residual", "atom_coordinates", "hermite_cutoff",
     "Scenario", "Report", "parse_scenario", "run_scenario",
     "builtin_scenario_names", "builtin_scenario_path",
 ]

@@ -1,27 +1,28 @@
-"""Sampled time-frequency analysis for coherent systems pi(lambda) g over point sets.
+"""Time-frequency analysis for Gaussian coherent systems pi(lambda) g over point sets.
 
-Functions live on a uniform grid over [-T, T]; inner products use trapezoidal
-quadrature. pi(x, xi) f(t) = exp(2 pi i xi t) f(t - x), so composing two shifts
-produces the scalar cocycle(z, z') = exp(-2 pi i xi' x). The formal degree of
-this representation is 1 under Lebesgue normalization, which makes
-integral |<f, pi(z) g>|^2 dz = ||f||^2 ||g||^2 the reference identity.
+pi(x, xi) f(t) = exp(2 pi i xi t) f(t - x), so pi(z) pi(z') = cocycle(z, z')
+pi(z + z') with cocycle = exp(-2 pi i xi' x). The formal degree is 1 under
+Lebesgue normalization: integral |<f, pi(z) g>|^2 dz = ||f||^2 ||g||^2.
+The checks are grid-free: for g = h_0 every atom has closed-form Hermite
+coordinates (atom_coordinates) and the Gram matrix is analytic. Waveforms,
+tf_shift, hermite_basis, orthogonality_check, synthesis_matrix and dual
+waveforms sample a uniform grid on [-T, T] with trapezoidal quadrature.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import gammaln
 
 from .errors import (InsufficientTruncationError, NotMinimalError,
                      ShiftRangeError, TruncationTooSmallError)
 from .pointset import DEDUP_TOL, PointSet
 
-# Formal degree of the sampled representation under Lebesgue normalization.
+# Formal degree of the representation under Lebesgue normalization.
 D_PI = 1.0
-
-# Relative error budget for off-grid cubic time shifts.
-INTERP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ class GridSpec:
     @property
     def quad_weights(self):
         w = np.full(self.size, self.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w[[0, -1]] *= 0.5
         return w
 
 
@@ -101,9 +101,7 @@ def hermite_basis(grid, count):
     y = math.sqrt(2.0 * math.pi) * t
     h = np.zeros((count, grid.size))
     h[0] = (2.0 ** 0.25) * np.exp(-math.pi * t * t)
-    if count > 1:
-        h[1] = math.sqrt(2.0) * y * h[0]
-    for n in range(2, count):
+    for n in range(1, count):  # at n = 1 the h[n - 2] term has weight 0
         h[n] = math.sqrt(2.0 / n) * y * h[n - 1] - math.sqrt((n - 1) / n) * h[n - 2]
     return [Waveform(grid, row) for row in h]
 
@@ -159,15 +157,11 @@ def orthogonality_check(f, g, tf_grid_step=0.25, tf_radius=4.5):
         raise ValueError("waveforms live on different grids")
     m = int(math.floor(tf_radius / tf_grid_step + 1e-12))
     offs = tf_grid_step * np.arange(-m, m + 1)
-    t = grid.times
-    w = grid.quad_weights
-    kernel = np.exp(-2j * math.pi * np.outer(offs, t))  # rows: xi values
+    kernel = np.exp(-2j * math.pi * np.outer(offs, grid.times))  # rows: xi values
     total = 0.0
     for x in offs:
-        s = _time_shift_samples(grid, g.samples, x)
-        u = w * f.samples * np.conj(s)
-        coeffs = kernel @ u
-        total += float(np.sum(np.abs(coeffs) ** 2))
+        u = grid.quad_weights * f.samples * np.conj(_time_shift_samples(grid, g.samples, x))
+        total += float(np.sum(np.abs(kernel @ u) ** 2))
     return total * tf_grid_step ** 2
 
 
@@ -184,15 +178,12 @@ class SpectralBounds:
     B_sweep: list = field(default=None)
 
     def to_dict(self):
-        return {"A_est": self.A_est, "B_est": self.B_est,
-                "subspace_dim": self.subspace_dim, "converged": self.converged,
-                "test_sizes": self.test_sizes,
-                "A_sweep": self.A_sweep, "B_sweep": self.B_sweep}
+        return asdict(self)
 
 
 @dataclass
 class GaborSystem:
-    """Window plus a finite 2d time-frequency point set Lambda."""
+    """Gaussian window plus a finite 2d time-frequency point set Lambda."""
 
     window: Waveform
     points: PointSet
@@ -202,48 +193,74 @@ class GaborSystem:
     def __post_init__(self):
         if self.points.dim != 2:
             raise ValueError("Gabor systems need dim-2 point sets (time, frequency)")
+        if not np.array_equal(self.window.samples, gaussian_window(self.window.grid).samples):
+            raise ValueError("the window must be gaussian_window(grid), as the checks assume")
 
     def synthesis_matrix(self):
         """Weighted sample matrix: column j = sqrt(quad weights) * pi(lambda_j) g."""
         if self._matrix is None:
             grid = self.window.grid
-            pts = self.points.points
-            t = grid.times
-            sqrtw = np.sqrt(grid.quad_weights)
-            V = np.zeros((grid.size, len(pts)), dtype=complex)
-            # group by time shift: one interpolation per distinct x
-            xs = pts[:, 0] if len(pts) else np.zeros(0)
-            for x in np.unique(xs):
-                idx = np.nonzero(xs == x)[0]
-                if abs(x) > grid.T / 2.0 + 1e-12:
-                    raise ShiftRangeError(f"point time shift {x} exceeds T/2")
-                shifted = _time_shift_samples(grid, self.window.samples, float(x))
-                xis = pts[idx, 1]
-                if np.max(np.abs(xis), initial=0.0) > grid.xi_max + 1e-12:
-                    raise ShiftRangeError("point modulation exceeds 1/(4 dt)")
-                V[:, idx] = shifted[:, None] * np.exp(2j * math.pi * np.outer(t, xis))
-            self._matrix = sqrtw[:, None] * V
+            x, xi = self.points.points.T
+            if np.max(np.abs(xi), initial=0.0) > grid.xi_max + 1e-12:
+                raise ShiftRangeError("point modulation exceeds 1/(4 dt)")
+            V = np.exp(2j * math.pi * np.outer(grid.times, xi))
+            for shift in np.unique(x):  # one interpolation per distinct time shift
+                V[:, x == shift] *= tf_shift(self.window, float(shift), 0.0).samples[:, None]
+            self._matrix = np.sqrt(grid.quad_weights)[:, None] * V
         return self._matrix
 
 
+def hermite_cutoff(points):
+    """Coordinate count N = ceil(m + 12 sqrt(m) + 40) with m = pi max |z|^2.
+
+    |<pi(z) g, h_n>|^2 is the Poisson(pi |z|^2) law in n, so the atoms'
+    energy beyond N coordinates is a Poisson tail past 12 standard deviations.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    m = math.pi * float(np.max(np.sum(pts * pts, axis=1), initial=0.0))
+    return math.ceil(m + 12.0 * math.sqrt(m) + 40.0)
+
+
+def atom_coordinates(points, N):
+    """Hermite coordinates C[n, j] = <pi(lambda_j) g, h_n> for n < N.
+
+    With z = x + i xi, C[n, j] = exp(pi i x xi) exp(-pi |z|^2 / 2)
+    (sqrt(pi) z)^n / sqrt(n!), the Bargmann transform of pi(lambda) h_0
+    (Groechenig 2001, section 3.4); the modulus is evaluated in log space.
+    """
+    x, xi = np.asarray(points, dtype=float).reshape(-1, 2).T
+    r2 = x * x + xi * xi
+    at_zero = r2 == 0.0
+    n = np.arange(N, dtype=float)[:, None]
+    log_mod = (0.5 * n * np.log(math.pi * np.where(at_zero, 1.0, r2))
+               - 0.5 * gammaln(n + 1.0) - 0.5 * math.pi * r2)
+    C = np.exp(log_mod + 1j * (n * np.arctan2(xi, x) + math.pi * x * xi))
+    C[:, at_zero] = np.eye(N, 1)  # pi(0) g = h_0
+    return C
+
+
 def gram_matrix(sys, max_points=6000):
-    """Hermitian Gram G[i][j] = <pi(lambda_j) g, pi(lambda_i) g>."""
+    """Hermitian Gram G[i][j] = <pi(lambda_j) g, pi(lambda_i) g> in closed form.
+
+    G[i][j] = exp(-pi |lambda_j - lambda_i|^2 / 2 + pi i (xi_j - xi_i)(x_j + x_i)).
+    """
     n = len(sys.points)
     if n == 0:
         raise ValueError("empty point set")
     if n > max_points:
         raise ValueError(f"Gram size cap exceeded ({n} > {max_points}); "
                          "restrict to an interior truncation first")
-    V = sys.synthesis_matrix()
-    G = V.conj().T @ V
-    return 0.5 * (G + G.conj().T)
+    x, xi = sys.points.points.T
+    dx, dxi = x[None, :] - x[:, None], xi[None, :] - xi[:, None]
+    return np.exp(-0.5 * math.pi * (dx * dx + dxi * dxi)
+                  + 1j * math.pi * dxi * (x[None, :] + x[:, None]))
 
 
 def frame_bounds(sys, test_basis_size, n_step=10, rel_tol=0.1, a_floor=1e-2,
                  k_guard=6.0):
     """Finite-section frame bound estimates on the span of Hermite functions.
 
-    M[i][j] = sum over lambda of <h_i, pi(lambda) g><pi(lambda) g, h_j>; the
+    M[i][j] = sum over lambda of <pi(lambda) g, h_i><h_j, pi(lambda) g>; the
     estimates are the extremal eigenvalues of M for growing basis size, with
     A_est non-increasing and B_est non-decreasing in the size. Requires the
     point truncation to cover the basis concentration radius sqrt(N/pi) plus
@@ -255,27 +272,16 @@ def frame_bounds(sys, test_basis_size, n_step=10, rel_tol=0.1, a_floor=1e-2,
         raise TruncationTooSmallError(
             f"truncation {sys.points.truncation_radius} below guard radius "
             f"{need:.3f} for a {N}-function test basis")
-    grid = sys.window.grid
-    basis = hermite_basis(grid, N)
-    sqrtw = np.sqrt(grid.quad_weights)
-    H = np.stack([b.samples for b in basis], axis=1) * sqrtw[:, None]
-    V = sys.synthesis_matrix()
-    C = H.T @ np.conj(V)  # C[i, lambda] = <h_i, pi(lambda) g>
+    C = atom_coordinates(sys.points.points, N)
     M = C @ C.conj().T
     M = 0.5 * (M + M.conj().T)
 
-    sizes = list(range(n_step, N + 1, n_step))
-    if not sizes or sizes[-1] != N:
-        sizes.append(N)
-    a_sweep, b_sweep = [], []
-    for k in sizes:
-        eigs = np.linalg.eigvalsh(M[:k, :k])
-        a_sweep.append(max(float(eigs[0]), 0.0))
-        b_sweep.append(float(eigs[-1]))
-    if len(sizes) >= 2:
-        converged = abs(a_sweep[-1] - a_sweep[-2]) <= rel_tol * max(a_sweep[-1], a_floor)
-    else:
-        converged = False
+    sizes = sorted(set(range(n_step, N, n_step)) | {N})
+    eigs = [np.linalg.eigvalsh(M[:k, :k]) for k in sizes]
+    a_sweep = [max(float(e[0]), 0.0) for e in eigs]
+    b_sweep = [float(e[-1]) for e in eigs]
+    converged = (len(sizes) >= 2 and abs(a_sweep[-1] - a_sweep[-2])
+                 <= rel_tol * max(a_sweep[-1], a_floor))
     return SpectralBounds(a_sweep[-1], b_sweep[-1], N, bool(converged),
                           sizes, a_sweep, b_sweep)
 
@@ -286,19 +292,29 @@ def riesz_bounds(sys, edge_margin=0.0):
     interior = sys.points.restrict(radius)
     if len(interior) == 0:
         raise ValueError("no interior points at this edge margin")
-    sub = GaborSystem(sys.window, interior, sys.formal_degree)
-    eigs = np.linalg.eigvalsh(gram_matrix(sub))
+    eigs = np.linalg.eigvalsh(gram_matrix(GaborSystem(sys.window, interior, sys.formal_degree)))
     return SpectralBounds(max(float(eigs[0]), 0.0), float(eigs[-1]),
                           len(interior), True)
 
 
 @dataclass
 class DualFamily:
-    """Biorthogonal dual waveforms h_lambda with <pi(lambda) g, h_mu> = delta."""
+    """Biorthogonal duals h_lambda = sum_mu Ginv[mu, lambda] pi(mu) g.
 
-    duals: list
+    <pi(lambda) g, h_mu> = delta and ||h_lambda||^2 = Ginv[lambda, lambda], so
+    B_sup needs no waveform; `duals` is synthesised on the grid when first read.
+    """
+
+    system: GaborSystem = field(repr=False)
+    inverse_gram: np.ndarray = field(repr=False)
     B_sup: float
     biorth_residual: float
+
+    @cached_property
+    def duals(self):
+        grid = self.system.window.grid
+        W = self.system.synthesis_matrix() @ self.inverse_gram
+        return [Waveform(grid, w) for w in (W / np.sqrt(grid.quad_weights)[:, None]).T]
 
 
 def biorthogonal_dual(sys, eig_tol=1e-10):
@@ -308,42 +324,30 @@ def biorthogonal_dual(sys, eig_tol=1e-10):
     if eigs[0] <= eig_tol * max(float(eigs[-1]), 1.0):
         raise NotMinimalError("not minimal at tolerance: Gram matrix numerically singular")
     Ginv = (U / eigs) @ U.conj().T
-    V = sys.synthesis_matrix()
-    duals_w = V @ Ginv
-    sqrtw = np.sqrt(sys.window.grid.quad_weights)
-    duals = [Waveform(sys.window.grid, duals_w[:, j] / sqrtw)
-             for j in range(duals_w.shape[1])]
     residual = float(np.max(np.abs(G @ Ginv - np.eye(len(eigs)))))
-    b_sup = float(np.max(np.real(np.diag(Ginv))))
-    return DualFamily(duals, b_sup, residual)
+    return DualFamily(sys, Ginv, float(np.max(np.real(np.diag(Ginv)))), residual)
 
 
 def uniform_min_delta(sys, interior_margin=0.0):
-    """Min least-squares distance from pi(lambda) g to the span of the others.
+    """Min distance from pi(lambda) g to the span of the other atoms.
 
-    The minimum runs over points with sup-norm <= truncation - interior_margin;
-    the spanning family always includes every point.
+    That distance is 1 / sqrt(Ginv[lambda, lambda]). The minimum runs over
+    points with sup-norm <= truncation - interior_margin; the spanning family
+    always includes every point. A singular Gram gives 0.
     """
-    V = sys.synthesis_matrix()
+    eigs, U = np.linalg.eigh(gram_matrix(sys))
     pts = sys.points.points
-    if len(pts) == 0:
-        raise ValueError("empty point set")
-    if len(pts) == 1:
-        return float(np.linalg.norm(V[:, 0]))
-    cutoff = sys.points.truncation_radius - interior_margin
-    interior = np.nonzero(np.max(np.abs(pts), axis=1) <= cutoff + DEDUP_TOL)[0]
-    if len(interior) == 0:
+    interior = (np.max(np.abs(pts), axis=1)
+                <= sys.points.truncation_radius - interior_margin + DEDUP_TOL)
+    if not interior.any():
         raise ValueError("no interior points at this margin")
-    best = math.inf
-    for j in interior:
-        others = np.delete(V, j, axis=1)
-        coef, *_ = np.linalg.lstsq(others, V[:, j], rcond=None)
-        best = min(best, float(np.linalg.norm(V[:, j] - others @ coef)))
-    return best
+    if eigs[0] <= 0.0:
+        return 0.0
+    return float(1.0 / math.sqrt(np.max(np.sum(np.abs(U[interior]) ** 2 / eigs, axis=1))))
 
 
-def hap_residual(sys, f, x, box_radius):
-    """Least-squares distance from pi(x) f to span{pi(lambda) g : lambda in x + box}.
+def hap_residual(sys, x, box_radius):
+    """Least-squares distance from pi(x) g to span{pi(lambda) g : lambda in x + box}.
 
     The box x + [-box_radius, box_radius]^2 must fit inside the point
     truncation, otherwise the residual would be inflated by missing points.
@@ -351,28 +355,23 @@ def hap_residual(sys, f, x, box_radius):
     x = np.asarray(x, dtype=float).reshape(2)
     if np.max(np.abs(x)) + box_radius > sys.points.truncation_radius + DEDUP_TOL:
         raise InsufficientTruncationError("local box leaves the point truncation")
-    target = tf_shift(f, x[0], x[1])
-    tw = np.sqrt(sys.window.grid.quad_weights) * target.samples
     pts = sys.points.points
-    mask = np.all(np.abs(pts - x) <= box_radius + DEDUP_TOL, axis=1)
-    if not mask.any():
-        return float(np.linalg.norm(tw))
-    V = sys.synthesis_matrix()[:, mask]
-    coef, *_ = np.linalg.lstsq(V, tw, rcond=None)
-    return float(np.linalg.norm(tw - V @ coef))
+    atoms = np.vstack([x, pts[np.all(np.abs(pts - x) <= box_radius + DEDUP_TOL, axis=1)]])
+    C = atom_coordinates(atoms, hermite_cutoff(atoms))  # column 0 is the target
+    coef = np.linalg.lstsq(C[:, 1:], C[:, 0], rcond=None)[0]
+    return float(np.linalg.norm(C[:, 0] - C[:, 1:] @ coef))
 
 
-def completeness_residual(sys, probes):
-    """Max least-squares residual of the probes against the whole truncated family.
+def completeness_residual(sys, probe_count):
+    """Max least-squares residual of h_0 .. h_{probe_count-1} against the whole family.
 
+    In Hermite coordinates the probes are the unit vectors e_0, e_1, ....
     A truncation-level proxy only: small residuals certify nothing about the
     infinite system, they are merely consistent with completeness.
     """
-    if not probes:
+    if probe_count < 1:
         raise ValueError("need at least one probe")
-    sqrtw = np.sqrt(sys.window.grid.quad_weights)
-    B = np.stack([p.samples * sqrtw for p in probes], axis=1)
-    V = sys.synthesis_matrix()
-    coef, *_ = np.linalg.lstsq(V, B, rcond=None)
-    R = B - V @ coef
-    return float(np.max(np.linalg.norm(R, axis=0)))
+    N = max(hermite_cutoff(sys.points.points), probe_count)
+    V, B = atom_coordinates(sys.points.points, N), np.eye(N, probe_count)
+    coef = np.linalg.lstsq(V, B, rcond=None)[0]
+    return float(np.max(np.linalg.norm(B - V @ coef, axis=0)))

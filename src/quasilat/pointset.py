@@ -17,8 +17,10 @@ from .errors import DegenerateLatticeError, EnumerationBoundError
 # Assumed far below the minimum gap of every set handled here.
 DEDUP_TOL = 1e-9
 
-# Cap on integer candidates per enumeration.
+# Cap on integer candidates per enumeration, which filters them in chunks of
+# CHUNK_CANDIDATES to bound its memory.
 MAX_CANDIDATES = 20_000_000
+CHUNK_CANDIDATES = 1 << 16
 
 
 def _as_points(points, dim):
@@ -236,26 +238,37 @@ def fibonacci_scheme(window_half_width=1.0):
     return CutAndProjectScheme(basis, d=1, m=1, window=Window((float(window_half_width),)))
 
 
-def _integer_box(transform_inv, bounds):
-    """Per-axis integer ranges for z with |(transform z)_i| <= bounds_i (interval arithmetic)."""
-    amp = np.abs(transform_inv) @ np.asarray(bounds, dtype=float)
+def _projected_points(transform, bounds, d):
+    """First d coordinates of transform @ z over integer z with |transform z| <= bounds.
+
+    Candidates z fill an interval-arithmetic box in meshgrid ("ij") order and
+    are filtered in chunks of whole rows along the leading axes, at most
+    CHUNK_CANDIDATES each: memory stays bounded and the rows equal those of
+    one filter over the whole box.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    amp = np.abs(np.linalg.inv(transform)) @ (bounds + 1e-12)
     lo = np.ceil(-amp - 1e-12).astype(np.int64)
-    hi = np.floor(amp + 1e-12).astype(np.int64)
-    return lo, hi
-
-
-def _enumerate_integers(lo, hi):
-    sizes = (hi - lo + 1).astype(np.int64)
-    total = int(np.prod(sizes, dtype=np.int64))
-    if total <= 0:
-        return np.zeros((0, len(lo)), dtype=np.int64)
+    sizes = tuple(int(s) for s in np.floor(amp + 1e-12).astype(np.int64) - lo + 1)
+    total = math.prod(sizes)
     if total > MAX_CANDIDATES:
         raise EnumerationBoundError(
             f"enumeration bound exceeded: {total} integer candidates "
             f"(cap {MAX_CANDIDATES}); reduce the radius")
-    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    # leading axes index the chunks; one full grid of the trailing axes fits in a chunk
+    split = next(a for a in range(1, len(sizes) + 1)
+                 if math.prod(sizes[a:]) <= CHUNK_CANDIDATES)
+    tail = sizes[split:]
+    inner = np.indices(tail).reshape(len(tail), math.prod(tail)).T + lo[split:]
+    rows, outer_total = CHUNK_CANDIDATES // len(inner), math.prod(sizes[:split])
+    parts = []
+    for start in range(0, outer_total, rows):
+        index = np.arange(start, min(start + rows, outer_total))
+        outer = np.stack(np.unravel_index(index, sizes[:split]), axis=1) + lo[:split]
+        z = np.hstack([np.repeat(outer, len(inner), axis=0), np.tile(inner, (len(outer), 1))])
+        coords = z @ transform.T
+        parts.append(coords[np.all(np.abs(coords) <= bounds, axis=1), :d])
+    return np.concatenate(parts)
 
 
 def lattice_points_in_box(lattice, radius):
@@ -263,13 +276,8 @@ def lattice_points_in_box(lattice, radius):
     if radius <= 0:
         raise ValueError("radius must be positive")
     lattice.covolume  # raises DegenerateLatticeError on singular bases
-    binv = np.linalg.inv(lattice.basis)
     d = lattice.dim
-    lo, hi = _integer_box(binv, [radius + DEDUP_TOL] * d)
-    z = _enumerate_integers(lo, hi)
-    pts = z @ lattice.basis.T
-    mask = np.all(np.abs(pts) <= radius + DEDUP_TOL, axis=1)
-    pts = _canonical(pts[mask])
+    pts = _canonical(_projected_points(lattice.basis, [radius + DEDUP_TOL] * d, d))
     src = {"kind": "lattice", "basis": lattice.basis.tolist(), "radius": float(radius)}
     return PointSet(d, pts, float(radius), src)
 
@@ -282,18 +290,8 @@ def model_set_generate(scheme, radius):
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    n = scheme.d + scheme.m
-    binv = np.linalg.inv(scheme.total_basis)
-    bounds = [radius + DEDUP_TOL] * scheme.d + [h + 1e-12 for h in scheme.window.half_widths]
-    lo, hi = _integer_box(binv, bounds)
-    z = _enumerate_integers(lo, hi)
-    coords = z @ scheme.total_basis.T
-    phys = coords[:, :scheme.d]
-    internal = coords[:, scheme.d:]
-    hw = np.array(scheme.window.half_widths)
-    mask = np.all(np.abs(internal) <= hw, axis=1)
-    mask &= np.all(np.abs(phys) <= radius + DEDUP_TOL, axis=1)
-    phys = phys[mask]
+    bounds = [radius + DEDUP_TOL] * scheme.d + list(scheme.window.half_widths)
+    phys = _projected_points(scheme.total_basis, bounds, scheme.d)
     # injectivity of the physical projection on the truncation
     if len(phys) > 1:
         order = np.lexsort(phys.T[::-1])

@@ -24,7 +24,7 @@ from .density import FolnerBoxes, density_scan, translate_count_grid
 from .errors import ScenarioValidationError
 from .gabor import (D_PI, GaborSystem, GridSpec, biorthogonal_dual,
                     completeness_residual, frame_bounds, gaussian_window,
-                    hap_residual, hermite_basis, riesz_bounds, uniform_min_delta)
+                    hap_residual, riesz_bounds, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme,
                        from_points, lattice_points_in_box, load_pointset,
@@ -254,7 +254,7 @@ def _check_dual(system, opt):
 def _check_hap(system, opt):
     box = opt["hap_box"]
     axis = np.linspace(-opt["hap_x_extent"], opt["hap_x_extent"], opt["hap_x_count"])
-    residuals = [[float(hap_residual(system, system.window, (x1, x2), box))
+    residuals = [[float(hap_residual(system, (x1, x2), box))
                   for x2 in axis] for x1 in axis]
     worst = float(np.max(residuals))
     return ({"box_radius": box, "x_axis": [float(v) for v in axis],
@@ -263,7 +263,7 @@ def _check_hap(system, opt):
 
 def _check_complete(system, opt):
     count = opt["probe_count"]
-    res = completeness_residual(system, hermite_basis(system.window.grid, count))
+    res = completeness_residual(system, count)
     return {"probe_count": count, "max_residual": res}, res < COMPLETE_FLOOR
 
 

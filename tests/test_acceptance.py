@@ -145,14 +145,13 @@ def test_08_riesz_minimality_and_upper_density(golden, grid12):
 
 
 def test_09_local_approximation(golden, oversampled_system):
-    window = oversampled_system.window
     bound = golden["hap_half"]["residual_bound"]
     axis = np.linspace(-1.0, 1.0, 5)
     worst = 0.0
     mono = True
     for x1 in axis:
         for x2 in axis:
-            res = [ql.hap_residual(oversampled_system, window, (x1, x2), k)
+            res = [ql.hap_residual(oversampled_system, (x1, x2), k)
                    for k in (4.0, 5.0, 6.0)]
             mono &= res[0] + 1e-12 >= res[1] >= res[2] - 1e-12
             worst = max(worst, res[2])

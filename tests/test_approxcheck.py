@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasilat as ql
 
@@ -102,3 +106,36 @@ def test_cover_result_serializes():
     assert d["k"] == 2
     assert d["k_minimal"] is True
     assert isinstance(d["defect_set"][0][0], float)
+
+
+@settings(max_examples=250, deadline=None)
+@given(dim=st.sampled_from([1, 2]), scale=st.sampled_from([1.0, 0.5, 2.0 ** 0.5]),
+       data=st.data())
+def test_cover_matches_exhaustive_pair_search(dim, scale, data):
+    span = 8 if dim == 1 else 3
+    coords = data.draw(st.lists(st.tuples(*[st.integers(-span, span)] * dim),
+                                min_size=1, max_size=16 if dim == 1 else 8, unique=True))
+    # base radius twice the sumset radius, and 0 in the base, as covers assume
+    base = ql.from_points([[0] * dim] + coords, dim=dim, truncation_radius=span)
+    base = ql.from_points(base.points * scale, dim=dim, truncation_radius=span * scale)
+    sumset = ql.sumset_truncated(base, base, span * scale / 2.0)
+    cover = ql.find_cover_set(sumset, base)
+    assert ql.verify_cover(sumset, base, cover.defect_set)
+
+    # exhaustive: does translate f cover target t, i.e. t - f within tol of base?
+    cand = sumset.points
+    diff = cand[None, :, None, :] - cand[:, None, None, :] - base.points[None, None, :, :]
+    covers = (np.max(np.abs(diff), axis=3) <= 1e-6).any(axis=2)  # [f, t]
+    k_min = None
+    if covers.all(axis=1).any():
+        k_min = 1
+    elif any((covers[i] | covers[j]).all()
+             for i, j in itertools.combinations(range(len(cand)), 2)):
+        k_min = 2
+    if k_min is not None:
+        assert cover.k == k_min
+    else:
+        assert cover.k >= 3
+    if cover.k <= 3:
+        assert cover.to_dict()["k_minimal"]
+        assert cover.k == (k_min or 3)  # no pair covers, so 3 is the minimum

@@ -229,3 +229,35 @@ def test_run_unknown_target_exits_2(capsys):
     rc = main(["run", "definitely-not-a-scenario"])
     assert rc == 2
     assert capsys.readouterr().err
+
+
+def test_gabor_checks_never_sample(tmp_path, monkeypatch):
+    # every check runs on closed-form Hermite coordinates: the sampled
+    # synthesis matrix and Hermite basis stay off the check path
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gabor check sampled the grid")
+    monkeypatch.setattr(ql.GaborSystem, "synthesis_matrix", refuse)
+    original = ql.gabor.hermite_basis
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quasilat" and getattr(module, "hermite_basis", None) is original:
+            monkeypatch.setattr(module, "hermite_basis", refuse)
+
+    cfg = tmp_path / "all-checks.cfg"
+    cfg.write_text("[scenario]\nname = all-checks\n"
+                   "[points]\nkind = lattice\nbasis = 1, 0, 0, 1\nradius = 9\n"
+                   "[density]\nradii = 2, 4\ntruncation = 10\n"
+                   "[gabor]\ngrid_T = 18\nchecks = frame, riesz, dual, hap, complete\n"
+                   "hermite_n = 20\nhap_box = 3\nhap_x_extent = 0.5\n"
+                   "hap_x_count = 2\nprobe_count = 4\n")
+    report = ql.run_scenario(ql.parse_scenario(cfg))
+    assert set(report.results["gabor"]) >= {"frame", "riesz", "dual", "hap", "complete"}
+
+    pts = tmp_path / "nodes.csv"
+    assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
+                 "--radius", "9", "--out", str(pts)]) == 0
+    flags = {"frame-bounds": ["--hermite-N", "20"], "riesz": [], "dual": [],
+             "hap": ["--K", "3", "--x-extent", "0.5", "--x-grid", "2"],
+             "complete": ["--probes", "4"]}
+    for check, extra in flags.items():
+        assert main(["gabor", check, "--points", str(pts), "--grid-T", "18"]
+                    + extra) == 0, check

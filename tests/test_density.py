@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasilat as ql
+from quasilat.pointset import DEDUP_TOL
 
 
 def unit_line(radius):
@@ -141,3 +144,36 @@ def test_report_to_dict_roundtrips_to_json():
     back = json.loads(blob)
     assert back["D_minus"] == report.D_minus
     assert back["translate_step"] is None
+
+
+def _brute_force_extremes(points, radius, scan):
+    """(inf, sup) of the closed-box count, counted directly at every translate
+    whose coordinates are breakpoints p_j +- radius, the scan ends, or midpoints
+    between consecutive ones: the count is constant between breakpoints."""
+    axes = []
+    for j in range(points.shape[1]):
+        b = np.concatenate([points[:, j] - radius, points[:, j] + radius, [-scan, scan]])
+        b = np.unique(b[(b >= -scan) & (b <= scan)])
+        axes.append(np.concatenate([b, (b[:-1] + b[1:]) / 2.0]))
+    xs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    inside = np.all(np.abs(points[None, :, :] - xs[:, None, :]) <= radius + DEDUP_TOL, axis=2)
+    counts = inside.sum(axis=1)
+    return int(counts.min()), int(counts.max())
+
+
+_coord = st.one_of(st.integers(-24, 24).map(lambda k: k / 4.0), st.floats(-6.0, 6.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data(),
+       radii=st.lists(st.sampled_from([0.5, 1.0, 1.25, 2.0, 2.75]), min_size=1,
+                      max_size=3, unique=True))
+def test_exact_scan_matches_brute_force(dim, data, radii):
+    pts = data.draw(st.lists(st.tuples(*[_coord] * dim), min_size=1, max_size=25))
+    ps = ql.from_points(pts, dim=dim, truncation_radius=6.0)
+    radii = sorted(radii)
+    rep = ql.density_scan(ps, ql.FolnerBoxes(dim, tuple(radii)))
+    scan = 6.0 - radii[-1]
+    for n, r in enumerate(radii):
+        lo, hi = _brute_force_extremes(ps.points, r, scan)
+        assert (rep.lower_counts[n], rep.upper_counts[n]) == (lo, hi)

@@ -1,9 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasilat as ql
+from quasilat import gabor
 
 
 def closed_form_gram(pts):
@@ -131,8 +135,66 @@ def test_gram_matches_closed_form(grid12):
     G = ql.gram_matrix(sys)
     ref = closed_form_gram(sys.points.points)
     assert np.max(np.abs(G - ref)) < 1e-9
+    # the sampled synthesis matrix cross-checks the closed form
+    V = sys.synthesis_matrix()
+    assert np.max(np.abs(V.conj().T @ V - G)) < 1e-9
     with pytest.raises(ValueError, match="cap"):
         ql.gram_matrix(sys, max_points=2)
+
+
+@functools.lru_cache(maxsize=None)
+def _sampled_hermite_rows(grid, count):
+    """Rows sqrt(w) h_n of the sampled Hermite basis, so rows @ V are coordinates."""
+    H = np.stack([h.samples for h in ql.hermite_basis(grid, count)])
+    return H * np.sqrt(grid.quad_weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pts=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                    min_size=1, max_size=5))
+def test_atom_coordinates_match_sampled(grid12, pts):
+    # |x| <= T/2 = 6 keeps the shifted atoms on the grid; |xi| <= 6 is far
+    # below the 1/(4 dt) = 25 aliasing cap
+    ps = ql.from_points(pts, dim=2, truncation_radius=6.0)
+    sys = ql.GaborSystem(ql.gaussian_window(grid12), ps)
+    sampled = _sampled_hermite_rows(grid12, 30) @ sys.synthesis_matrix()
+    C = ql.atom_coordinates(ps.points, 30)
+    assert np.max(np.abs(C - sampled)) <= 1e-8
+
+
+def test_coordinate_gram_matches_closed_form(gauss12):
+    pts = ql.lattice_points_in_box(ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 5.0)
+    C = ql.atom_coordinates(pts.points, ql.hermite_cutoff(pts.points))
+    G = ql.gram_matrix(ql.GaborSystem(gauss12, pts))
+    assert np.max(np.abs(C.conj().T @ C - G)) <= 1e-12
+    origin = ql.atom_coordinates([[0.0, 0.0]], 5)[:, 0]
+    assert np.array_equal(origin, [1, 0, 0, 0, 0])  # pi(0) g = h_0
+
+
+def test_residuals_stable_in_coordinate_count(monkeypatch, grid12):
+    dense = ql.GaborSystem(ql.gaussian_window(grid12), ql.lattice_points_in_box(
+        ql.Lattice(np.diag([2.0 ** -0.5, 2.0 ** -0.5])), 5.0))
+    sparse = sparse_system(grid12)
+
+    def residuals():
+        return [ql.hap_residual(dense, (0.3, -0.4), 3.0),
+                ql.hap_residual(sparse, (0.5, 0.5), 2.0),
+                ql.completeness_residual(dense, 10),
+                ql.completeness_residual(sparse, 10)]
+    before = residuals()
+    cutoff = gabor.hermite_cutoff
+    monkeypatch.setattr(gabor, "hermite_cutoff", lambda pts: cutoff(pts) + 100)
+    after = residuals()
+    assert np.max(np.abs(np.subtract(after, before))) <= 1e-13
+    assert before[1] > 0.1 and before[3] > 0.1  # nontrivial residuals compared too
+
+
+def test_window_must_be_the_gaussian(grid12, gauss12):
+    pts = ql.from_points([[0.0, 0.0], [1.0, 1.0]], truncation_radius=1.0)
+    for window in (ql.tf_shift(gauss12, 0.0, 1.0), ql.tf_shift(gauss12, 0.5, 0.0),
+                   ql.Waveform(grid12, 2.0 * gauss12.samples)):
+        with pytest.raises(ValueError, match="gaussian_window"):
+            ql.GaborSystem(window, pts)
 
 
 def test_frame_bounds_monotone_sweeps():
@@ -195,26 +257,25 @@ def test_uniform_min_delta(grid12, gauss12):
         ql.uniform_min_delta(sys, interior_margin=100.0)
 
 
-def test_hap_residual_behaviour(grid12, gauss12):
+def test_hap_residual_behaviour(grid12):
     sys = sparse_system(grid12)
-    at_node = ql.hap_residual(sys, gauss12, (0.0, 0.0), 3.0)
+    at_node = ql.hap_residual(sys, (0.0, 0.0), 3.0)
     assert at_node < 1e-10  # pi(0) g belongs to the local family
     off = (0.3, 0.4)
-    r_small = ql.hap_residual(sys, gauss12, off, 2.0)
-    r_large = ql.hap_residual(sys, gauss12, off, 3.5)
+    r_small = ql.hap_residual(sys, off, 2.0)
+    r_large = ql.hap_residual(sys, off, 3.5)
     assert r_large <= r_small + 1e-12
     with pytest.raises(ql.InsufficientTruncationError):
-        ql.hap_residual(sys, gauss12, (3.0, 3.0), 2.0)
+        ql.hap_residual(sys, (3.0, 3.0), 2.0)
 
 
-def test_completeness_residual_basics(grid12, gauss12):
+def test_completeness_residual_basics(grid12):
     sys = sparse_system(grid12)
-    res = ql.completeness_residual(sys, [gauss12])
-    assert res < 1e-10  # the window itself sits in the family
-    probes = ql.hermite_basis(grid12, 3)
-    assert ql.completeness_residual(sys, probes) >= 0.0
+    res = ql.completeness_residual(sys, 1)
+    assert res < 1e-10  # the window h_0 itself sits in the family
+    assert ql.completeness_residual(sys, 3) >= 0.0
     with pytest.raises(ValueError):
-        ql.completeness_residual(sys, [])
+        ql.completeness_residual(sys, 0)
 
 
 def test_formal_degree_constant():

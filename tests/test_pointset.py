@@ -41,6 +41,29 @@ def test_enumeration_cap():
         ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 3000.0)
 
 
+def test_chunked_enumeration_is_bit_identical(monkeypatch):
+    from quasilat import pointset
+    fib_product = ql.scenarios.build_point_source(
+        {"kind": "fibonacci_product", "window": "1.0", "beta": "0.5"}, 40.0)
+    skew = ql.Lattice(np.array([[1.0, 0.3, 0.0], [0.0, 0.7, 0.2], [0.1, 0.0, 1.1]]))
+
+    def build():
+        return [ql.regenerate(fib_product).points,
+                ql.lattice_points_in_box(skew, 12.0).points,
+                ql.model_set_generate(ql.fibonacci_scheme(1.0), 500.0).points,
+                # the last axis alone outgrows a chunk
+                ql.lattice_points_in_box(ql.Lattice(np.array([[0.7]])), 4000.0).points,
+                ql.lattice_points_in_box(ql.Lattice(np.diag([1.0, 0.001])), 3.0).points]
+    monkeypatch.setattr(pointset, "CHUNK_CANDIDATES", pointset.MAX_CANDIDATES)
+    whole = build()
+    monkeypatch.setattr(pointset, "CHUNK_CANDIDATES", 4099)  # many ragged chunks
+    chunked = build()
+    for a, b in zip(whole, chunked):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # every box holds more candidates than one chunk (the chain: 124,373)
+    assert min(len(pts) for i, pts in enumerate(whole) if i != 2) > 4099
+
+
 def test_nonpositive_radius_rejected():
     with pytest.raises(ValueError):
         ql.lattice_points_in_box(ql.Lattice(np.eye(1)), 0.0)
