@@ -2,10 +2,12 @@
 
 Counting is boundary inclusive: a point within DEDUP_TOL of the closed box
 counts as inside. Per-box lower/upper estimates are the exact inf/sup of the
-normalized count over all translates in the scan region (the count is
-piecewise constant on an axis-aligned arrangement, so the extrema are
-attained on a finite evaluation grid), or over an explicit uniform translate
-grid when a step is requested. The reported D_minus/D_plus extrapolate the
+normalized count over all translates in the scan region, or over an explicit
+uniform translate grid when a step is requested. The exact extrema need two
+finite grids: per axis the count is a sum of closed-interval indicators, so
+its sup is attained at a left endpoint (boxes with a face on a point) and its
+inf inside a cell between a right and the next left endpoint (boxes centred
+at the cell midpoints). The reported D_minus/D_plus extrapolate the
 per-box estimates linearly in 1/radius since each carries an O(1/radius)
 boundary term.
 """
@@ -169,29 +171,39 @@ def translate_count_grid(ps, radius, step, scan_radius):
     return centers, counter.counts_grid(lows, highs)
 
 
-def _axis_eval_points(coords, radius, scan):
-    """Translate coordinates at which the 1d count can change, plus cell midpoints.
+def _axis_extreme_boxes(coords, reach, scan):
+    """(lows, highs) of the boxes on one axis that attain the sup, then the inf.
 
-    Along one axis the count only changes where a box face meets a point
-    coordinate, i.e. at translates p - radius and p + radius. Evaluating at
-    those breakpoints (sup side, boundary inclusive) and at the midpoints of
-    consecutive cells (inf side) covers every value the count takes on
-    [-scan, scan].
+    Along one axis the count at translate x sums the indicators of the closed
+    intervals [p - reach, p + reach] over the point coordinates p. Such a sum
+    rises only at a left endpoint, so its sup over [-scan, scan] is attained
+    at -scan or at some p - reach; the box there is [p - 2 reach, p], with its
+    upper face on the point. It falls only just after a right endpoint, so its
+    inf is attained inside a cell that opens at a right endpoint (or -scan)
+    and closes at a left endpoint (or scan); the box is centred at the
+    midpoint of such a cell.
     """
-    b = np.concatenate([coords - radius, coords + radius])
-    b = np.unique(b[(b >= -scan) & (b <= scan)])
-    seq = np.concatenate([[-scan], b, [scan]])
-    mids = (seq[:-1] + seq[1:]) / 2.0
-    return np.unique(np.concatenate([seq, mids]))
+    tops = coords[(coords - reach >= -scan) & (coords - reach <= scan)]
+    sup_high = np.append(-scan + reach, tops)
+    lefts = np.append(np.clip(coords - reach, -scan, scan), scan)
+    rights = np.append(np.clip(coords + reach, -scan, scan), -scan)
+    cuts = np.unique(np.concatenate([lefts, rights]))
+    cells = np.isin(cuts[:-1], rights) & np.isin(cuts[1:], lefts)
+    mids = ((cuts[:-1] + cuts[1:]) / 2.0)[cells] if len(cuts) > 1 else cuts  # scan 0
+    return (sup_high - 2.0 * reach, sup_high), (mids - reach, mids + reach)
 
 
 def _extreme_counts(counter, points, radius, scan):
-    """Exact (inf, sup) of the box count over all translates in [-scan, scan]^d."""
-    evals = [_axis_eval_points(np.unique(points[:, j]), radius, scan)
-             for j in range(points.shape[1])]
-    counts = counter.counts_grid([e - radius - DEDUP_TOL for e in evals],
-                                 [e + radius + DEDUP_TOL for e in evals])
-    return int(counts.min()), int(counts.max())
+    """Exact (inf, sup) of the box count over all translates in [-scan, scan]^d.
+
+    _axis_extreme_boxes holds on each axis whatever the other coordinates
+    are, so products of the per-axis boxes attain both extrema.
+    """
+    axes = [_axis_extreme_boxes(np.unique(points[:, j]), radius + DEDUP_TOL, scan)
+            for j in range(points.shape[1])]
+    sup = counter.counts_grid(*zip(*[a[0] for a in axes]))
+    inf = counter.counts_grid(*zip(*[a[1] for a in axes]))
+    return int(inf.min()), int(sup.max())
 
 
 def _extrapolate(radii, values):

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import lstsq
 from scipy.special import gammaln
 
 from .errors import (InsufficientTruncationError, NotMinimalError,
@@ -346,20 +347,32 @@ def uniform_min_delta(sys, interior_margin=0.0):
     return float(1.0 / math.sqrt(np.max(np.sum(np.abs(U[interior]) ** 2 / eigs, axis=1))))
 
 
+def _residual_norms(A, B):
+    """Norms of the least-squares residuals B - A X, column by column.
+
+    Column-pivoted QR (LAPACK xGELSY) with the rank cutoff eps * max(A.shape)
+    that np.linalg.lstsq(rcond=None) uses.
+    """
+    X = lstsq(A, B, cond=np.finfo(float).eps * max(A.shape), lapack_driver="gelsy")[0]
+    return np.linalg.norm(B - A @ X, axis=0)
+
+
 def hap_residual(sys, x, box_radius):
     """Least-squares distance from pi(x) g to span{pi(lambda) g : lambda in x + box}.
 
     The box x + [-box_radius, box_radius]^2 must fit inside the point
     truncation, otherwise the residual would be inflated by missing points.
+    pi(x)^* pi(lambda) g is pi(lambda - x) g up to a phase, so the distance is
+    that from g = h_0 to the atoms at lambda - x, computed in coordinates
+    centred at x.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     if np.max(np.abs(x)) + box_radius > sys.points.truncation_radius + DEDUP_TOL:
         raise InsufficientTruncationError("local box leaves the point truncation")
-    pts = sys.points.points
-    atoms = np.vstack([x, pts[np.all(np.abs(pts - x) <= box_radius + DEDUP_TOL, axis=1)]])
-    C = atom_coordinates(atoms, hermite_cutoff(atoms))  # column 0 is the target
-    coef = np.linalg.lstsq(C[:, 1:], C[:, 0], rcond=None)[0]
-    return float(np.linalg.norm(C[:, 0] - C[:, 1:] @ coef))
+    local = sys.points.points - x
+    local = local[np.all(np.abs(local) <= box_radius + DEDUP_TOL, axis=1)]
+    N = hermite_cutoff(local)
+    return float(_residual_norms(atom_coordinates(local, N), np.eye(N, 1))[0])
 
 
 def completeness_residual(sys, probe_count):
@@ -372,6 +385,5 @@ def completeness_residual(sys, probe_count):
     if probe_count < 1:
         raise ValueError("need at least one probe")
     N = max(hermite_cutoff(sys.points.points), probe_count)
-    V, B = atom_coordinates(sys.points.points, N), np.eye(N, probe_count)
-    coef = np.linalg.lstsq(V, B, rcond=None)[0]
-    return float(np.max(np.linalg.norm(B - V @ coef, axis=0)))
+    V = atom_coordinates(sys.points.points, N)
+    return float(np.max(_residual_norms(V, np.eye(N, probe_count))))

@@ -17,10 +17,8 @@ from .errors import DegenerateLatticeError, EnumerationBoundError
 # Assumed far below the minimum gap of every set handled here.
 DEDUP_TOL = 1e-9
 
-# Cap on integer candidates per enumeration, which filters them in chunks of
-# CHUNK_CANDIDATES to bound its memory.
+# Cap on the integer box of one enumeration and on sumset pair counts.
 MAX_CANDIDATES = 20_000_000
-CHUNK_CANDIDATES = 1 << 16
 
 
 def _as_points(points, dim):
@@ -241,34 +239,43 @@ def fibonacci_scheme(window_half_width=1.0):
 def _projected_points(transform, bounds, d):
     """First d coordinates of transform @ z over integer z with |transform z| <= bounds.
 
-    Candidates z fill an interval-arithmetic box in meshgrid ("ij") order and
-    are filtered in chunks of whole rows along the leading axes, at most
-    CHUNK_CANDIDATES each: memory stays bounded and the rows equal those of
-    one filter over the whole box.
+    Interval arithmetic bounds z by a box. The box is walked along its leading
+    axes, and each last-axis fiber is cut to the interval on which every row
+    with a nonzero last entry holds its bound plus a 1e-9 relative slack,
+    widened by one; a row with a zero last entry keeps or drops the whole
+    fiber against the same slackened bound. The candidates left are filtered
+    exactly, in meshgrid ("ij") order, so the rows equal those of one filter
+    over the whole box; MAX_CANDIDATES still caps the box.
     """
     bounds = np.asarray(bounds, dtype=float)
     amp = np.abs(np.linalg.inv(transform)) @ (bounds + 1e-12)
     lo = np.ceil(-amp - 1e-12).astype(np.int64)
-    sizes = tuple(int(s) for s in np.floor(amp + 1e-12).astype(np.int64) - lo + 1)
-    total = math.prod(sizes)
+    hi = np.floor(amp + 1e-12).astype(np.int64)
+    sizes = hi - lo + 1
+    total = math.prod(int(s) for s in sizes)
     if total > MAX_CANDIDATES:
         raise EnumerationBoundError(
             f"enumeration bound exceeded: {total} integer candidates "
             f"(cap {MAX_CANDIDATES}); reduce the radius")
-    # leading axes index the chunks; one full grid of the trailing axes fits in a chunk
-    split = next(a for a in range(1, len(sizes) + 1)
-                 if math.prod(sizes[a:]) <= CHUNK_CANDIDATES)
-    tail = sizes[split:]
-    inner = np.indices(tail).reshape(len(tail), math.prod(tail)).T + lo[split:]
-    rows, outer_total = CHUNK_CANDIDATES // len(inner), math.prod(sizes[:split])
-    parts = []
-    for start in range(0, outer_total, rows):
-        index = np.arange(start, min(start + rows, outer_total))
-        outer = np.stack(np.unravel_index(index, sizes[:split]), axis=1) + lo[:split]
-        z = np.hstack([np.repeat(outer, len(inner), axis=0), np.tile(inner, (len(outer), 1))])
-        coords = z @ transform.T
-        parts.append(coords[np.all(np.abs(coords) <= bounds, axis=1), :d])
-    return np.concatenate(parts)
+    n = len(sizes)
+    lead = np.indices(sizes[:-1]).reshape(n - 1, total // int(sizes[-1])).T + lo[:-1]
+    partial = lead @ transform[:, :-1].T  # each row's value at last coordinate 0
+    last = transform[:, -1]
+    free = last == 0.0
+    # the fibers only pre-select: the slack need merely exceed the rows' rounding
+    reach = bounds * (1.0 + 1e-9) + 1e-9
+    kept = np.all(np.abs(partial[:, free]) <= reach[free], axis=1)  # constant on a fiber
+    with np.errstate(over="ignore"):
+        ends = (np.array([[-1.0], [1.0]]) * reach[~free] - partial[:, None, ~free]) / last[~free]
+    start = np.ceil(np.max(np.min(ends, axis=1), axis=1, initial=-np.inf)) - 1
+    stop = np.floor(np.min(np.max(ends, axis=1), axis=1, initial=np.inf)) + 1
+    start, stop = np.clip(start, lo[-1], hi[-1] + 1), np.minimum(stop, hi[-1])
+    length = np.where(kept, np.maximum(stop - start + 1, 0), 0).astype(np.int64)
+    z = np.repeat(lead, length, axis=0)
+    offset = np.repeat(start.astype(np.int64) - (np.cumsum(length) - length), length)
+    z = np.hstack([z, (offset + np.arange(len(z)))[:, None]])
+    coords = z @ transform.T
+    return coords[np.all(np.abs(coords) <= bounds, axis=1), :d]
 
 
 def lattice_points_in_box(lattice, radius):

@@ -177,3 +177,43 @@ def test_exact_scan_matches_brute_force(dim, data, radii):
     for n, r in enumerate(radii):
         lo, hi = _brute_force_extremes(ps.points, r, scan)
         assert (rep.lower_counts[n], rep.upper_counts[n]) == (lo, hi)
+
+
+def _chain(start, radius, offset, count):
+    """count coordinates, consecutive ones 2 radius apart up to the offset."""
+    xs = [start]
+    for _ in range(count - 1):
+        if offset in ("+ulp", "-ulp"):
+            xs.append(np.nextafter(xs[-1] + 2.0 * radius, np.inf if offset == "+ulp" else -np.inf))
+        else:
+            xs.append(xs[-1] + 2.0 * radius + offset * DEDUP_TOL)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.75])
+def test_exact_scan_at_tolerance_edges(radius):
+    # Chains spaced 2r apart up to a tolerance-sized offset, junctions inside
+    # the scan region: neighbouring boxes (inflated by DEDUP_TOL) overlap when
+    # the spacing is below 2r + 2 tol, so per axis the sup is 2 and the inf 1;
+    # above it they leave a gap (sup 1, inf 0). The chain starts keep every
+    # box face far from the scan ends, where rounding would decide a tie.
+    offsets = [0.0, "+ulp", "-ulp", 0.5, -0.5, 1.5, -1.5, 3.0, -3.0]
+    scan = 2.5
+
+    def expected(offset):
+        overlap = offset in ("+ulp", "-ulp") or offset < 2.0
+        return (1, 2) if overlap else (0, 1)
+    for offset in offsets:
+        xs = _chain(-3.3, radius, offset, 6)
+        ps = ql.from_points(xs, truncation_radius=10.0)
+        rep = ql.density_scan(ps, ql.FolnerBoxes(1, (radius,)), scan_region_radius=scan)
+        counts = (rep.lower_counts[0], rep.upper_counts[0])
+        assert counts == _brute_force_extremes(ps.points, radius, scan) == expected(offset)
+    for ox, oy in [(1.5, -0.5), (3.0, 1.5), ("+ulp", 3.0), (-1.5, "-ulp"), (0.0, -3.0)]:
+        xs, ys = _chain(-3.3, radius, ox, 6), _chain(-2.7, radius, oy, 6)
+        ps = ql.from_points(np.stack(np.meshgrid(xs, ys, indexing="ij"), -1).reshape(-1, 2),
+                            truncation_radius=10.0)
+        rep = ql.density_scan(ps, ql.FolnerBoxes(2, (radius,)), scan_region_radius=scan)
+        counts = (rep.lower_counts[0], rep.upper_counts[0])
+        (lx, ux), (ly, uy) = expected(ox), expected(oy)
+        assert counts == _brute_force_extremes(ps.points, radius, scan) == (lx * ly, ux * uy)

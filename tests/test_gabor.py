@@ -278,5 +278,56 @@ def test_completeness_residual_basics(grid12):
         ql.completeness_residual(sys, 0)
 
 
+def _lstsq_residual_norms(A, B):
+    """Reference: residual norms from the SVD-based np.linalg.lstsq."""
+    return np.linalg.norm(B - A @ np.linalg.lstsq(A, B, rcond=None)[0], axis=0)
+
+
+def test_pivoted_qr_residuals_match_svd_lstsq():
+    rng = np.random.default_rng(7)
+    for rows, cols, probes in [(30, 12, 3), (60, 59, 1), (200, 150, 10), (8, 8, 2)]:
+        A = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        B = np.eye(rows, probes) + rng.normal(size=(rows, probes))
+        got = gabor._residual_norms(A, B)
+        assert np.max(np.abs(got - _lstsq_residual_norms(A, B))) <= 1e-12
+        # rank 5, with unit targets inside that span
+        A = (rng.normal(size=(rows, 5)) @ rng.normal(size=(5, cols))
+             + 1j * rng.normal(size=(rows, 5)) @ rng.normal(size=(5, cols)))
+        B = A @ rng.normal(size=(cols, probes))
+        B /= np.linalg.norm(B, axis=0)
+        assert np.max(gabor._residual_norms(A, B)) <= 1e-12
+        assert np.max(_lstsq_residual_norms(A, B)) <= 1e-12
+
+
+def test_centred_hap_matches_uncentred_stacking(grid12, oversampled_system):
+    def uncentred(sys, x, box):
+        pts = sys.points.points
+        atoms = np.vstack([x, pts[np.all(np.abs(pts - x) <= box + 1e-9, axis=1)]])
+        C = ql.atom_coordinates(atoms, ql.hermite_cutoff(atoms))
+        return float(_lstsq_residual_norms(C[:, 1:], C[:, :1])[0])
+
+    sparse = sparse_system(grid12)
+    cases = [(sparse, (0.3, 0.4), 2.0), (sparse, (-1.0, 0.7), 3.0),
+             (sparse, (0.0, 0.0), 3.0), (oversampled_system, (1.0, -1.0), 6.0),
+             (oversampled_system, (0.3, 0.2), 4.0)]
+    for sys, x, box in cases:
+        assert abs(ql.hap_residual(sys, x, box) - uncentred(sys, x, box)) <= 1e-12
+    assert ql.hap_residual(sparse, (0.3, 0.4), 2.0) > 0.1  # a nontrivial one compared
+    # no atom within the box: the distance is ||pi(x) g|| = 1
+    far = ql.GaborSystem(ql.gaussian_window(grid12),
+                         ql.from_points([[3.0, 3.0]], truncation_radius=4.0))
+    assert abs(ql.hap_residual(far, (0.0, 0.0), 1.0) - 1.0) <= 1e-12
+
+
+def test_critical_lattice_completeness_residual():
+    # the integer lattice at critical density: the probes h_1 mod 4 keep a
+    # residual near 0.114 at this truncation, so the proxy stays unflagged
+    system = ql.GaborSystem(ql.gaussian_window(ql.GridSpec(24.0, 0.01)),
+                            ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 11.0))
+    res = ql.completeness_residual(system, 10)
+    assert abs(res - 0.11423354226583607) <= 1e-12
+    assert res > ql.scenarios.COMPLETE_FLOOR
+
+
 def test_formal_degree_constant():
     assert ql.D_PI == 1.0

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quasilat as ql
+from quasilat import pointset
 from quasilat.pointset import DEDUP_TOL, _canonical
 
 
@@ -41,27 +43,69 @@ def test_enumeration_cap():
         ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 3000.0)
 
 
-def test_chunked_enumeration_is_bit_identical(monkeypatch):
-    from quasilat import pointset
-    fib_product = ql.scenarios.build_point_source(
-        {"kind": "fibonacci_product", "window": "1.0", "beta": "0.5"}, 40.0)
-    skew = ql.Lattice(np.array([[1.0, 0.3, 0.0], [0.0, 0.7, 0.2], [0.1, 0.0, 1.1]]))
+def _whole_box_points(transform, bounds, d):
+    """Reference: one exact filter over the whole interval-arithmetic box."""
+    bounds = np.asarray(bounds, dtype=float)
+    amp = np.abs(np.linalg.inv(transform)) @ (bounds + 1e-12)
+    lo = np.ceil(-amp - 1e-12).astype(np.int64)
+    hi = np.floor(amp + 1e-12).astype(np.int64)
+    z = np.indices(hi - lo + 1).reshape(len(lo), -1).T + lo
+    coords = z @ transform.T
+    return coords[np.all(np.abs(coords) <= bounds, axis=1), :d]
 
-    def build():
-        return [ql.regenerate(fib_product).points,
-                ql.lattice_points_in_box(skew, 12.0).points,
-                ql.model_set_generate(ql.fibonacci_scheme(1.0), 500.0).points,
-                # the last axis alone outgrows a chunk
-                ql.lattice_points_in_box(ql.Lattice(np.array([[0.7]])), 4000.0).points,
-                ql.lattice_points_in_box(ql.Lattice(np.diag([1.0, 0.001])), 3.0).points]
-    monkeypatch.setattr(pointset, "CHUNK_CANDIDATES", pointset.MAX_CANDIDATES)
-    whole = build()
-    monkeypatch.setattr(pointset, "CHUNK_CANDIDATES", 4099)  # many ragged chunks
-    chunked = build()
-    for a, b in zip(whole, chunked):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    # every box holds more candidates than one chunk (the chain: 124,373)
-    assert min(len(pts) for i, pts in enumerate(whole) if i != 2) > 4099
+
+def _assert_fiber_enumeration_exact(transform, bounds, d):
+    got = pointset._projected_points(transform, bounds, d)
+    want = _whole_box_points(transform, bounds, d)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_entry = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0 ** -0.5, 1e-17]),
+                   st.floats(-2.0, 2.0, allow_subnormal=False))
+
+
+@st.composite
+def _enumeration_boxes(draw):
+    n = draw(st.integers(1, 3))
+    T = np.array(draw(st.lists(_entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if n > 1:  # zero last-column entries, as in the Fibonacci product
+        T[:-1, -1] *= np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+    assume(abs(np.linalg.det(T)) >= 0.2)
+    bound = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.3, 5.0))
+    bounds = np.array(draw(st.lists(bound, min_size=n, max_size=n)))
+    amp = np.abs(np.linalg.inv(T)) @ bounds
+    assume(np.prod(2.0 * amp + 2.0) <= 200_000)
+    return T, bounds, draw(st.integers(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box=_enumeration_boxes())
+def test_fiber_enumeration_is_bit_identical(box):
+    _assert_fiber_enumeration_exact(*box)
+
+
+def test_fiber_enumeration_on_schemes_and_large_boxes():
+    tol = DEDUP_TOL
+    chain = ql.fibonacci_scheme(1.0).total_basis
+    product = np.array(ql.scenarios.build_point_source(
+        {"kind": "fibonacci_product", "window": "1.0", "beta": "0.5"}, 1.0)["total_basis"])
+    skew = np.array([[1.0, 0.3, 0.0], [0.0, 0.7, 0.2], [0.1, 0.0, 1.1]])
+    for transform, bounds, d in [
+            (chain, [500 + tol, 1.0], 1), (chain, [2000 + tol, 0.4], 1),
+            (product, [40 + tol, 40 + tol, 1.0], 2), (product, [25 + tol, 9 + tol, 0.3], 2),
+            (skew, [12 + tol] * 3, 3),
+            (np.array([[0.7]]), [4000 + tol], 1),  # one fiber of 11,429 candidates
+            (np.diag([1.0, 0.001]), [3 + tol] * 2, 2),
+            # 1 + 1e-17 k rounds to 1 <= 1 for every k: rounding, not the interval, decides
+            (np.array([[1.0, 1e-17], [0.0, 1.0]]), [1.0, 2.0], 2)]:
+        _assert_fiber_enumeration_exact(transform, bounds, d)
+    # the cap still counts the whole box, not the candidates left in the fibers
+    with pytest.raises(ql.EnumerationBoundError, match=re.escape(
+            "enumeration bound exceeded: 36012001 integer candidates (cap 20000000); "
+            "reduce the radius")):
+        pointset._projected_points(np.eye(2), [3000 + tol] * 2, 2)
+    with pytest.raises(ql.EnumerationBoundError, match="integer candidates"):
+        pointset._projected_points(product, [300 + tol, 300 + tol, 1.0], 2)
 
 
 def test_nonpositive_radius_rejected():
