@@ -124,28 +124,30 @@ class _PrefixCounter:
         self.table = table
 
     def counts_grid(self, lows, highs):
-        """Counts for every box in the product grid lows[j][i]..highs[j][i]."""
-        lo_idx = [np.searchsorted(self.axes[j], lows[j], side="left")
-                  for j in range(self.dim)]
-        hi_idx = [np.searchsorted(self.axes[j], highs[j], side="right")
-                  for j in range(self.dim)]
-        if self.dim == 1:
-            return self.table[hi_idx[0]] - self.table[lo_idx[0]]
-        if self.dim == 2:
-            hx, hy = hi_idx
-            lx, ly = lo_idx
-            t = self.table
-            return (t[np.ix_(hx, hy)] - t[np.ix_(lx, hy)]
-                    - t[np.ix_(hx, ly)] + t[np.ix_(lx, ly)])
-        # inclusion-exclusion over corners for d >= 3
-        grids = np.meshgrid(*[np.arange(len(l)) for l in lo_idx], indexing="ij")
-        out = np.zeros(grids[0].shape, dtype=np.int64)
-        for corner in range(1 << self.dim):
-            pick = tuple(hi_idx[j][grids[j]] if corner >> j & 1 else lo_idx[j][grids[j]]
-                         for j in range(self.dim))
-            sign = (-1) ** (self.dim - bin(corner).count("1"))
-            out += sign * self.table[pick]
+        """Counts for every box in the product grid lows[j][i]..highs[j][i].
+
+        One prefix difference per axis: after axis j, out holds for every
+        interval on the axes 0..j the prefix counts along the later axes.
+        """
+        out = self.table
+        for j in range(self.dim):
+            lo = np.searchsorted(self.axes[j], lows[j], side="left")
+            hi = np.searchsorted(self.axes[j], highs[j], side="right")
+            out = np.take(out, hi, axis=j) - np.take(out, lo, axis=j)
         return out
+
+    def translate_counts(self, centers, radius):
+        """Counts in x + [-radius, radius]^dim for x over the product grid centers^dim."""
+        return self.counts_grid([centers - radius - DEDUP_TOL] * self.dim,
+                                [centers + radius + DEDUP_TOL] * self.dim)
+
+
+def _translate_centers(step, scan_radius):
+    """Centres -scan_radius + step k up to scan_radius; 0 alone when scan_radius <= 0."""
+    if scan_radius <= 0:
+        return np.array([0.0])
+    k = int(math.floor(2.0 * scan_radius / step + 1e-12))
+    return -scan_radius + step * np.arange(k + 1)
 
 
 def translate_count_grid(ps, radius, step, scan_radius):
@@ -157,18 +159,11 @@ def translate_count_grid(ps, radius, step, scan_radius):
     """
     if scan_radius + radius > ps.truncation_radius + DEDUP_TOL:
         raise InsufficientTruncationError("scan region plus box leaves the truncation")
-    if scan_radius <= 0:
-        centers = np.array([0.0])
-    else:
-        k = int(math.floor(2.0 * scan_radius / step + 1e-12))
-        centers = -scan_radius + step * np.arange(k + 1)
+    centers = _translate_centers(step, scan_radius)
     if len(ps) == 0:
         shape = tuple([len(centers)] * ps.dim)
         return centers, np.zeros(shape, dtype=np.int64)
-    counter = _PrefixCounter(ps.points)
-    lows = [centers - radius - DEDUP_TOL] * ps.dim
-    highs = [centers + radius + DEDUP_TOL] * ps.dim
-    return centers, counter.counts_grid(lows, highs)
+    return centers, _PrefixCounter(ps.points).translate_counts(centers, radius)
 
 
 def _axis_extreme_boxes(coords, reach, scan):
@@ -244,6 +239,7 @@ def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
         raise ValueError("translate_step must be positive")
 
     counter = _PrefixCounter(ps.points) if len(ps) else None
+    centers = None if translate_step is None else _translate_centers(translate_step, scan)
     lower_counts, upper_counts, lower_est, upper_est = [], [], [], []
     for n, r in enumerate(boxes.radii):
         if counter is None:
@@ -251,7 +247,7 @@ def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
         elif translate_step is None:
             c_min, c_max = _extreme_counts(counter, ps.points, r, scan)
         else:
-            _, counts = translate_count_grid(ps, r, translate_step, scan)
+            counts = counter.translate_counts(centers, r)
             c_min = int(counts.min())
             c_max = int(counts.max())
         mu = boxes.measure(n)

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateLatticeError, EnumerationBoundError
 
@@ -357,12 +358,7 @@ def min_separation(points):
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return math.inf
-    if len(pts) <= 4000:
-        from scipy.spatial.distance import pdist
-        return float(np.min(pdist(pts, metric="chebyshev")))
-    from scipy.spatial import cKDTree
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2, p=np.inf)
+    dist, _ = cKDTree(pts).query(pts, k=2, p=np.inf)
     return float(np.min(dist[:, 1]))
 
 

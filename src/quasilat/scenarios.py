@@ -24,7 +24,8 @@ from .density import FolnerBoxes, density_scan, translate_count_grid
 from .errors import ScenarioValidationError
 from .gabor import (D_PI, GaborSystem, GridSpec, biorthogonal_dual,
                     completeness_residual, frame_bounds, gaussian_window,
-                    hap_residual, riesz_bounds, uniform_min_delta)
+                    hap_residual, riesz_bounds, rotation_order, solve_shapes,
+                    uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme,
                        from_points, lattice_points_in_box, load_pointset,
@@ -252,19 +253,42 @@ def _check_dual(system, opt):
 
 
 def _check_hap(system, opt):
+    """HAP residuals over the x-grid, one solve per orbit of grid points.
+
+    A rotation R that preserves the point set maps the box around x onto the
+    box around R x, so residual(R x) = residual(x); the symmetric axis turns
+    the 90-degree rotation into the index map (i, j) -> (n - 1 - j, i), and
+    the negation into that map applied twice.
+    """
     box = opt["hap_box"]
     axis = np.linspace(-opt["hap_x_extent"], opt["hap_x_extent"], opt["hap_x_count"])
-    residuals = [[float(hap_residual(system, (x1, x2), box))
-                  for x2 in axis] for x1 in axis]
+    n = len(axis)
+    order = rotation_order(system.points.points)
+    residuals = [[None] * n for _ in range(n)]
+    solves = 0
+    for i in range(n):
+        for j in range(n):
+            if residuals[i][j] is not None:
+                continue
+            value = hap_residual(system, (axis[i], axis[j]), box)
+            solves += 1
+            a, b = i, j
+            for _ in range(order):
+                residuals[a][b] = value
+                for _ in range(4 // order):
+                    a, b = n - 1 - b, a
     worst = float(np.max(residuals))
     return ({"box_radius": box, "x_axis": [float(v) for v in axis],
-             "residuals": residuals, "max_residual": worst}, worst < HAP_FLOOR)
+             "residuals": residuals, "max_residual": worst,
+             "rotation_order": order, "solves": solves}, worst < HAP_FLOOR)
 
 
 def _check_complete(system, opt):
     count = opt["probe_count"]
     res = completeness_residual(system, count)
-    return {"probe_count": count, "max_residual": res}, res < COMPLETE_FLOOR
+    order, shapes = solve_shapes(system.points.points, count)
+    return ({"probe_count": count, "max_residual": res, "rotation_order": order,
+             "solve_shapes": [list(s) for s in shapes]}, res < COMPLETE_FLOOR)
 
 
 # check name -> (runner(system, options) -> (report block, flag value), flag name)

@@ -165,11 +165,13 @@ _coord = st.one_of(st.integers(-24, 24).map(lambda k: k / 4.0), st.floats(-6.0, 
 
 
 @settings(max_examples=80, deadline=None)
-@given(dim=st.sampled_from([1, 2]), data=st.data(),
+@given(dim=st.sampled_from([1, 2, 3]), data=st.data(),
        radii=st.lists(st.sampled_from([0.5, 1.0, 1.25, 2.0, 2.75]), min_size=1,
                       max_size=3, unique=True))
 def test_exact_scan_matches_brute_force(dim, data, radii):
-    pts = data.draw(st.lists(st.tuples(*[_coord] * dim), min_size=1, max_size=25))
+    # in 3-d the brute force counts at up to (4 n + 3)^3 translates
+    pts = data.draw(st.lists(st.tuples(*[_coord] * dim), min_size=1,
+                             max_size=25 if dim < 3 else 8))
     ps = ql.from_points(pts, dim=dim, truncation_radius=6.0)
     radii = sorted(radii)
     rep = ql.density_scan(ps, ql.FolnerBoxes(dim, tuple(radii)))

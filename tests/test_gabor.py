@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import quasilat as ql
 from quasilat import gabor
+from quasilat.pointset import DEDUP_TOL
 
 
 def closed_form_gram(pts):
@@ -317,6 +318,69 @@ def test_centred_hap_matches_uncentred_stacking(grid12, oversampled_system):
     far = ql.GaborSystem(ql.gaussian_window(grid12),
                          ql.from_points([[3.0, 3.0]], truncation_radius=4.0))
     assert abs(ql.hap_residual(far, (0.0, 0.0), 1.0) - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(want=st.sampled_from([1, 2, 4]), scale=st.floats(0.3, 1.0),
+       ks=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1,
+                   max_size=9),
+       probes=st.integers(1, 12))
+def test_rotation_class_solves_match_full_svd(grid12, want, scale, ks, probes):
+    # a set made exactly C1, C2 or C4 by adding its exact rotated images
+    pts = scale * np.array(ks, dtype=float)
+    turned = np.column_stack([-pts[:, 1], pts[:, 0]])
+    pts = np.vstack([pts, -pts, turned, -turned][:want])
+    system = ql.GaborSystem(ql.gaussian_window(grid12),
+                            ql.from_points(pts, truncation_radius=6.0))
+    assert gabor.rotation_order(system.points.points) % want == 0
+    N = max(ql.hermite_cutoff(system.points.points), probes)
+    C = ql.atom_coordinates(system.points.points, N)
+    full = _lstsq_residual_norms(C, np.eye(N, probes))
+    assert np.max(np.abs(gabor._probe_residual_norms(system.points.points, probes)
+                         - full)) <= 1e-12
+    assert abs(ql.completeness_residual(system, probes) - np.max(full)) <= 1e-12
+    N = ql.hermite_cutoff(system.points.points)
+    hap = _lstsq_residual_norms(ql.atom_coordinates(system.points.points, N),
+                                np.eye(N, 1))[0]
+    assert abs(ql.hap_residual(system, (0.0, 0.0), 6.0) - hap) <= 1e-12
+
+
+def test_rotation_order_is_exact(oversampled_system):
+    pts = oversampled_system.points.points
+    assert gabor.rotation_order(pts) == 4
+    rect = ql.lattice_points_in_box(ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 11.0)
+    assert gabor.rotation_order(rect.points) == 2
+    for base in (pts, rect.points):
+        moved = base.copy()
+        moved[0, 0] += DEDUP_TOL / 2.0
+        assert gabor.rotation_order(moved) == 1
+    assert gabor.rotation_order(np.zeros((0, 2))) == 4  # the empty set
+
+
+def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
+    window = oversampled_system.window
+    rect = ql.GaborSystem(window, ql.lattice_points_in_box(
+        ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 11.0))
+    moved = oversampled_system.points.points + [0.1, 0.2]
+    shifted = ql.GaborSystem(window, ql.from_points(
+        moved[np.all(np.abs(moved) <= 10.5, axis=1)], truncation_radius=10.5))
+    solve = gabor._residual_norms
+    calls = []
+    monkeypatch.setattr(gabor, "_residual_norms",
+                        lambda A, B: calls.append(A.shape) or solve(A, B))
+    run, _ = ql.scenarios.GABOR_CHECKS["hap"]
+    opt = ql.scenarios.gabor_options({"hap_box": 4.0})  # a smaller box, same grid
+    for system, order, solves in [(oversampled_system, 4, 7), (rect, 2, 13),
+                                  (shifted, 1, 25)]:
+        calls.clear()
+        block, _ = run(system, opt)
+        assert len(calls) == solves
+        assert (block["rotation_order"], block["solves"]) == (order, solves)
+        if order > 1:
+            axis = block["x_axis"]
+            direct = [[ql.hap_residual(system, (a, b), opt["hap_box"]) for b in axis]
+                      for a in axis]
+            assert np.max(np.abs(np.subtract(block["residuals"], direct))) <= 1e-12
 
 
 def test_critical_lattice_completeness_residual():

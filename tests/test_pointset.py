@@ -227,9 +227,19 @@ def test_min_separation_paths():
     assert ql.min_separation(np.array([[0.0], [0.25]])) == 0.25
     small = ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 5.0)
     assert ql.min_separation(small.points) == 1.0
-    large = ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 35.0)  # KD-tree path
-    assert len(large) > 4000
+    large = ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 35.0)  # 5,041 points
     assert ql.min_separation(large.points) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_min_separation_matches_pdist(dim, data):
+    from scipy.spatial.distance import pdist
+    coord = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
+                      st.floats(-10.0, 10.0, allow_nan=False))
+    pts = np.array(data.draw(st.lists(st.tuples(*[coord] * dim), min_size=2,
+                                      max_size=40)))
+    assert ql.min_separation(pts) == float(np.min(pdist(pts, metric="chebyshev")))
 
 
 def test_save_load_roundtrip(tmp_path):
