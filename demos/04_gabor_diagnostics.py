@@ -13,9 +13,8 @@ import numpy as np
 import quasilat as ql
 
 
-def lattice_system(grid, a, b, radius):
-    pts = ql.lattice_points_in_box(ql.Lattice(np.diag([a, b])), radius)
-    return ql.GaborSystem(ql.gaussian_window(grid), pts)
+def lattice_system(a, b, radius):
+    return ql.GaborSystem(ql.lattice_points_in_box(ql.Lattice(np.diag([a, b])), radius))
 
 
 def main():
@@ -32,25 +31,24 @@ def main():
 
     print("\nframe bounds via finite sections (Hermite test basis, N=40):")
     a = 2.0 ** -0.5
-    dense = lattice_system(grid, a, a, 10.0)
+    dense = lattice_system(a, a, 10.0)
     fb = ql.frame_bounds(dense, 40, n_step=10)
     print(f"  cell area 0.5 ({len(dense.points)} nodes): A = {fb.A_est:.4f}, "
           f"B = {fb.B_est:.4f}, converged {fb.converged}")
-    sparse = lattice_system(grid, 3.5, 0.3, 10.0)
+    sparse = lattice_system(3.5, 0.3, 10.0)
     fb2 = ql.frame_bounds(sparse, 40, n_step=10)
     print(f"  cell area 1.05 ({len(sparse.points)} nodes): A = {fb2.A_est:.2e} "
           f"-> no frame at this tolerance (A sweep {[f'{x:.1e}' for x in fb2.A_sweep]})")
 
-    grid12 = ql.GridSpec(12.0, 0.01)
-    riesz_sys = lattice_system(grid12, 2.0, 1.0, 6.0)
+    riesz_sys = lattice_system(2.0, 1.0, 6.0)
     rb = ql.riesz_bounds(riesz_sys, edge_margin=2.0)
     print(f"\nRiesz bounds for 2Z x Z (interior {rb.subspace_dim} nodes): "
           f"A = {rb.A_est:.4f}, B = {rb.B_est:.4f}")
 
-    interior = ql.GaborSystem(riesz_sys.window, riesz_sys.points.restrict(4.0))
+    interior = ql.GaborSystem(riesz_sys.points.restrict(4.0))
     dual = ql.biorthogonal_dual(interior)
     delta = ql.uniform_min_delta(interior)
-    max_norm = max(w.norm() for w in dual.duals)
+    max_norm = max(w.norm() for w in dual.duals(ql.GridSpec(12.0, 0.01)))
     print(f"  biorthogonal dual: residual {dual.biorth_residual:.1e}, "
           f"minimality gap delta = {delta:.4f}, delta * max dual norm = "
           f"{delta * max_norm:.6f}")
@@ -59,14 +57,13 @@ def main():
     print(f"\nlocal approximation residuals at x=(0.3,-0.7), K=4,5,6: "
           f"{[f'{r:.2e}' for r in res]} (non-increasing in K up to rounding)")
 
-    critical = lattice_system(grid, 1.0, 1.0, 10.0)
-    # sampled cross-check: least squares of each Hermite probe on the grid
-    V = critical.synthesis_matrix()
-    sqrtw = np.sqrt(grid.quad_weights)
-    per = []
-    for h in ql.hermite_basis(grid, 6):
-        b = h.samples * sqrtw
-        per.append(float(np.linalg.norm(b - V @ np.linalg.lstsq(V, b, rcond=None)[0])))
+    critical = lattice_system(1.0, 1.0, 10.0)
+    # sampled cross-check: least squares of the Hermite probes on the grid,
+    # one right-hand side per probe
+    V = critical.synthesis_matrix(grid)
+    B = np.sqrt(grid.quad_weights)[:, None] * np.stack(
+        [h.samples for h in ql.hermite_basis(grid, 6)], axis=1)
+    per = np.linalg.norm(B - V @ np.linalg.lstsq(V, B, rcond=None)[0], axis=0)
     print(f"\ncell area exactly 1: per-Hermite completeness residuals "
           f"{[f'{r:.2e}' for r in per]}")
     print(f"  max in Hermite coordinates (completeness_residual): "

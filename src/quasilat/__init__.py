@@ -4,7 +4,8 @@ The package builds truncated point sets (lattices, cut-and-project model
 sets, p-adic model sets and symmetrized unions), estimates lower and upper
 Beurling densities over box Følner sequences, certifies finite approximate
 covers, and evaluates frame, Riesz, minimality, local approximation and
-completeness diagnostics for coherent Gabor systems on discretized grids.
+completeness diagnostics for Gaussian coherent Gabor systems in closed-form
+Hermite coordinates.
 """
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from . import __version__
 from .approxcheck import checked_cover, delone_report
 from .density import FolnerBoxes, density_scan
 from .errors import QuasilatError, ScenarioValidationError
-from .gabor import GaborSystem, GridSpec, gaussian_window
+from .gabor import GaborSystem
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import load_pointset, regenerate, save_pointset, sumset_truncated
 from .scenarios import (GABOR_CHECKS, GABOR_OPTIONS, builtin_scenario_names,
@@ -72,8 +72,6 @@ def _add_gabor(sub):
     gsub = p.add_subparsers(dest="gabor_cmd", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--points", required=True, help="time-frequency node CSV")
-    common.add_argument("--grid-T", type=float, required=True, dest="grid_T")
-    common.add_argument("--grid-dt", type=float, default=0.01)
     common.add_argument("--out")
     # the flags below fill the GABOR_OPTIONS keys that scenario files use
     common.set_defaults(**GABOR_OPTIONS)
@@ -152,8 +150,7 @@ def _cmd_approx(args):
 
 
 def _cmd_gabor(args):
-    pts = load_pointset(args.points)
-    system = GaborSystem(gaussian_window(GridSpec(args.grid_T, args.grid_dt)), pts)
+    system = GaborSystem(load_pointset(args.points))
     run, _ = GABOR_CHECKS["frame" if args.gabor_cmd == "frame-bounds" else args.gabor_cmd]
     block, _ = run(system, gabor_options(vars(args)))
     _emit(block, args.out)

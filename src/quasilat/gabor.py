@@ -3,10 +3,12 @@
 pi(x, xi) f(t) = exp(2 pi i xi t) f(t - x), so pi(z) pi(z') = cocycle(z, z')
 pi(z + z') with cocycle = exp(-2 pi i xi' x). The formal degree is 1 under
 Lebesgue normalization: integral |<f, pi(z) g>|^2 dz = ||f||^2 ||g||^2.
-The checks are grid-free: for g = h_0 every atom has closed-form Hermite
-coordinates (atom_coordinates) and the Gram matrix is analytic. Waveforms,
-tf_shift, hermite_basis, orthogonality_check, synthesis_matrix and dual
-waveforms sample a uniform grid on [-T, T] with trapezoidal quadrature.
+The window is always g = h_0, so a GaborSystem is its point set alone and
+the checks are grid-free: every atom has closed-form Hermite coordinates
+(atom_coordinates) and the Gram matrix is analytic. Only the sampled
+cross-check API takes a grid, a uniform one on [-T, T] with trapezoidal
+quadrature: Waveform, tf_shift, hermite_basis, orthogonality_check,
+GaborSystem.synthesis_matrix(grid) and DualFamily.duals(grid).
 
 The least-squares residuals use the point set's exact rotation symmetry.
 The Fourier transform F rotates phase space by 90 degrees, (x, xi) ->
@@ -24,7 +26,6 @@ sits in class 1 mod 4 with the next largest, h_1 and h_5.
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -197,31 +198,19 @@ class SpectralBounds:
 
 @dataclass
 class GaborSystem:
-    """Gaussian window plus a finite 2d time-frequency point set Lambda."""
+    """The Gaussian coherent system pi(Lambda) g, g = h_0, over a 2d point set Lambda."""
 
-    window: Waveform
     points: PointSet
-    formal_degree: float = D_PI
-    _matrix: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.points.dim != 2:
             raise ValueError("Gabor systems need dim-2 point sets (time, frequency)")
-        if not np.array_equal(self.window.samples, gaussian_window(self.window.grid).samples):
-            raise ValueError("the window must be gaussian_window(grid), as the checks assume")
 
-    def synthesis_matrix(self):
-        """Weighted sample matrix: column j = sqrt(quad weights) * pi(lambda_j) g."""
-        if self._matrix is None:
-            grid = self.window.grid
-            x, xi = self.points.points.T
-            if np.max(np.abs(xi), initial=0.0) > grid.xi_max + 1e-12:
-                raise ShiftRangeError("point modulation exceeds 1/(4 dt)")
-            V = np.exp(2j * math.pi * np.outer(grid.times, xi))
-            for shift in np.unique(x):  # one interpolation per distinct time shift
-                V[:, x == shift] *= tf_shift(self.window, float(shift), 0.0).samples[:, None]
-            self._matrix = np.sqrt(grid.quad_weights)[:, None] * V
-        return self._matrix
+    def synthesis_matrix(self, grid):
+        """Weighted sample matrix on grid: column j = sqrt(quad weights) * pi(lambda_j) g."""
+        g = gaussian_window(grid)
+        V = [tf_shift(g, x, xi).samples for x, xi in self.points.points.tolist()]
+        return np.sqrt(grid.quad_weights)[:, None] * np.array(V).reshape(-1, grid.size).T
 
 
 def hermite_cutoff(points):
@@ -306,7 +295,7 @@ def riesz_bounds(sys, edge_margin=0.0):
     interior = sys.points.restrict(radius)
     if len(interior) == 0:
         raise ValueError("no interior points at this edge margin")
-    eigs = np.linalg.eigvalsh(gram_matrix(GaborSystem(sys.window, interior, sys.formal_degree)))
+    eigs = np.linalg.eigvalsh(gram_matrix(GaborSystem(interior)))
     return SpectralBounds(max(float(eigs[0]), 0.0), float(eigs[-1]),
                           len(interior), True)
 
@@ -316,7 +305,7 @@ class DualFamily:
     """Biorthogonal duals h_lambda = sum_mu Ginv[mu, lambda] pi(mu) g.
 
     <pi(lambda) g, h_mu> = delta and ||h_lambda||^2 = Ginv[lambda, lambda], so
-    B_sup needs no waveform; `duals` is synthesised on the grid when first read.
+    B_sup needs no waveform; `duals(grid)` samples the dual waveforms.
     """
 
     system: GaborSystem = field(repr=False)
@@ -324,10 +313,8 @@ class DualFamily:
     B_sup: float
     biorth_residual: float
 
-    @cached_property
-    def duals(self):
-        grid = self.system.window.grid
-        W = self.system.synthesis_matrix() @ self.inverse_gram
+    def duals(self, grid):
+        W = self.system.synthesis_matrix(grid) @ self.inverse_gram
         return [Waveform(grid, w) for w in (W / np.sqrt(grid.quad_weights)[:, None]).T]
 
 

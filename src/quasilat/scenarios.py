@@ -22,10 +22,9 @@ from . import __version__
 from .approxcheck import checked_cover
 from .density import FolnerBoxes, density_scan, translate_count_grid
 from .errors import ScenarioValidationError
-from .gabor import (D_PI, GaborSystem, GridSpec, biorthogonal_dual,
-                    completeness_residual, frame_bounds, gaussian_window,
-                    hap_residual, riesz_bounds, rotation_order, solve_shapes,
-                    uniform_min_delta)
+from .gabor import (D_PI, GaborSystem, biorthogonal_dual, completeness_residual,
+                    frame_bounds, hap_residual, riesz_bounds, rotation_order,
+                    solve_shapes, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme,
                        from_points, lattice_points_in_box, load_pointset,
@@ -42,6 +41,20 @@ DEFAULT_SLACK = 0.05
 GABOR_OPTIONS = {"hermite_n": 40, "hermite_step": 10, "riesz_margin": 2.0,
                  "hap_box": 6.0, "hap_x_extent": 1.0, "hap_x_count": 5,
                  "probe_count": 10}
+
+# Flags that an [expect] block may pin, in verdict order.
+EXPECT_FLAGS = ("frame", "riesz", "hap", "complete_proxy", "minimal")
+
+# The keys each section accepts; configparser lowercases keys.
+SECTION_KEYS = {
+    "scenario": {"name", "slack"},
+    "points": {"kind", "basis", "dim", "window", "beta", "q", "path"},
+    "density": {"radii", "truncation", "translate_step", "subadditivity"},
+    "approx": {"base_radius", "sumset_radius", "coverage_tol"},
+    "gabor": {"radius", "checks", *GABOR_OPTIONS},
+    "padic": {"p", "w", "n_max", "cover", "cover_n_max", "max_k", "max_deviation"},
+    "expect": {"k", "density_rtol", *EXPECT_FLAGS},
+}
 
 
 @dataclass
@@ -85,6 +98,15 @@ def parse_scenario(path):
         raise ScenarioValidationError(f"scenario file not found: {path}")
     if not cfg.has_section("scenario"):
         raise ScenarioValidationError("missing [scenario] section")
+    for section in cfg.sections():
+        if section not in SECTION_KEYS:
+            raise ScenarioValidationError(
+                f"unknown section [{section}]; known: {', '.join(SECTION_KEYS)}")
+        unknown = sorted(set(cfg[section]) - SECTION_KEYS[section])
+        if unknown:
+            raise ScenarioValidationError(
+                f"unknown keys {unknown} in [{section}]; known: "
+                f"{', '.join(sorted(SECTION_KEYS[section]))}")
     name = cfg["scenario"].get("name", "unnamed")
     slack = float(cfg["scenario"].get("slack", DEFAULT_SLACK))
     sc = Scenario(name, _section(cfg, "points"), _section(cfg, "density"),
@@ -124,15 +146,9 @@ def validate_scenario(sc):
         if sc.approx and key not in sc.approx:
             raise ScenarioValidationError(f"[approx] missing {key}")
     if sc.gabor:
-        if "grid_t" not in sc.gabor:
-            raise ScenarioValidationError("[gabor] missing grid_T")
-        radius = float(sc.gabor.get("radius", sc.points.get("radius", 0)))
-        grid_T = float(sc.gabor["grid_t"])
-        grid_dt = float(sc.gabor.get("grid_dt", 0.01))
-        if grid_T < 2.0 * radius:
-            raise ScenarioValidationError("gabor grid_T must be at least twice the radius")
-        if radius > 1.0 / (4.0 * grid_dt):
-            raise ScenarioValidationError("gabor modulations exceed the 1/(4 dt) cap")
+        if "radius" not in sc.gabor:
+            raise ScenarioValidationError("[gabor] missing radius")
+        radius = float(sc.gabor["radius"])
         checks = _gabor_checks(sc.gabor)
         unknown = [c for c in checks if c not in GABOR_CHECKS]
         if unknown:
@@ -243,8 +259,7 @@ def _check_riesz(system, opt):
 
 def _check_dual(system, opt):
     pts = system.points
-    interior = GaborSystem(system.window,
-                           pts.restrict(pts.truncation_radius - opt["riesz_margin"]))
+    interior = GaborSystem(pts.restrict(pts.truncation_radius - opt["riesz_margin"]))
     dual = biorthogonal_dual(interior)
     delta = uniform_min_delta(interior)
     return ({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual,
@@ -310,12 +325,10 @@ IMPLIED = {"frame": ("frame_lower_density", "D_minus", True),
 
 def _run_gabor(sc, results, flags):
     gc = sc.gabor
-    radius = float(gc.get("radius", sc.points.get("radius", 0)))
-    grid = GridSpec(float(gc["grid_t"]), float(gc.get("grid_dt", 0.01)))
+    radius = float(gc["radius"])
     pts = regenerate(build_point_source(sc.points, radius))
-    system = GaborSystem(gaussian_window(grid), pts)
-    out = {"radius": radius, "grid_T": grid.T, "grid_dt": grid.dt,
-           "point_count": len(pts)}
+    system = GaborSystem(pts)
+    out = {"radius": radius, "point_count": len(pts)}
     opt = gabor_options(gc)
     for name in _gabor_checks(gc):
         run, flag = GABOR_CHECKS[name]
@@ -431,7 +444,7 @@ def run_scenario(sc):
         verdicts.append(_verdict(name, inequality, flags[flag], lhs, rhs,
                                  not flags[flag] or holds))
 
-    for flag in ("frame", "riesz", "hap", "complete_proxy", "minimal"):
+    for flag in EXPECT_FLAGS:
         if str(sc.expect.get(flag, "")).strip():
             want = _get_bool(sc.expect[flag])
             got = flags.get(flag)

@@ -29,16 +29,12 @@ def gauss12(grid12):
 @pytest.fixture(scope="session")
 def oversampled_system():
     """Gaussian over (1/sqrt2) Z^2: cell area 1/2, a frame with room to spare."""
-    grid = ql.GridSpec(24.0, 0.01)
     lat = ql.Lattice(np.diag([2.0 ** -0.5, 2.0 ** -0.5]))
-    pts = ql.lattice_points_in_box(lat, 11.0)
-    return ql.GaborSystem(ql.gaussian_window(grid), pts)
+    return ql.GaborSystem(ql.lattice_points_in_box(lat, 11.0))
 
 
 @pytest.fixture(scope="session")
 def undersampled_system():
     """Gaussian over 3.5 Z x 0.3 Z: cell area 1.05, no frame."""
-    grid = ql.GridSpec(22.0, 0.01)
     lat = ql.Lattice(np.diag([3.5, 0.3]))
-    pts = ql.lattice_points_in_box(lat, 10.5)
-    return ql.GaborSystem(ql.gaussian_window(grid), pts)
+    return ql.GaborSystem(ql.lattice_points_in_box(lat, 10.5))

@@ -105,7 +105,7 @@ def test_gabor_commands(tmp_path):
     assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
                  "--radius", "9", "--out", str(pts)]) == 0
     out = tmp_path / "frame.json"
-    rc = main(["gabor", "frame-bounds", "--points", str(pts), "--grid-T", "18",
+    rc = main(["gabor", "frame-bounds", "--points", str(pts),
                "--hermite-N", "20", "--hermite-step", "10", "--out", str(out)])
     assert rc == 0
     blob = json.loads(out.read_text())
@@ -113,7 +113,7 @@ def test_gabor_commands(tmp_path):
     assert blob["B_est"] >= blob["A_est"]
 
     out2 = tmp_path / "riesz.json"
-    rc = main(["gabor", "riesz", "--points", str(pts), "--grid-T", "18",
+    rc = main(["gabor", "riesz", "--points", str(pts),
                "--edge-margin", "5", "--out", str(out2)])
     assert rc == 0
     assert json.loads(out2.read_text())["subspace_dim"] > 0
@@ -123,9 +123,9 @@ def test_gabor_commands_match_scenario_blocks(tmp_path):
     # non-default options on both sides pin each flag to its option key
     cfg = tmp_path / "gabor.cfg"
     cfg.write_text("[scenario]\nname = gabor-tiny\n"
-                   "[points]\nkind = lattice\nbasis = 2, 0, 0, 1\nradius = 6\n"
+                   "[points]\nkind = lattice\nbasis = 2, 0, 0, 1\n"
                    "[density]\nradii = 2, 4\ntruncation = 10\n"
-                   "[gabor]\ngrid_T = 12\nchecks = riesz, dual, hap, complete\n"
+                   "[gabor]\nradius = 6\nchecks = riesz, dual, hap, complete\n"
                    "riesz_margin = 1.5\nhap_box = 3\nhap_x_extent = 0.5\n"
                    "hap_x_count = 2\nprobe_count = 4\n")
     report = ql.run_scenario(ql.parse_scenario(cfg))
@@ -138,7 +138,7 @@ def test_gabor_commands_match_scenario_blocks(tmp_path):
              "complete": ["--probes", "4"]}
     for check, extra in flags.items():
         out = tmp_path / f"{check}.json"
-        assert main(["gabor", check, "--points", str(pts), "--grid-T", "12",
+        assert main(["gabor", check, "--points", str(pts),
                      "--out", str(out)] + extra) == 0
         assert json.loads(out.read_text()) == blocks[check], check
 
@@ -147,8 +147,7 @@ def test_gabor_guard_exits_2(tmp_path, capsys):
     pts = tmp_path / "nodes.csv"
     assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
                  "--radius", "6", "--out", str(pts)]) == 0
-    rc = main(["gabor", "frame-bounds", "--points", str(pts), "--grid-T", "12",
-               "--hermite-N", "60"])
+    rc = main(["gabor", "frame-bounds", "--points", str(pts), "--hermite-N", "60"])
     assert rc == 2
     assert "guard" in capsys.readouterr().err
 
@@ -218,7 +217,9 @@ def test_lattice_without_basis_exits_2(tmp_path, capsys):
 
 def test_incomplete_scenario_blocks_exit_2(tmp_path, capsys):
     for block, missing in (("[approx]\nbase_radius = 8\n", "sumset_radius"),
-                           ("[gabor]\nchecks = riesz\n", "grid_T")):
+                           ("[gabor]\nchecks = riesz\n", "missing radius"),
+                           ("[gabor]\nradius = 8\nchecks = riesz\nriesz_margn = 5\n",
+                            "riesz_margn")):
         cfg = tmp_path / "incomplete.cfg"
         cfg.write_text(TINY_SCENARIO + "\n" + block)
         assert main(["run", str(cfg)]) == 2
@@ -244,9 +245,9 @@ def test_gabor_checks_never_sample(tmp_path, monkeypatch):
 
     cfg = tmp_path / "all-checks.cfg"
     cfg.write_text("[scenario]\nname = all-checks\n"
-                   "[points]\nkind = lattice\nbasis = 1, 0, 0, 1\nradius = 9\n"
+                   "[points]\nkind = lattice\nbasis = 1, 0, 0, 1\n"
                    "[density]\nradii = 2, 4\ntruncation = 10\n"
-                   "[gabor]\ngrid_T = 18\nchecks = frame, riesz, dual, hap, complete\n"
+                   "[gabor]\nradius = 9\nchecks = frame, riesz, dual, hap, complete\n"
                    "hermite_n = 20\nhap_box = 3\nhap_x_extent = 0.5\n"
                    "hap_x_count = 2\nprobe_count = 4\n")
     report = ql.run_scenario(ql.parse_scenario(cfg))
@@ -259,5 +260,4 @@ def test_gabor_checks_never_sample(tmp_path, monkeypatch):
              "hap": ["--K", "3", "--x-extent", "0.5", "--x-grid", "2"],
              "complete": ["--probes", "4"]}
     for check, extra in flags.items():
-        assert main(["gabor", check, "--points", str(pts), "--grid-T", "18"]
-                    + extra) == 0, check
+        assert main(["gabor", check, "--points", str(pts)] + extra) == 0, check

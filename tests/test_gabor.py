@@ -20,10 +20,8 @@ def closed_form_gram(pts):
     return np.exp(1j * math.pi * dw * sx) * np.exp(-math.pi * (dx ** 2 + dw ** 2) / 2.0)
 
 
-def sparse_system(grid12):
-    lat = ql.Lattice(np.diag([2.0, 2.0]))
-    pts = ql.lattice_points_in_box(lat, 4.0)
-    return ql.GaborSystem(ql.gaussian_window(grid12), pts)
+def sparse_system():
+    return ql.GaborSystem(ql.lattice_points_in_box(ql.Lattice(np.diag([2.0, 2.0])), 4.0))
 
 
 def test_grid_spec_properties():
@@ -114,30 +112,27 @@ def test_orthogonality_relation_unit_value(grid12, gauss12):
     assert val == pytest.approx(1.0, rel=0.01)
 
 
-def test_system_requires_2d_points(gauss12):
+def test_system_requires_2d_points():
     with pytest.raises(ValueError):
-        ql.GaborSystem(gauss12, ql.from_points([0.0, 1.0]))
+        ql.GaborSystem(ql.from_points([0.0, 1.0]))
 
 
-def test_synthesis_columns_are_unit_atoms(grid12, gauss12):
-    sys = sparse_system(grid12)
-    V = sys.synthesis_matrix()
+def test_synthesis_columns_are_unit_atoms(grid12):
+    V = sparse_system().synthesis_matrix(grid12)
     norms = np.linalg.norm(V, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
-    assert sys.synthesis_matrix() is V  # cached
-    bad = ql.GaborSystem(gauss12, ql.from_points([[20.0, 0.0]]))
-    with pytest.raises(ql.ShiftRangeError):
-        bad.synthesis_matrix()
+    for far in ([[20.0, 0.0]], [[0.0, 30.0]]):  # beyond T/2, beyond 1/(4 dt)
+        with pytest.raises(ql.ShiftRangeError):
+            ql.GaborSystem(ql.from_points(far)).synthesis_matrix(grid12)
 
 
 def test_gram_matches_closed_form(grid12):
-    sys = ql.GaborSystem(ql.gaussian_window(grid12),
-                         ql.lattice_points_in_box(ql.Lattice(np.diag([2.0, 1.0])), 2.0))
+    sys = ql.GaborSystem(ql.lattice_points_in_box(ql.Lattice(np.diag([2.0, 1.0])), 2.0))
     G = ql.gram_matrix(sys)
     ref = closed_form_gram(sys.points.points)
     assert np.max(np.abs(G - ref)) < 1e-9
     # the sampled synthesis matrix cross-checks the closed form
-    V = sys.synthesis_matrix()
+    V = sys.synthesis_matrix(grid12)
     assert np.max(np.abs(V.conj().T @ V - G)) < 1e-9
     with pytest.raises(ValueError, match="cap"):
         ql.gram_matrix(sys, max_points=2)
@@ -157,25 +152,24 @@ def test_atom_coordinates_match_sampled(grid12, pts):
     # |x| <= T/2 = 6 keeps the shifted atoms on the grid; |xi| <= 6 is far
     # below the 1/(4 dt) = 25 aliasing cap
     ps = ql.from_points(pts, dim=2, truncation_radius=6.0)
-    sys = ql.GaborSystem(ql.gaussian_window(grid12), ps)
-    sampled = _sampled_hermite_rows(grid12, 30) @ sys.synthesis_matrix()
+    sampled = _sampled_hermite_rows(grid12, 30) @ ql.GaborSystem(ps).synthesis_matrix(grid12)
     C = ql.atom_coordinates(ps.points, 30)
     assert np.max(np.abs(C - sampled)) <= 1e-8
 
 
-def test_coordinate_gram_matches_closed_form(gauss12):
+def test_coordinate_gram_matches_closed_form():
     pts = ql.lattice_points_in_box(ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 5.0)
     C = ql.atom_coordinates(pts.points, ql.hermite_cutoff(pts.points))
-    G = ql.gram_matrix(ql.GaborSystem(gauss12, pts))
+    G = ql.gram_matrix(ql.GaborSystem(pts))
     assert np.max(np.abs(C.conj().T @ C - G)) <= 1e-12
     origin = ql.atom_coordinates([[0.0, 0.0]], 5)[:, 0]
     assert np.array_equal(origin, [1, 0, 0, 0, 0])  # pi(0) g = h_0
 
 
-def test_residuals_stable_in_coordinate_count(monkeypatch, grid12):
-    dense = ql.GaborSystem(ql.gaussian_window(grid12), ql.lattice_points_in_box(
+def test_residuals_stable_in_coordinate_count(monkeypatch):
+    dense = ql.GaborSystem(ql.lattice_points_in_box(
         ql.Lattice(np.diag([2.0 ** -0.5, 2.0 ** -0.5])), 5.0))
-    sparse = sparse_system(grid12)
+    sparse = sparse_system()
 
     def residuals():
         return [ql.hap_residual(dense, (0.3, -0.4), 3.0),
@@ -190,19 +184,9 @@ def test_residuals_stable_in_coordinate_count(monkeypatch, grid12):
     assert before[1] > 0.1 and before[3] > 0.1  # nontrivial residuals compared too
 
 
-def test_window_must_be_the_gaussian(grid12, gauss12):
-    pts = ql.from_points([[0.0, 0.0], [1.0, 1.0]], truncation_radius=1.0)
-    for window in (ql.tf_shift(gauss12, 0.0, 1.0), ql.tf_shift(gauss12, 0.5, 0.0),
-                   ql.Waveform(grid12, 2.0 * gauss12.samples)):
-        with pytest.raises(ValueError, match="gaussian_window"):
-            ql.GaborSystem(window, pts)
-
-
 def test_frame_bounds_monotone_sweeps():
-    grid = ql.GridSpec(20.0, 0.01)
     lat = ql.Lattice(np.diag([2.0 ** -0.5, 2.0 ** -0.5]))
-    sys = ql.GaborSystem(ql.gaussian_window(grid),
-                         ql.lattice_points_in_box(lat, 10.0))
+    sys = ql.GaborSystem(ql.lattice_points_in_box(lat, 10.0))
     fb = ql.frame_bounds(sys, 20, n_step=5)
     assert fb.converged
     assert 0.5 < fb.A_est <= fb.B_est < 4.0
@@ -211,14 +195,14 @@ def test_frame_bounds_monotone_sweeps():
     assert fb.test_sizes[-1] == 20
 
 
-def test_frame_bounds_guard(grid12, gauss12):
-    sys = sparse_system(grid12)  # truncation 4 < sqrt(60/pi) + 6
+def test_frame_bounds_guard():
+    sys = sparse_system()  # truncation 4 < sqrt(60/pi) + 6
     with pytest.raises(ql.TruncationTooSmallError):
         ql.frame_bounds(sys, 60)
 
 
-def test_riesz_bounds_nearly_orthonormal(grid12):
-    sys = sparse_system(grid12)
+def test_riesz_bounds_nearly_orthonormal():
+    sys = sparse_system()
     rb = ql.riesz_bounds(sys, edge_margin=0.0)
     assert rb.subspace_dim == 25
     assert rb.A_est == pytest.approx(1.0, abs=0.02)
@@ -228,38 +212,39 @@ def test_riesz_bounds_nearly_orthonormal(grid12):
 
 
 def test_biorthogonal_dual_properties(grid12, gauss12):
-    sys = sparse_system(grid12)
+    sys = sparse_system()
     dual = ql.biorthogonal_dual(sys)
     assert dual.biorth_residual < 1e-10
-    norms_sq = [w.norm() ** 2 for w in dual.duals]
+    duals = dual.duals(grid12)
+    norms_sq = [w.norm() ** 2 for w in duals]
     assert max(norms_sq) == pytest.approx(dual.B_sup, rel=1e-9)
     # spot-check biorthogonality with independently built atoms
     pts = sys.points.points
     for i in (0, 12):
         atom = ql.tf_shift(gauss12, pts[i, 0], pts[i, 1])
-        assert abs(ql.inner(atom, dual.duals[i]) - 1.0) < 1e-8
-        assert abs(ql.inner(atom, dual.duals[(i + 3) % 25])) < 1e-8
+        assert abs(ql.inner(atom, duals[i]) - 1.0) < 1e-8
+        assert abs(ql.inner(atom, duals[(i + 3) % 25])) < 1e-8
 
 
-def test_near_duplicate_points_not_minimal(grid12, gauss12):
+def test_near_duplicate_points_not_minimal():
     pts = ql.from_points([[0.0, 0.0], [1e-6, 0.0]], truncation_radius=1.0)
-    sys = ql.GaborSystem(gauss12, pts)
+    sys = ql.GaborSystem(pts)
     with pytest.raises(ql.NotMinimalError):
         ql.biorthogonal_dual(sys)
 
 
-def test_uniform_min_delta(grid12, gauss12):
-    sys = sparse_system(grid12)
+def test_uniform_min_delta():
+    sys = sparse_system()
     delta = ql.uniform_min_delta(sys)
     assert delta == pytest.approx(1.0, abs=0.01)
-    single = ql.GaborSystem(gauss12, ql.from_points([[0.0, 0.0]], truncation_radius=1.0))
+    single = ql.GaborSystem(ql.from_points([[0.0, 0.0]], truncation_radius=1.0))
     assert ql.uniform_min_delta(single) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         ql.uniform_min_delta(sys, interior_margin=100.0)
 
 
-def test_hap_residual_behaviour(grid12):
-    sys = sparse_system(grid12)
+def test_hap_residual_behaviour():
+    sys = sparse_system()
     at_node = ql.hap_residual(sys, (0.0, 0.0), 3.0)
     assert at_node < 1e-10  # pi(0) g belongs to the local family
     off = (0.3, 0.4)
@@ -270,8 +255,8 @@ def test_hap_residual_behaviour(grid12):
         ql.hap_residual(sys, (3.0, 3.0), 2.0)
 
 
-def test_completeness_residual_basics(grid12):
-    sys = sparse_system(grid12)
+def test_completeness_residual_basics():
+    sys = sparse_system()
     res = ql.completeness_residual(sys, 1)
     assert res < 1e-10  # the window h_0 itself sits in the family
     assert ql.completeness_residual(sys, 3) >= 0.0
@@ -300,14 +285,14 @@ def test_pivoted_qr_residuals_match_svd_lstsq():
         assert np.max(_lstsq_residual_norms(A, B)) <= 1e-12
 
 
-def test_centred_hap_matches_uncentred_stacking(grid12, oversampled_system):
+def test_centred_hap_matches_uncentred_stacking(oversampled_system):
     def uncentred(sys, x, box):
         pts = sys.points.points
         atoms = np.vstack([x, pts[np.all(np.abs(pts - x) <= box + 1e-9, axis=1)]])
         C = ql.atom_coordinates(atoms, ql.hermite_cutoff(atoms))
         return float(_lstsq_residual_norms(C[:, 1:], C[:, :1])[0])
 
-    sparse = sparse_system(grid12)
+    sparse = sparse_system()
     cases = [(sparse, (0.3, 0.4), 2.0), (sparse, (-1.0, 0.7), 3.0),
              (sparse, (0.0, 0.0), 3.0), (oversampled_system, (1.0, -1.0), 6.0),
              (oversampled_system, (0.3, 0.2), 4.0)]
@@ -315,8 +300,7 @@ def test_centred_hap_matches_uncentred_stacking(grid12, oversampled_system):
         assert abs(ql.hap_residual(sys, x, box) - uncentred(sys, x, box)) <= 1e-12
     assert ql.hap_residual(sparse, (0.3, 0.4), 2.0) > 0.1  # a nontrivial one compared
     # no atom within the box: the distance is ||pi(x) g|| = 1
-    far = ql.GaborSystem(ql.gaussian_window(grid12),
-                         ql.from_points([[3.0, 3.0]], truncation_radius=4.0))
+    far = ql.GaborSystem(ql.from_points([[3.0, 3.0]], truncation_radius=4.0))
     assert abs(ql.hap_residual(far, (0.0, 0.0), 1.0) - 1.0) <= 1e-12
 
 
@@ -325,13 +309,12 @@ def test_centred_hap_matches_uncentred_stacking(grid12, oversampled_system):
        ks=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1,
                    max_size=9),
        probes=st.integers(1, 12))
-def test_rotation_class_solves_match_full_svd(grid12, want, scale, ks, probes):
+def test_rotation_class_solves_match_full_svd(want, scale, ks, probes):
     # a set made exactly C1, C2 or C4 by adding its exact rotated images
     pts = scale * np.array(ks, dtype=float)
     turned = np.column_stack([-pts[:, 1], pts[:, 0]])
     pts = np.vstack([pts, -pts, turned, -turned][:want])
-    system = ql.GaborSystem(ql.gaussian_window(grid12),
-                            ql.from_points(pts, truncation_radius=6.0))
+    system = ql.GaborSystem(ql.from_points(pts, truncation_radius=6.0))
     assert gabor.rotation_order(system.points.points) % want == 0
     N = max(ql.hermite_cutoff(system.points.points), probes)
     C = ql.atom_coordinates(system.points.points, N)
@@ -358,11 +341,10 @@ def test_rotation_order_is_exact(oversampled_system):
 
 
 def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
-    window = oversampled_system.window
-    rect = ql.GaborSystem(window, ql.lattice_points_in_box(
+    rect = ql.GaborSystem(ql.lattice_points_in_box(
         ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 11.0))
     moved = oversampled_system.points.points + [0.1, 0.2]
-    shifted = ql.GaborSystem(window, ql.from_points(
+    shifted = ql.GaborSystem(ql.from_points(
         moved[np.all(np.abs(moved) <= 10.5, axis=1)], truncation_radius=10.5))
     solve = gabor._residual_norms
     calls = []
@@ -386,8 +368,7 @@ def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
 def test_critical_lattice_completeness_residual():
     # the integer lattice at critical density: the probes h_1 mod 4 keep a
     # residual near 0.114 at this truncation, so the proxy stays unflagged
-    system = ql.GaborSystem(ql.gaussian_window(ql.GridSpec(24.0, 0.01)),
-                            ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 11.0))
+    system = ql.GaborSystem(ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 11.0))
     res = ql.completeness_residual(system, 10)
     assert abs(res - 0.11423354226583607) <= 1e-12
     assert res > ql.scenarios.COMPLETE_FLOOR

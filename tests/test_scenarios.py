@@ -86,27 +86,34 @@ def test_parse_rejects_missing_pieces(tmp_path):
 
 
 def test_parse_rejects_inconsistent_gabor(tmp_path):
-    base = TINY.replace("dim = 1", "dim = 1\nradius = 8")
-    grid_short = base + "\n[gabor]\nradius = 8\ngrid_T = 10\nchecks = frame\n"
-    with pytest.raises(ql.ScenarioValidationError, match="twice the radius"):
-        ql.parse_scenario(write_cfg(tmp_path, grid_short))
-    guard = base + ("\n[gabor]\nradius = 8\ngrid_T = 16\nchecks = frame\n"
-                    "hermite_N = 60\n")
+    guard = TINY + "\n[gabor]\nradius = 8\nchecks = frame\nhermite_N = 60\n"
     with pytest.raises(ql.ScenarioValidationError, match="guard"):
         ql.parse_scenario(write_cfg(tmp_path, guard))
-    hap_box = base + ("\n[gabor]\nradius = 8\ngrid_T = 16\nchecks = hap\n"
+    hap_box = TINY + ("\n[gabor]\nradius = 8\nchecks = hap\n"
                       "hap_box = 7.5\nhap_x_extent = 1\n")
     with pytest.raises(ql.ScenarioValidationError, match="hap box"):
         ql.parse_scenario(write_cfg(tmp_path, hap_box))
-    aliased = base + "\n[gabor]\nradius = 30\ngrid_T = 60\ngrid_dt = 0.01\n"
-    with pytest.raises(ql.ScenarioValidationError, match="1/\\(4 dt\\)"):
-        ql.parse_scenario(write_cfg(tmp_path, aliased))
-    misspelled = base + "\n[gabor]\nradius = 8\ngrid_T = 16\nchecks = riesz, reisz\n"
+    misspelled = TINY + "\n[gabor]\nradius = 8\nchecks = riesz, reisz\n"
     with pytest.raises(ql.ScenarioValidationError, match="unknown gabor checks.*reisz"):
         ql.parse_scenario(write_cfg(tmp_path, misspelled))
-    no_grid = TINY + "\n[gabor]\nchecks = riesz\n"
-    with pytest.raises(ql.ScenarioValidationError, match="grid_T"):
-        ql.parse_scenario(write_cfg(tmp_path, no_grid))
+    no_radius = TINY + "\n[gabor]\nchecks = riesz\n"
+    with pytest.raises(ql.ScenarioValidationError, match="missing radius"):
+        ql.parse_scenario(write_cfg(tmp_path, no_radius))
+
+
+def test_parse_rejects_unknown_sections_and_keys(tmp_path):
+    gabor = "\n[gabor]\nradius = 8\nchecks = riesz\n"
+    assert ql.parse_scenario(write_cfg(tmp_path, TINY + gabor)).gabor["radius"] == "8"
+    cases = [(TINY + gabor + "riesz_margn = 5\n", "riesz_margn.*\\[gabor\\]"),
+             (TINY + gabor + "[expect]\nfram = true\n", "fram.*\\[expect\\]"),
+             (TINY + gabor + "grid_t = 16\n", "grid_t.*\\[gabor\\]"),  # stale
+             (TINY.replace("dim = 1", "dim = 1\nradius = 8"), "radius.*\\[points\\]"),
+             (TINY.replace("truncation = 10", "truncation = 10\nradi = 3"),
+              "radi.*\\[density\\]"),
+             (TINY + "\n[gabbor]\nradius = 8\n", "unknown section \\[gabbor\\]")]
+    for text, match in cases:
+        with pytest.raises(ql.ScenarioValidationError, match=match):
+            ql.parse_scenario(write_cfg(tmp_path, text))
 
 
 def test_validate_padic_requirements():
