@@ -8,6 +8,7 @@ translates (``k_minimal``); verify_cover re-checks a cover with no search
 state shared.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,20 +18,30 @@ from scipy.spatial import cKDTree
 from .errors import CoverError
 from .pointset import DEDUP_TOL, min_separation
 
+RASTER_STRIDE = 4        # candidate covering radius from every 4th probe per axis
+EXACT_QUERY_MAX = 4096   # probes beyond the candidate queried outright up to this many
+
 
 @dataclass
 class DeloneReport:
+    """Delone statistics; ``probes`` is the probe-grid size and
+    ``probes_queried`` the number of exact KD-tree distances evaluated."""
+
     min_separation: float
     covering_radius: float
     is_symmetric: bool
     contains_identity: bool
+    probes: int
+    probes_queried: int
 
     def to_dict(self):
         sep = self.min_separation
         return {"min_separation": sep if math.isfinite(sep) else None,
                 "covering_radius": self.covering_radius,
                 "is_symmetric": self.is_symmetric,
-                "contains_identity": self.contains_identity}
+                "contains_identity": self.contains_identity,
+                "probes": self.probes,
+                "probes_queried": self.probes_queried}
 
 
 @dataclass
@@ -54,12 +65,25 @@ class CoverResult:
                 "verified_region_radius": self.verified_region_radius}
 
 
-def delone_report(ps, interior_margin, probe_step=None):
+def delone_report(ps, interior_margin):
     """Min separation, interior covering radius (sup-norm), and symmetry flags.
 
     The covering radius is the max over a probe grid in the interior region
     [-(R - margin), R - margin]^d of the sup-norm distance to the set, so it
     is a lower bound on the true covering radius with grid resolution error.
+    The grid is the product of the axis {j * step : |j| <= k}, where
+    step = min(sep / 2, span / 2) (span / 8 for a single point),
+    span = R - margin and k = floor(span / step + 1e-12).
+
+    The maximum is certified by exact box coverage, not by querying every
+    probe: a candidate L is the largest distance on every RASTER_STRIDE-th
+    probe per axis; the probes within L of some point are the union of one
+    index box per point, rasterised exactly; the probes left over are
+    exactly those farther than L. All of them (at most EXACT_QUERY_MAX), or a
+    strided sample of that size, are queried to raise L, and the raster
+    repeats until it leaves no probe beyond L. Every value is a KD-tree
+    distance and every comparison exact, so the result equals the maximum
+    over the full grid bit for bit.
     """
     if len(ps) == 0:
         raise ValueError("empty point set")
@@ -68,22 +92,79 @@ def delone_report(ps, interior_margin, probe_step=None):
     sep = min_separation(ps.points)
 
     span = ps.truncation_radius - interior_margin
-    if probe_step is None:
-        probe_step = sep / 2.0 if math.isfinite(sep) else span / 8.0
-        probe_step = min(probe_step, span / 2.0)
+    probe_step = sep / 2.0 if math.isfinite(sep) else span / 8.0
+    probe_step = min(probe_step, span / 2.0)
     k = int(math.floor(span / probe_step + 1e-12))
     axis = np.concatenate([-probe_step * np.arange(k, 0, -1), [0.0],
                            probe_step * np.arange(1, k + 1)])
-    mesh = np.meshgrid(*([axis] * ps.dim), indexing="ij")
-    probes = np.stack([m.ravel() for m in mesh], axis=1)
+    shape = (len(axis),) * ps.dim
     tree = cKDTree(ps.points)
-    dist, _ = tree.query(probes, k=1, p=np.inf)
-    covering = float(np.max(dist))
+
+    def distances(flat):
+        probes = axis[np.stack(np.unravel_index(flat, shape), axis=1)]
+        return tree.query(probes, k=1, p=np.inf)[0]
+
+    sub = np.meshgrid(*[np.arange(0, len(axis), RASTER_STRIDE)] * ps.dim, indexing="ij")
+    sample = np.ravel_multi_index(sub, shape).ravel()
+    covering, queried = -math.inf, 0
+    while len(sample):
+        # each sample after the first lies beyond L, so L grows until a raster
+        # at L leaves no probe beyond it
+        top = float(np.max(distances(sample)))
+        if top <= covering:
+            raise RuntimeError("probe raster disagrees with the KD-tree distance")
+        covering, queried = top, queried + len(sample)
+        far = _probes_beyond(ps.points, axis, covering)
+        sample = far[::max(1, len(far) // EXACT_QUERY_MAX)]
 
     nearest, _ = tree.query(-ps.points, k=1, p=np.inf)
     symmetric = bool(np.max(nearest) <= DEDUP_TOL)
     identity = bool(np.min(np.max(np.abs(ps.points), axis=1)) <= DEDUP_TOL)
-    return DeloneReport(sep, covering, symmetric, identity)
+    return DeloneReport(sep, covering, symmetric, identity, math.prod(shape), queried)
+
+
+def _first_beyond(axis, x, t, strict):
+    """Per entry x, the least j with fl(axis[j] - x) >= t (> t if strict), else len(axis).
+
+    fl(a - x) is monotone in a, so the answer is one cut of the sorted axis;
+    searchsorted on fl(x + t) lands within rounding of it, and the loops move
+    each cut onto the exact predicate.
+    """
+    n = len(axis)
+
+    def beyond(j):
+        d = axis[np.clip(j, 0, n - 1)] - x
+        return d > t if strict else d >= t
+
+    j = np.searchsorted(axis, x + t, side="right" if strict else "left")
+    while (move := (j > 0) & beyond(j - 1)).any():
+        j[move] -= 1
+    while (move := (j < n) & ~beyond(j)).any():
+        j[move] += 1
+    return j
+
+
+def _probes_beyond(points, axis, radius):
+    """Flat indices of the probes (axis^d) at sup-norm distance > radius from every point.
+
+    Point x covers the index box whose axis i runs over the j with
+    |fl(axis[j] - x_i)| <= radius, the same rounding as the KD-tree distance.
+    The boxes are summed in a difference array, one bincount per corner,
+    and integrated by a prefix sum along each axis; a point with an empty
+    range (lo == hi) adds corners that cancel.
+    """
+    dim = points.shape[1]
+    lo = _first_beyond(axis, points, -radius, False)
+    hi = _first_beyond(axis, points, radius, True)
+    shape = (len(axis) + 1,) * dim
+    diff = np.zeros(math.prod(shape), dtype=np.int64)
+    for corner in itertools.product((False, True), repeat=dim):
+        idx = np.ravel_multi_index(tuple(np.where(corner, hi, lo).T), shape)
+        diff += (-1) ** sum(corner) * np.bincount(idx, minlength=diff.size)
+    cover = diff.reshape(shape)
+    for i in range(dim):
+        np.cumsum(cover, axis=i, out=cover)
+    return np.flatnonzero(cover[(slice(0, len(axis)),) * dim] == 0)
 
 
 def _coverage_matrix(candidates, targets, base_tree, tol):

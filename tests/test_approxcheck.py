@@ -1,11 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import quasilat as ql
+from quasilat import approxcheck
 
 
 def toy_pair():
@@ -18,11 +21,65 @@ def test_delone_report_square_lattice():
     ps = ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 3.0)
     rep = ql.delone_report(ps, interior_margin=1.0)
     assert rep.min_separation == 1.0
-    assert rep.covering_radius == pytest.approx(0.5)
+    assert rep.covering_radius == 0.5
     assert rep.is_symmetric
     assert rep.contains_identity
     d = rep.to_dict()
     assert d["min_separation"] == 1.0
+    assert d["probes"] == 9 ** 2  # axis -2, -1.5, ..., 2
+    assert 0 < d["probes_queried"] <= d["probes"]
+
+
+def full_grid_covering_radius(ps, margin):
+    """Largest distance over the whole probe grid of delone_report's step rule."""
+    sep = ql.min_separation(ps.points)
+    span = ps.truncation_radius - margin
+    step = min(sep / 2.0 if math.isfinite(sep) else span / 8.0, span / 2.0)
+    k = int(math.floor(span / step + 1e-12))
+    axis = np.concatenate([-step * np.arange(k, 0, -1), [0.0], step * np.arange(1, k + 1)])
+    mesh = np.meshgrid(*([axis] * ps.dim), indexing="ij")
+    probes = np.stack([m.ravel() for m in mesh], axis=1)
+    return float(np.max(cKDTree(ps.points).query(probes, k=1, p=np.inf)[0])), len(probes)
+
+
+def test_delone_report_ties_beyond_first_candidate():
+    # every 4th probe of the axis -40, -39.5, ..., 40 is an integer, so the
+    # first candidate is 0; the 19,360 probes with a half-integer coordinate
+    # tie at the maximum 0.5 and take a sampled second raster
+    ps = ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 40.0)
+    rep = ql.delone_report(ps, interior_margin=0.0)
+    assert rep.covering_radius == 0.5
+    assert rep.probes == 161 ** 2
+    assert 41 ** 2 < rep.probes_queried < 41 ** 2 + 2 * approxcheck.EXACT_QUERY_MAX
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), scale=st.sampled_from([1.0, 0.5, 0.3, 2.0 ** 0.5]),
+       shear=st.sampled_from([0.0, 0.5, 1.0 / 3.0]), jitter=st.sampled_from([0.0, 1e-3, 0.1]),
+       keep=st.sampled_from([1.0, 0.7, 0.3]), margin=st.floats(0.0, 0.99),
+       exact_query_max=st.sampled_from([1, 16, approxcheck.EXACT_QUERY_MAX]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_covering_radius_equals_full_probe_grid(dim, scale, shear, jitter, keep, margin,
+                                                exact_query_max, seed, data):
+    radius = data.draw(st.floats(1.0, {1: 40.0, 2: 8.0, 3: 3.0}[dim]))
+    basis = scale * (np.eye(dim) + shear * np.eye(dim, k=1))
+    pts = ql.lattice_points_in_box(ql.Lattice(basis), radius).points
+    rng = np.random.default_rng(seed)
+    pts = pts + rng.uniform(-jitter, jitter, size=pts.shape)
+    kept = rng.random(len(pts)) < keep
+    kept[rng.integers(len(pts))] = True
+    pts = pts[kept & (np.max(np.abs(pts), axis=1) <= radius)]
+    if len(pts) == 0:
+        pts = np.zeros((1, dim))
+    ps = ql.from_points(pts, dim=dim, truncation_radius=radius)
+    # small exact-query limits force the sampled re-raster on small grids
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approxcheck, "EXACT_QUERY_MAX", exact_query_max)
+        rep = ql.delone_report(ps, interior_margin=margin * radius)
+    want, probes = full_grid_covering_radius(ps, margin * radius)
+    assert rep.covering_radius == want
+    assert rep.probes == probes
+    assert 0 < rep.probes_queried <= probes
 
 
 def test_delone_flags_asymmetric_set():
