@@ -18,9 +18,10 @@ from .errors import QuasilatError, ScenarioValidationError
 from .gabor import GaborSystem
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import load_pointset, regenerate, save_pointset, sumset_truncated
-from .scenarios import (GABOR_CHECKS, GABOR_OPTIONS, builtin_scenario_names,
-                        builtin_scenario_path, build_point_source, gabor_options,
-                        parse_scenario, run_scenario, _floats, _json_default)
+from .scenarios import (GABOR_CHECKS, GABOR_OPTIONS, POINT_OPTIONS,
+                        builtin_scenario_names, builtin_scenario_path,
+                        build_point_source, gabor_options, parse_scenario,
+                        run_scenario, _floats, _json_default)
 
 
 def _emit(payload, out_path):
@@ -34,15 +35,12 @@ def _emit(payload, out_path):
 
 def _add_gen(sub):
     p = sub.add_parser("gen", help="generate a point set and write it to CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["lattice", "fibonacci", "fibonacci_product",
-                            "symmetrized_sparse"])
+    p.add_argument("--kind", required=True, help="a scenario [points] kind")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--basis", help="row-major lattice basis entries, comma separated")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--q", type=float, default=4.0)
+    # the flags below fill the POINT_OPTIONS keys that scenario files use
+    for key, default in POINT_OPTIONS.items():
+        p.add_argument(f"--{key}", type=float, default=default)
     p.add_argument("--out", required=True)
 
 
@@ -50,7 +48,6 @@ def _add_density(sub):
     p = sub.add_parser("density", help="Beurling density scan over box sequences")
     p.add_argument("--points", required=True, help="point CSV path")
     p.add_argument("--radii", required=True, help="comma separated box radii")
-    p.add_argument("--translate-step", type=float)
     p.add_argument("--scan-region", type=float)
     p.add_argument("--out")
 
@@ -113,8 +110,6 @@ def _add_run(sub):
     p.add_argument("targets", nargs="*",
                    help="scenario cfg paths or builtin names; 'all' for every builtin")
     p.add_argument("--list", action="store_true", help="list builtin scenarios")
-    p.add_argument("--parallel", action="store_true",
-                   help="run scenarios in worker processes (QUASILAT_THREADS caps the pool)")
     p.add_argument("--out-dir", help="write one JSON report per scenario here")
 
 
@@ -128,9 +123,7 @@ def _cmd_gen(args):
 def _cmd_density(args):
     ps = load_pointset(args.points)
     boxes = FolnerBoxes(ps.dim, tuple(_floats(args.radii)))
-    rep = density_scan(ps, boxes, translate_step=args.translate_step,
-                       scan_region_radius=args.scan_region)
-    _emit(rep.to_dict(), args.out)
+    _emit(density_scan(ps, boxes, scan_region_radius=args.scan_region).to_dict(), args.out)
     return 0
 
 
@@ -159,16 +152,10 @@ def _cmd_gabor(args):
 
 def _cmd_padic(args):
     ms = PAdicModelSet.build(args.p, args.w, args.n)
-    if args.padic_cmd == "density":
-        _emit(padic_density(ms).to_dict(), args.out)
-    else:
-        cover = padic_cover_set(ms, max_cover_size=args.max_size)
-        _emit(cover.to_dict(), args.out)
+    rep = (padic_density(ms) if args.padic_cmd == "density"
+           else padic_cover_set(ms, max_cover_size=args.max_size))
+    _emit(rep.to_dict(), args.out)
     return 0
-
-
-def _run_one(path):
-    return run_scenario(parse_scenario(path))
 
 
 def _cmd_run(args):
@@ -186,19 +173,8 @@ def _cmd_run(args):
             paths.append(target)
         else:
             paths.append(builtin_scenario_path(target))
-
-    reports = []
-    if args.parallel and len(paths) > 1:
-        import concurrent.futures
-        cap = os.environ.get("QUASILAT_THREADS")
-        workers = min(len(paths), int(cap) if cap else (os.cpu_count() or 1))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, paths))
-    else:
-        reports = [_run_one(p) for p in paths]
-
     all_passed = True
-    for report in reports:
+    for report in [run_scenario(parse_scenario(p)) for p in paths]:
         for line in report.verdict_lines():
             print(line)
         all_passed = all_passed and report.passed

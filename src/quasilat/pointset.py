@@ -113,6 +113,9 @@ class PointSet:
 
     def restrict(self, radius):
         """Sub-truncation: points with sup-norm <= radius (boundary inclusive)."""
+        if radius > self.truncation_radius + DEDUP_TOL:
+            raise ValueError(f"restriction radius {radius} exceeds the truncation "
+                             f"radius {self.truncation_radius}")
         if len(self.points):
             mask = np.max(np.abs(self.points), axis=1) <= radius + DEDUP_TOL
             pts = self.points[mask]

@@ -45,15 +45,18 @@ GABOR_OPTIONS = {"hermite_n": 40, "hermite_step": 10, "riesz_margin": 2.0,
 # Flags that an [expect] block may pin, in verdict order.
 EXPECT_FLAGS = ("frame", "riesz", "hap", "complete_proxy", "minimal")
 
-# The keys each section accepts; configparser lowercases keys.
+# Defaults of the [points] options; a cfg key or a gen flag overrides each one.
+POINT_OPTIONS = {"window": 1.0, "beta": 0.5, "q": 4.0}
+
+# Each section's (required keys, optional keys); configparser lowercases keys.
 SECTION_KEYS = {
-    "scenario": {"name", "slack"},
-    "points": {"kind", "basis", "dim", "window", "beta", "q", "path"},
-    "density": {"radii", "truncation", "translate_step", "subadditivity"},
-    "approx": {"base_radius", "sumset_radius", "coverage_tol"},
-    "gabor": {"radius", "checks", *GABOR_OPTIONS},
-    "padic": {"p", "w", "n_max", "cover", "cover_n_max", "max_k", "max_deviation"},
-    "expect": {"k", "density_rtol", *EXPECT_FLAGS},
+    "scenario": ((), ("name", "slack")),
+    "points": (("kind",), ("basis", "path", *POINT_OPTIONS)),
+    "density": (("radii", "truncation"), ("subadditivity",)),
+    "approx": (("base_radius", "sumset_radius"), ("coverage_tol",)),
+    "gabor": (("radius",), ("checks", *GABOR_OPTIONS)),
+    "padic": (("p", "w", "n_max"), ("cover", "max_k", "max_deviation")),
+    "expect": ((), ("k", "density_rtol", *EXPECT_FLAGS)),
 }
 
 
@@ -67,10 +70,6 @@ class Scenario:
     padic: dict = field(default_factory=dict)
     expect: dict = field(default_factory=dict)
     slack: float = DEFAULT_SLACK
-
-
-def _section(cfg, name):
-    return {k: v for k, v in cfg[name].items()} if cfg.has_section(name) else {}
 
 
 def _floats(text):
@@ -102,53 +101,37 @@ def parse_scenario(path):
         if section not in SECTION_KEYS:
             raise ScenarioValidationError(
                 f"unknown section [{section}]; known: {', '.join(SECTION_KEYS)}")
-        unknown = sorted(set(cfg[section]) - SECTION_KEYS[section])
+        known = set().union(*SECTION_KEYS[section])
+        unknown = sorted(set(cfg[section]) - known)
         if unknown:
             raise ScenarioValidationError(
-                f"unknown keys {unknown} in [{section}]; known: "
-                f"{', '.join(sorted(SECTION_KEYS[section]))}")
+                f"unknown keys {unknown} in [{section}]; known: {', '.join(sorted(known))}")
     name = cfg["scenario"].get("name", "unnamed")
     slack = float(cfg["scenario"].get("slack", DEFAULT_SLACK))
-    sc = Scenario(name, _section(cfg, "points"), _section(cfg, "density"),
-                  _section(cfg, "approx"), _section(cfg, "gabor"),
-                  _section(cfg, "padic"), _section(cfg, "expect"), slack)
+    sc = Scenario(name, *(dict(cfg[s]) if cfg.has_section(s) else {} for s in
+                          ("points", "density", "approx", "gabor", "padic", "expect")), slack)
     validate_scenario(sc)
     return sc
 
 
 def validate_scenario(sc):
     """Structural checks; raises ScenarioValidationError before any heavy work."""
+    sections = ["padic"] if sc.padic else ["points", "density"] + [
+        s for s in ("approx", "gabor") if getattr(sc, s)]
+    for section in sections:
+        missing = [k for k in SECTION_KEYS[section][0] if k not in getattr(sc, section)]
+        if missing:
+            raise ScenarioValidationError(f"[{section}] missing {missing[0]}")
     if sc.padic:
-        for key in ("p", "w", "n_max"):
-            if key not in sc.padic:
-                raise ScenarioValidationError(f"[padic] missing {key}")
         return
-    if not sc.points:
-        raise ScenarioValidationError("missing [points] section")
-    kind = sc.points.get("kind")
-    if kind not in ("lattice", "fibonacci", "fibonacci_product",
-                    "symmetrized_sparse", "csv"):
-        raise ScenarioValidationError(f"unknown points kind: {kind!r}")
-    if kind == "lattice" and not sc.points.get("basis"):
-        raise ScenarioValidationError("lattice points need a basis")
-    if kind == "csv":
-        import os
-        if not os.path.exists(sc.points.get("path", "")):
-            raise ScenarioValidationError(
-                f"points csv does not exist: {sc.points.get('path')!r}")
-    if not sc.density or "radii" not in sc.density:
-        raise ScenarioValidationError("missing [density] radii")
-    radii = _floats(sc.density["radii"])
-    trunc = float(sc.density.get("truncation", 0) or 0)
-    if kind != "csv" and trunc < max(radii):
+    requested = [float(sc.density["truncation"])]
+    if requested[0] < max(_floats(sc.density["radii"])):
         raise ScenarioValidationError("density truncation below largest box radius")
-    for key in ("base_radius", "sumset_radius"):
-        if sc.approx and key not in sc.approx:
-            raise ScenarioValidationError(f"[approx] missing {key}")
+    if sc.approx:
+        requested.append(float(sc.approx["base_radius"]))
     if sc.gabor:
-        if "radius" not in sc.gabor:
-            raise ScenarioValidationError("[gabor] missing radius")
         radius = float(sc.gabor["radius"])
+        requested.append(radius)
         checks = _gabor_checks(sc.gabor)
         unknown = [c for c in checks if c not in GABOR_CHECKS]
         if unknown:
@@ -160,33 +143,39 @@ def validate_scenario(sc):
                 "gabor radius below the test-basis guard margin sqrt(N/pi) + 6")
         if "hap" in checks and opt["hap_x_extent"] + opt["hap_box"] > radius + 1e-9:
             raise ScenarioValidationError("hap box leaves the gabor truncation")
+    # checks the kind, its keys and, for a csv, that every radius fits the file
+    build_point_source(sc.points, max(requested))
 
 
 def build_point_source(points_cfg, radius):
-    """Recipe dict for the scenario point set at the given truncation radius."""
+    """Recipe dict for the scenario point set at the given truncation radius.
+
+    The one place that knows the point kinds; validation and `quasilat gen`
+    both go through it. A csv set is restricted to the radius.
+    """
     kind = points_cfg.get("kind")
     radius = float(radius)
+    opt = {k: float(points_cfg.get(k, v)) for k, v in POINT_OPTIONS.items()}
     if kind == "lattice":
         if not points_cfg.get("basis"):
             raise ScenarioValidationError("lattice points need a basis")
         basis = _floats(points_cfg["basis"])
-        d = int(points_cfg.get("dim") or math.isqrt(len(basis)))
+        d = math.isqrt(len(basis))
         if d * d != len(basis):
             raise ScenarioValidationError("lattice basis length must be dim^2")
         rows = [basis[i * d:(i + 1) * d] for i in range(d)]
         return {"kind": "lattice", "basis": rows, "radius": radius}
     if kind in ("fibonacci", "fibonacci_product"):
-        w = float(points_cfg.get("window", 1.0))
+        w = opt["window"]
         top, bottom = fibonacci_scheme(w).total_basis.tolist()
         if kind == "fibonacci":
             return {"kind": "cut_and_project", "total_basis": [top, bottom],
                     "d": 1, "m": 1, "window": [w], "radius": radius}
-        beta = float(points_cfg.get("beta", 0.5))
         return {"kind": "cut_and_project",
-                "total_basis": [top + [0.0], [0.0, 0.0, beta], bottom + [0.0]],
+                "total_basis": [top + [0.0], [0.0, 0.0, opt["beta"]], bottom + [0.0]],
                 "d": 2, "m": 1, "window": [w], "radius": radius}
     if kind == "symmetrized_sparse":
-        q = float(points_cfg.get("q", 4))
+        q = opt["q"]
         m_max = math.floor(radius + 1e-9)
         ms = np.arange(-m_max, m_max + 1, dtype=float)
         return {"kind": "symmetrize",
@@ -196,7 +185,12 @@ def build_point_source(points_cfg, radius):
                 "sublattice_basis": [[q, 0.0], [0.0, 1.0]],
                 "radius": radius}
     if kind == "csv":
-        return load_pointset(points_cfg["path"]).source
+        path = points_cfg.get("path", "")
+        try:
+            return load_pointset(path).restrict(radius).source
+        except (OSError, ValueError) as exc:
+            raise ScenarioValidationError(
+                f"points csv {path!r} at radius {radius}: {exc}") from exc
     raise ScenarioValidationError(f"unknown points kind: {kind!r}")
 
 
@@ -221,21 +215,18 @@ def _run_padic(sc):
     ms = PAdicModelSet.build(p, sc.padic["w"], n_max)
     dens = padic_density(ms)
     results = {"density": dens.to_dict()}
-    verdicts = []
     target = 2 * dens.w
-    verdicts.append(_verdict(
-        "padic_density_formula", "density == 2w (exact extrapolation)", True,
-        float(dens.density), float(target), dens.density == target))
     c_max = float(sc.padic.get("max_deviation", 1.0))
     c = float(dens.deviation_constant())
-    verdicts.append(_verdict(
-        "padic_ratio_deviation", "max_n |ratio_n - 2w| p^n <= c", True,
-        c, c_max, c <= c_max + 1e-12))
+    verdicts = [_verdict("padic_density_formula", "density == 2w (exact extrapolation)",
+                         True, float(dens.density), float(target), dens.density == target),
+                _verdict("padic_ratio_deviation", "max_n |ratio_n - 2w| p^n <= c",
+                         True, c, c_max, c <= c_max + 1e-12)]
     if _get_bool(sc.padic.get("cover", "true")):
-        # Cover at depth min(n_max, 6) by default. The centres then lie in
-        # (1/p^6) Z, the depth at which perfbench rechecks scenario covers;
-        # a depth-12 centre such as 4097/4096 would fail that recheck.
-        cover_n = int(sc.padic.get("cover_n_max", min(n_max, 6)))
+        # Cover at depth min(n_max, 6). The centres then lie in (1/p^6) Z,
+        # the depth at which perfbench rechecks scenario covers; a depth-12
+        # centre such as 4097/4096 would fail that recheck.
+        cover_n = min(n_max, 6)
         cover_ms = ms if cover_n == n_max else PAdicModelSet.build(
             p, sc.padic["w"], cover_n)
         cover = padic_cover_set(cover_ms)
@@ -337,7 +328,11 @@ def _run_gabor(sc, results, flags):
 
 
 def _run_subadditivity(sc, source, results, verdicts):
-    """Exact per-translate count subadditivity for symmetrized unions."""
+    """Count subadditivity of a symmetrized union and its exact upper-density bound.
+
+    The counts are compared on the translate grid of step sep/2; the three
+    D_plus scans are exact.
+    """
     if source.get("kind") != "symmetrize":
         raise ScenarioValidationError("subadditivity check needs a symmetrize recipe")
     radii = _floats(sc.density["radii"])
@@ -348,39 +343,31 @@ def _run_subadditivity(sc, source, results, verdicts):
     lat = lattice_points_in_box(Lattice(np.array(source["sublattice_basis"])),
                                 source["radius"])
     scan = union.truncation_radius - max(radii)
-    step = float(sc.density.get("translate_step", 0) or 0)
-    if step <= 0:
-        sep = min_separation(union.points)
-        step = sep / 2.0 if math.isfinite(sep) else 1.0
-    worst = -10 ** 9
+    sep = min_separation(union.points)
+    step = sep / 2.0 if math.isfinite(sep) else 1.0
     per_n = []
     for r in radii:
-        _, cu = translate_count_grid(union, r, step, scan)
-        _, cb = translate_count_grid(base, r, step, scan)
-        _, cn = translate_count_grid(neg, r, step, scan)
-        _, cl = translate_count_grid(lat, r, step, scan)
-        excess = int(np.max(cu - cb - cn - cl))
-        per_n.append(excess)
-        worst = max(worst, excess)
+        # one full-size field at a time: each part is subtracted in place
+        _, excess = translate_count_grid(union, r, step, scan)
+        for part in (base, neg, lat):
+            excess -= translate_count_grid(part, r, step, scan)[1]
+        per_n.append(int(excess.max()))
+    boxes = FolnerBoxes(union.dim, tuple(radii))
+    du, db, dl = (density_scan(ps, boxes, scan_region_radius=scan).D_plus
+                  for ps in (union, base, lat))
+    rhs = 2.0 * db + dl * (1.0 + sc.slack)
     results["subadditivity"] = {"radii": radii, "max_excess_per_n": per_n,
-                                "translate_step": step, "scan_region_radius": scan}
+                                "translate_step": step, "scan_region_radius": scan,
+                                "D_plus_union": du, "D_plus_base": db,
+                                "D_plus_sublattice": dl}
     verdicts.append(_verdict(
         "union_count_subadditivity",
         "count(union in xK) <= count(base) + count(-base) + count(sublattice), all scanned (x, n)",
-        True, worst, 0, worst <= 0))
-
-    boxes = FolnerBoxes(union.dim, tuple(radii))
-    du = density_scan(union, boxes, translate_step=step, scan_region_radius=scan)
-    db = density_scan(base, boxes, translate_step=step, scan_region_radius=scan)
-    dl = density_scan(lat, boxes, translate_step=step, scan_region_radius=scan)
-    rhs = 2.0 * db.D_plus + dl.D_plus * (1.0 + sc.slack)
+        True, max(per_n), 0, max(per_n) <= 0))
     verdicts.append(_verdict(
         "symmetrized_upper_density_bound",
         "D_plus(union) <= 2 D_plus(base) + D_plus(sublattice) (with slack)",
-        True, du.D_plus, rhs, du.D_plus <= rhs))
-    results["subadditivity"]["D_plus_union"] = du.D_plus
-    results["subadditivity"]["D_plus_base"] = db.D_plus
-    results["subadditivity"]["D_plus_sublattice"] = dl.D_plus
+        True, du, rhs, du <= rhs))
 
 
 def run_scenario(sc):
@@ -389,14 +376,9 @@ def run_scenario(sc):
         return _finalize(sc, *_run_padic(sc))
 
     results, verdicts, flags = {}, [], {}
-    radii = _floats(sc.density["radii"])
-    trunc = float(sc.density.get("truncation", max(radii)))
-    source = build_point_source(sc.points, trunc)
+    source = build_point_source(sc.points, sc.density["truncation"])
     ps = regenerate(source)
-    boxes = FolnerBoxes(ps.dim, tuple(radii))
-    step = sc.density.get("translate_step")
-    step = float(step) if step else None
-    dens = density_scan(ps, boxes, translate_step=step)
+    dens = density_scan(ps, FolnerBoxes(ps.dim, tuple(_floats(sc.density["radii"]))))
     results["density"] = dens.to_dict()
     results["density"]["point_count"] = len(ps)
 
@@ -467,9 +449,7 @@ class Report:
     provenance: dict
 
     def to_dict(self):
-        return {"scenario": self.scenario, "results": self.results,
-                "verdicts": self.verdicts, "passed": self.passed,
-                "provenance": self.provenance}
+        return dict(vars(self))
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=1, sort_keys=True,
@@ -486,11 +466,7 @@ class Report:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.integer, np.floating, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 

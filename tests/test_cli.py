@@ -16,7 +16,6 @@ name = cli-tiny
 [points]
 kind = lattice
 basis = 1
-dim = 1
 
 [density]
 radii = 2, 4
@@ -26,7 +25,7 @@ truncation = 10
 
 def gen_line(tmp_path, radius=10.0, name="line.csv"):
     path = tmp_path / name
-    rc = main(["gen", "--kind", "lattice", "--basis", "1", "--dim", "1",
+    rc = main(["gen", "--kind", "lattice", "--basis", "1",
                "--radius", str(radius), "--out", str(path)])
     assert rc == 0
     return path
@@ -143,6 +142,57 @@ def test_gabor_commands_match_scenario_blocks(tmp_path):
         assert json.loads(out.read_text()) == blocks[check], check
 
 
+def test_negative_edge_margin_exits_2(tmp_path, capsys):
+    pts = tmp_path / "nodes.csv"
+    assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
+                 "--radius", "6", "--out", str(pts)]) == 0
+    for check in ("riesz", "dual"):
+        assert main(["gabor", check, "--points", str(pts), "--edge-margin", "-1"]) == 2
+        assert "exceeds the truncation radius" in capsys.readouterr().err
+    cfg = tmp_path / "margin.cfg"
+    cfg.write_text(TINY_SCENARIO.replace("basis = 1\n", "basis = 2, 0, 0, 1\n")
+                   + "\n[gabor]\nradius = 8\nchecks = riesz\nriesz_margin = -1\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "exceeds the truncation radius" in capsys.readouterr().err
+
+
+def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys):
+    pts = tmp_path / "z2.csv"
+    assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
+                 "--radius", "12", "--out", str(pts)]) == 0
+    text = ("[scenario]\nname = csv-z2\n"
+            f"[points]\nkind = csv\npath = {pts}\n"
+            "[density]\nradii = 2, 4\ntruncation = 10\n"
+            "[approx]\nbase_radius = 6\nsumset_radius = 3\n"
+            "[gabor]\nradius = 6\nchecks = riesz\n")
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(text)
+    results = ql.run_scenario(ql.parse_scenario(cfg)).results
+    assert results["density"]["point_count"] == 21 ** 2
+    assert results["density"]["scan_region_radius"] == 6.0
+    assert results["gabor"]["point_count"] == 13 ** 2
+    assert results["gabor"]["riesz"]["subspace_dim"] == 9 ** 2  # radius 6 - margin 2
+    assert results["approx"]["k"] == 1
+    # a radius beyond the file's truncation, or no file at all, is refused
+    for old, new in (("truncation = 10", "truncation = 13"),
+                     ("radius = 6", "radius = 13"),
+                     ("base_radius = 6", "base_radius = 13"),
+                     (f"path = {pts}", f"path = {tmp_path / 'absent.csv'}")):
+        cfg.write_text(text.replace(old, new))
+        with pytest.raises(ql.ScenarioValidationError, match="points csv"):
+            ql.parse_scenario(cfg)
+        assert main(["run", str(cfg)]) == 2
+        assert "points csv" in capsys.readouterr().err
+
+
+def test_gen_unknown_kind_exits_2(tmp_path, capsys):
+    rc = main(["gen", "--kind", "hexagon", "--radius", "3",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "unknown points kind" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_gabor_guard_exits_2(tmp_path, capsys):
     pts = tmp_path / "nodes.csv"
     assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
@@ -189,19 +239,6 @@ def test_run_failing_scenario_exits_1(tmp_path, capsys):
     rc = main(["run", str(cfg)])
     assert rc == 1
     assert "FAILURES PRESENT" in capsys.readouterr().out
-
-
-def test_run_parallel_matches_serial(tmp_path, capsys, monkeypatch):
-    paths = []
-    for name in ("tiny-a", "tiny-b"):
-        paths.append(tmp_path / f"{name}.cfg")
-        paths[-1].write_text(TINY_SCENARIO.replace("cli-tiny", name))
-    assert main(["run"] + [str(p) for p in paths]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("QUASILAT_THREADS", "2")
-    assert main(["run", "--parallel"] + [str(p) for p in paths]) == 0
-    assert capsys.readouterr().out == serial
-    assert "tiny-b::density_matches_formula" in serial
 
 
 def test_lattice_without_basis_exits_2(tmp_path, capsys):

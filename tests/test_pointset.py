@@ -222,6 +222,14 @@ def test_restrict_and_translate():
     np.testing.assert_allclose(moved.points[:, 0], np.arange(-2.5, 4.0))
 
 
+def test_restrict_refuses_radius_beyond_truncation():
+    # a larger label would let density_scan's guard pass on a set with holes
+    ps = ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 3.0)
+    with pytest.raises(ValueError, match="exceeds the truncation radius"):
+        ps.restrict(10.0)
+    assert len(ps.restrict(3.0)) == 49
+
+
 def test_min_separation_paths():
     assert ql.min_separation(np.array([[0.0]])) == math.inf
     assert ql.min_separation(np.array([[0.0], [0.25]])) == 0.25

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import quasilat as ql
-from quasilat.scenarios import build_point_source, validate_scenario
+from quasilat.cli import main
+from quasilat.scenarios import SECTION_KEYS, build_point_source, validate_scenario
 
 TINY = """
 [scenario]
@@ -13,7 +15,6 @@ name = tiny-line
 [points]
 kind = lattice
 basis = 1
-dim = 1
 
 [density]
 radii = 2, 4
@@ -85,6 +86,47 @@ def test_parse_rejects_missing_pieces(tmp_path):
         ql.parse_scenario(write_cfg(tmp_path, no_base_radius))
 
 
+FULL = TINY + """
+[approx]
+base_radius = 8
+sumset_radius = 4
+
+[gabor]
+radius = 8
+checks = riesz
+"""
+
+PADIC = """
+[scenario]
+name = tiny-padic
+
+[padic]
+p = 2
+w = 1
+n_max = 3
+"""
+
+
+def test_each_required_key_is_checked(tmp_path, capsys):
+    for base in (FULL, PADIC):
+        ql.parse_scenario(write_cfg(tmp_path, base))
+    checked = 0
+    for section, (required, _) in SECTION_KEYS.items():
+        for key in required:
+            base = PADIC if section == "padic" else FULL
+            lines = base.splitlines()
+            kept = [ln for ln in lines if ln.partition("=")[0].strip() != key]
+            assert len(kept) == len(lines) - 1, (section, key)
+            path = write_cfg(tmp_path, "\n".join(kept) + "\n")
+            match = re.escape(f"[{section}] missing {key}")
+            with pytest.raises(ql.ScenarioValidationError, match=match):
+                ql.parse_scenario(path)
+            assert main(["run", str(path)]) == 2
+            assert f"[{section}] missing {key}" in capsys.readouterr().err
+            checked += 1
+    assert checked == 9
+
+
 def test_parse_rejects_inconsistent_gabor(tmp_path):
     guard = TINY + "\n[gabor]\nradius = 8\nchecks = frame\nhermite_N = 60\n"
     with pytest.raises(ql.ScenarioValidationError, match="guard"):
@@ -107,7 +149,7 @@ def test_parse_rejects_unknown_sections_and_keys(tmp_path):
     cases = [(TINY + gabor + "riesz_margn = 5\n", "riesz_margn.*\\[gabor\\]"),
              (TINY + gabor + "[expect]\nfram = true\n", "fram.*\\[expect\\]"),
              (TINY + gabor + "grid_t = 16\n", "grid_t.*\\[gabor\\]"),  # stale
-             (TINY.replace("dim = 1", "dim = 1\nradius = 8"), "radius.*\\[points\\]"),
+             (TINY.replace("basis = 1", "basis = 1\nradius = 8"), "radius.*\\[points\\]"),
              (TINY.replace("truncation = 10", "truncation = 10\nradi = 3"),
               "radi.*\\[density\\]"),
              (TINY + "\n[gabbor]\nradius = 8\n", "unknown section \\[gabbor\\]")]
