@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CoverError
-from .pointset import DEDUP_TOL, min_separation
+from .pointset import DEDUP_TOL, lexsorted, min_separation
 
 RASTER_STRIDE = 4        # candidate covering radius from every 4th probe per axis
 EXACT_QUERY_MAX = 4096   # probes beyond the candidate queried outright up to this many
@@ -89,7 +88,9 @@ def delone_report(ps, interior_margin):
         raise ValueError("empty point set")
     if interior_margin < 0 or interior_margin >= ps.truncation_radius:
         raise ValueError("interior_margin must lie in [0, truncation_radius)")
-    sep = min_separation(ps.points)
+    from scipy.spatial import cKDTree
+    tree = cKDTree(ps.points)
+    sep = min_separation(ps.points, tree)
 
     span = ps.truncation_radius - interior_margin
     probe_step = sep / 2.0 if math.isfinite(sep) else span / 8.0
@@ -98,7 +99,6 @@ def delone_report(ps, interior_margin):
     axis = np.concatenate([-probe_step * np.arange(k, 0, -1), [0.0],
                            probe_step * np.arange(1, k + 1)])
     shape = (len(axis),) * ps.dim
-    tree = cKDTree(ps.points)
 
     def distances(flat):
         probes = axis[np.stack(np.unravel_index(flat, shape), axis=1)]
@@ -117,8 +117,9 @@ def delone_report(ps, interior_margin):
         far = _probes_beyond(ps.points, axis, covering)
         sample = far[::max(1, len(far) // EXACT_QUERY_MAX)]
 
-    nearest, _ = tree.query(-ps.points, k=1, p=np.inf)
-    symmetric = bool(np.max(nearest) <= DEDUP_TOL)
+    # exact symmetry needs no tolerance query
+    symmetric = (np.array_equal(lexsorted(ps.points), lexsorted(-ps.points))
+                 or bool(np.max(tree.query(-ps.points, k=1, p=np.inf)[0]) <= DEDUP_TOL))
     identity = bool(np.min(np.max(np.abs(ps.points), axis=1)) <= DEDUP_TOL)
     return DeloneReport(sep, covering, symmetric, identity, math.prod(shape), queried)
 
@@ -209,6 +210,7 @@ def find_cover_set(sumset, base, coverage_tol=1e-6, verified_region_radius=None,
     order = np.lexsort(tuple(sumset.points.T[::-1]) + (norms,))
     candidates = sumset.points[order]
 
+    from scipy.spatial import cKDTree
     base_tree = cKDTree(base.points)
     cover = _coverage_matrix(candidates, targets, base_tree, coverage_tol)
 
@@ -251,6 +253,7 @@ def verify_cover(sumset, base, defect_set, coverage_tol=1e-6,
     defect = np.asarray(defect_set, dtype=float).reshape(-1, sumset.dim)
     if len(defect) == 0:
         return False
+    from scipy.spatial import cKDTree
     tree = cKDTree(base.points)
     covered = np.zeros(len(targets), dtype=bool)
     for f in defect:

@@ -8,7 +8,10 @@ the checks are grid-free: every atom has closed-form Hermite coordinates
 (atom_coordinates) and the Gram matrix is analytic. Only the sampled
 cross-check API takes a grid, a uniform one on [-T, T] with trapezoidal
 quadrature: Waveform, tf_shift, hermite_basis, orthogonality_check,
-GaborSystem.synthesis_matrix(grid) and DualFamily.duals(grid).
+GaborSystem.synthesis_matrix(grid) and DualFamily.duals(grid). That API is
+the only user of scipy.interpolate, and only for a time shift that is not a
+whole number of grid steps; like every SciPy import here it is made inside
+the function that needs it.
 
 The least-squares residuals use the point set's exact rotation symmetry.
 The Fourier transform F rotates phase space by 90 degrees, (x, xi) ->
@@ -28,13 +31,10 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import lstsq
-from scipy.special import gammaln
 
 from .errors import (InsufficientTruncationError, NotMinimalError,
                      ShiftRangeError, TruncationTooSmallError)
-from .pointset import DEDUP_TOL, PointSet
+from .pointset import DEDUP_TOL, PointSet, lexsorted
 
 # Formal degree of the representation under Lebesgue normalization.
 D_PI = 1.0
@@ -132,6 +132,7 @@ def _time_shift_samples(grid, samples, x):
         else:
             out[:k] = samples[-k:]
         return out
+    from scipy.interpolate import CubicSpline
     t = grid.times
     spline = CubicSpline(t, samples)
     src = t - x
@@ -231,6 +232,7 @@ def atom_coordinates(points, N):
     (sqrt(pi) z)^n / sqrt(n!), the Bargmann transform of pi(lambda) h_0
     (Groechenig 2001, section 3.4); the modulus is evaluated in log space.
     """
+    from scipy.special import gammaln
     x, xi = np.asarray(points, dtype=float).reshape(-1, 2).T
     r2 = x * x + xi * xi
     at_zero = r2 == 0.0
@@ -353,6 +355,7 @@ def _residual_norms(A, B):
     Column-pivoted QR (LAPACK xGELSY) with the rank cutoff eps * max(A.shape)
     that np.linalg.lstsq(rcond=None) uses.
     """
+    from scipy.linalg import lstsq
     X = lstsq(A, B, cond=np.finfo(float).eps * max(A.shape), lapack_driver="gelsy")[0]
     return np.linalg.norm(B - A @ X, axis=0)
 
@@ -365,10 +368,6 @@ def rotation_order(points):
     with no tolerance.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-
-    def lexsorted(p):
-        return p[np.lexsort(p.T[::-1])]
-
     base = lexsorted(pts)
     if np.array_equal(base, lexsorted(np.column_stack([-pts[:, 1], pts[:, 0]]))):
         return 4

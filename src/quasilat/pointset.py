@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateLatticeError, EnumerationBoundError
 
@@ -33,6 +32,11 @@ def _as_points(points, dim):
     return pts
 
 
+def lexsorted(points):
+    """Rows of a 2-d array in lexicographic order."""
+    return points[np.lexsort(points.T[::-1])]
+
+
 def _canonical(points, tol=DEDUP_TOL):
     """Lex-sorted points with sup-norm near-duplicates removed.
 
@@ -51,7 +55,7 @@ def _canonical(points, tol=DEDUP_TOL):
     if n == 0:
         return points
     pts = points + 0.0  # normalizes -0.0 to +0.0
-    pts = pts[np.lexsort(pts.T[::-1])]
+    pts = lexsorted(pts)
     # order: lex indices sorted by (group, coordinate c); group never decreases
     # along order, and lex order is already sorted by the first coordinate
     order = np.arange(n)
@@ -356,12 +360,18 @@ def sumset_truncated(a, b, radius):
     return PointSet(a.dim, pts, float(radius), src)
 
 
-def min_separation(points):
-    """Minimum pairwise sup-norm distance; inf for fewer than two points."""
+def min_separation(points, tree=None):
+    """Minimum pairwise sup-norm distance; inf for fewer than two points.
+
+    ``tree``, a scipy cKDTree of the same points, saves building another.
+    """
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return math.inf
-    dist, _ = cKDTree(pts).query(pts, k=2, p=np.inf)
+    if tree is None:
+        from scipy.spatial import cKDTree
+        tree = cKDTree(pts)
+    dist, _ = tree.query(pts, k=2, p=np.inf)
     return float(np.min(dist[:, 1]))
 
 

@@ -45,6 +45,10 @@ GABOR_OPTIONS = {"hermite_n": 40, "hermite_step": 10, "riesz_margin": 2.0,
 # Flags that an [expect] block may pin, in verdict order.
 EXPECT_FLAGS = ("frame", "riesz", "hap", "complete_proxy", "minimal")
 
+# (section, key) pairs read as booleans; an empty [expect] flag pins nothing.
+BOOL_KEYS = (("density", "subadditivity"), ("padic", "cover"),
+             *(("expect", flag) for flag in EXPECT_FLAGS))
+
 # Defaults of the [points] options; a cfg key or a gen flag overrides each one.
 POINT_OPTIONS = {"window": 1.0, "beta": 0.5, "q": 4.0}
 
@@ -76,8 +80,13 @@ def _floats(text):
     return [float(x) for x in str(text).replace(";", ",").split(",") if x.strip()]
 
 
-def _get_bool(value):
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+def _get_bool(value, key="value"):
+    """configparser's boolean words (1/0, yes/no, true/false, on/off, any case)."""
+    word = str(value).strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ScenarioValidationError(
+            f"{key} = {value!r} is not a boolean; use 1/0, yes/no, true/false or on/off")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
 
 
 def gabor_options(gc):
@@ -116,12 +125,23 @@ def parse_scenario(path):
 
 def validate_scenario(sc):
     """Structural checks; raises ScenarioValidationError before any heavy work."""
+    if sc.padic:
+        extra = [s for s in ("points", "density", "approx", "gabor", "expect")
+                 if getattr(sc, s)]
+        if extra:
+            raise ScenarioValidationError(
+                "a [padic] scenario takes no other check sections; found "
+                + ", ".join(f"[{s}]" for s in extra))
     sections = ["padic"] if sc.padic else ["points", "density"] + [
         s for s in ("approx", "gabor") if getattr(sc, s)]
     for section in sections:
         missing = [k for k in SECTION_KEYS[section][0] if k not in getattr(sc, section)]
         if missing:
             raise ScenarioValidationError(f"[{section}] missing {missing[0]}")
+    for section, key in BOOL_KEYS:
+        value = getattr(sc, section).get(key)
+        if value is not None and (section != "expect" or str(value).strip()):
+            _get_bool(value, f"[{section}] {key}")
     if sc.padic:
         return
     requested = [float(sc.density["truncation"])]

@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 
 import quasilat as ql
 from quasilat import approxcheck
+from quasilat.pointset import DEDUP_TOL
 
 
 def toy_pair():
@@ -80,6 +81,36 @@ def test_covering_radius_equals_full_probe_grid(dim, scale, shear, jitter, keep,
     assert rep.covering_radius == want
     assert rep.probes == probes
     assert 0 < rep.probes_queried <= probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([1, 2]), kind=st.sampled_from(["random", "lattice", "symmetrized"]),
+       jitter=st.sampled_from([0.0, 1e-10, 1e-3]), with_origin=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_delone_separation_and_symmetry_match_own_trees(dim, kind, jitter, with_origin, seed):
+    # the report's shared tree and exact symmetry test agree with a KD-tree
+    # per statistic: min_separation, and the DEDUP_TOL query of the negation
+    # (jitter 1e-10 is symmetric only within the tolerance)
+    rng = np.random.default_rng(seed)
+    radius = 6.0  # points lie within 5 before jitter
+    if kind == "lattice":
+        scale = rng.choice([0.5, 1.0, 2.0 ** 0.5])
+        pts = ql.lattice_points_in_box(ql.Lattice(scale * np.eye(dim)), 5.0).points
+    else:
+        pts = 0.25 * rng.integers(-20, 21, size=(int(rng.integers(1, 40)), dim))
+        if kind == "symmetrized":
+            base = ql.from_points(pts, dim=dim, truncation_radius=5.0)
+            pts = ql.symmetrize(base, ql.Lattice(2.0 * np.eye(dim)), 5.0).points
+    if with_origin:
+        pts = np.vstack([pts, np.zeros((1, dim))])
+    # distinct points stay >= 0.25 apart before jitter, so the probe grid stays small
+    pts = np.unique(pts, axis=0)
+    pts = pts + rng.uniform(-jitter, jitter, size=pts.shape)
+    ps = ql.from_points(pts, dim=dim, truncation_radius=radius)
+    rep = ql.delone_report(ps, interior_margin=radius / 2)
+    assert rep.min_separation == ql.min_separation(ps.points)
+    nearest = cKDTree(ps.points).query(-ps.points, k=1, p=np.inf)[0]
+    assert rep.is_symmetric == bool(np.max(nearest) <= DEDUP_TOL)
 
 
 def test_delone_flags_asymmetric_set():

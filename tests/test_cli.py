@@ -43,6 +43,25 @@ def test_version_subprocess():
     assert ql.__version__ in out.stdout
 
 
+def test_import_and_light_scenarios_load_no_scipy():
+    # SciPy submodules load inside the functions that use them, so the CLI
+    # import and scenarios without KD-trees, splines, gammaln or pivoted-QR
+    # solves leave them unloaded
+    src = str(pathlib.Path(ql.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys\n"
+            "heavy = ('scipy.spatial', 'scipy.linalg', 'scipy.special', 'scipy.interpolate')\n"
+            "from quasilat.cli import main\n"
+            "loaded = [[m for m in heavy if m in sys.modules]]\n"
+            "code = main(['run', 'padic-2', 'lattice-riesz-2'])\n"
+            "loaded.append([m for m in heavy if m in sys.modules])\n"
+            "print(json.dumps([code, loaded]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, [[], []]]
+
+
 def test_gen_writes_loadable_csv(tmp_path):
     path = gen_line(tmp_path, radius=5.0)
     ps = ql.load_pointset(path)

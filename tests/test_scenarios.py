@@ -164,6 +164,48 @@ def test_validate_padic_requirements():
         validate_scenario(sc)
 
 
+def test_booleans_take_configparser_words_only(tmp_path, capsys):
+    cases = [("[density] subadditivity",
+              lambda v: TINY.replace("truncation = 10", f"truncation = 10\nsubadditivity = {v}")),
+             ("[padic] cover", lambda v: PADIC + f"cover = {v}\n"),
+             ("[expect] frame", lambda v: TINY + f"\n[expect]\nframe = {v}\n")]
+    for key, cfg in cases:
+        for word in ("ture", "treu", "flase", "2", "y", ""):
+            path = write_cfg(tmp_path, cfg(word))
+            if key == "[expect] frame" and not word:
+                ql.parse_scenario(path)  # an empty flag pins nothing
+                continue
+            with pytest.raises(ql.ScenarioValidationError, match=re.escape(key)):
+                ql.parse_scenario(path)
+            assert main(["run", str(path)]) == 2
+            assert f"{key} = {word!r} is not a boolean" in capsys.readouterr().err
+        for word in ("1", "0", "yes", "No", "TRUE", "false", "On", "oFF"):
+            ql.parse_scenario(write_cfg(tmp_path, cfg(word)))
+    for word, covered in (("YES", True), ("Off", False)):
+        sc = ql.parse_scenario(write_cfg(tmp_path, PADIC + f"cover = {word}\n"))
+        assert ("cover" in ql.run_scenario(sc).results) == covered
+
+
+def test_padic_scenario_refuses_other_sections(tmp_path, capsys):
+    blocks = {"points": "kind = lattice\nbasis = 1\n",
+              "density": "radii = 2, 4\ntruncation = 10\n",
+              "approx": "base_radius = 8\nsumset_radius = 4\n",
+              "gabor": "radius = 6\nchecks = riesz\n",
+              "expect": "k = 1\n"}
+    for section, body in blocks.items():
+        path = write_cfg(tmp_path, PADIC + f"\n[{section}]\n{body}")
+        with pytest.raises(ql.ScenarioValidationError, match=re.escape(f"found [{section}]")):
+            ql.parse_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+    path = write_cfg(tmp_path, PADIC + "".join(f"\n[{s}]\n{b}" for s, b in blocks.items()))
+    with pytest.raises(ql.ScenarioValidationError,
+                       match=re.escape("found [points], [density], [approx], [gabor], [expect]")):
+        ql.parse_scenario(path)
+    for name in ("padic-2", "padic-3-half"):
+        assert ql.parse_scenario(ql.builtin_scenario_path(name)).padic
+
+
 def test_point_source_recipes():
     lat = build_point_source({"kind": "lattice", "basis": "2, 0, 0, 1"}, 5.0)
     assert lat["basis"] == [[2.0, 0.0], [0.0, 1.0]]
