@@ -174,7 +174,7 @@ def _cmd_run(args):
         else:
             paths.append(builtin_scenario_path(target))
     all_passed = True
-    for report in [run_scenario(parse_scenario(p)) for p in paths]:
+    for report in map(run_scenario, [parse_scenario(p) for p in paths]):  # validate all first
         for line in report.verdict_lines():
             print(line)
         all_passed = all_passed and report.passed

@@ -7,9 +7,9 @@ uniform translate grid when a step is requested. The exact extrema need two
 finite grids: per axis the count is a sum of closed-interval indicators, so
 its sup is attained at a left endpoint (boxes with a face on a point) and its
 inf inside a cell between a right and the next left endpoint (boxes centred
-at the cell midpoints). The reported D_minus/D_plus extrapolate the
-per-box estimates linearly in 1/radius since each carries an O(1/radius)
-boundary term.
+at the cell midpoints). Each axis's sorted distinct coordinates are built
+once per scan and shared by every radius. D_minus/D_plus extrapolate the
+per-box estimates linearly in 1/radius (each has an O(1/radius) boundary term).
 """
 
 import math
@@ -107,21 +107,29 @@ def count_in_translate(ps, x, radius):
 
 
 class _PrefixCounter:
-    """Exact box counts via per-axis coordinate compression and a prefix-sum table."""
+    """Exact box counts via per-axis coordinate compression and a prefix-sum table
+    (int32 holds any count here and halves the memory the box lookups read)."""
 
     def __init__(self, points):
         self.dim = points.shape[1]
-        self.axes = [np.unique(points[:, j]) for j in range(self.dim)]
+        self.axes, cell = [], 0  # cell: raveled table index of each point
+        for j in range(self.dim):
+            col = points[:, j]
+            if np.all(col[1:] >= col[:-1]):  # sorted, as lex order's first column
+                new = np.r_[True, col[1:] != col[:-1]]
+                values, rank = col[new], np.cumsum(new) - 1
+            else:
+                values = np.unique(col)
+                rank = np.searchsorted(values, col)
+            self.axes.append(values)
+            cell = cell * (len(values) + 1) + rank + 1
         shape = tuple(len(a) + 1 for a in self.axes)
         if math.prod(shape) > 200_000_000:
             raise MemoryError("coordinate grid too large for prefix counting")
-        table = np.zeros(shape, dtype=np.int64)
-        idx = tuple(np.searchsorted(self.axes[j], points[:, j]) + 1
-                    for j in range(self.dim))
-        np.add.at(table, idx, 1)
+        table = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
         for axis in range(self.dim):
             np.cumsum(table, axis=axis, out=table)
-        self.table = table
+        self.table = table.astype(np.int32)
 
     def counts_grid(self, lows, highs):
         """Counts for every box in the product grid lows[j][i]..highs[j][i].
@@ -162,7 +170,7 @@ def translate_count_grid(ps, radius, step, scan_radius):
     centers = _translate_centers(step, scan_radius)
     if len(ps) == 0:
         shape = tuple([len(centers)] * ps.dim)
-        return centers, np.zeros(shape, dtype=np.int64)
+        return centers, np.zeros(shape, dtype=np.int32)
     return centers, _PrefixCounter(ps.points).translate_counts(centers, radius)
 
 
@@ -188,14 +196,13 @@ def _axis_extreme_boxes(coords, reach, scan):
     return (sup_high - 2.0 * reach, sup_high), (mids - reach, mids + reach)
 
 
-def _extreme_counts(counter, points, radius, scan):
+def _extreme_counts(counter, radius, scan):
     """Exact (inf, sup) of the box count over all translates in [-scan, scan]^d.
 
     _axis_extreme_boxes holds on each axis whatever the other coordinates
     are, so products of the per-axis boxes attain both extrema.
     """
-    axes = [_axis_extreme_boxes(np.unique(points[:, j]), radius + DEDUP_TOL, scan)
-            for j in range(points.shape[1])]
+    axes = [_axis_extreme_boxes(coords, radius + DEDUP_TOL, scan) for coords in counter.axes]
     sup = counter.counts_grid(*zip(*[a[0] for a in axes]))
     inf = counter.counts_grid(*zip(*[a[1] for a in axes]))
     return int(inf.min()), int(sup.max())
@@ -245,7 +252,7 @@ def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
         if counter is None:
             c_min = c_max = 0
         elif translate_step is None:
-            c_min, c_max = _extreme_counts(counter, ps.points, r, scan)
+            c_min, c_max = _extreme_counts(counter, r, scan)
         else:
             counts = counter.translate_counts(centers, r)
             c_min = int(counts.min())

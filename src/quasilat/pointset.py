@@ -33,8 +33,22 @@ def _as_points(points, dim):
 
 
 def lexsorted(points):
-    """Rows of a 2-d array in lexicographic order."""
-    return points[np.lexsort(points.T[::-1])]
+    """Rows of a 2-d array in lexicographic order; sorted input is returned as is."""
+    prev, last = points[:-1], points[1:]
+    tie = np.ones(len(last), dtype=bool)
+    for c in range(points.shape[1]):
+        if np.any(tie & (last[:, c] < prev[:, c])):
+            return points[np.lexsort(points.T[::-1])]
+        tie &= last[:, c] == prev[:, c]
+    return points
+
+
+def _within(coords, bounds):
+    """Mask of rows with |coords[:, j]| <= bounds[j] for all j, compared per column."""
+    inside = np.abs(coords[:, 0]) <= bounds[0]
+    for j in range(1, coords.shape[1]):
+        inside &= np.abs(coords[:, j]) <= bounds[j]
+    return inside
 
 
 def _canonical(points, tol=DEDUP_TOL):
@@ -54,23 +68,23 @@ def _canonical(points, tol=DEDUP_TOL):
     n = len(points)
     if n == 0:
         return points
-    pts = points + 0.0  # normalizes -0.0 to +0.0
-    pts = lexsorted(pts)
-    # order: lex indices sorted by (group, coordinate c); group never decreases
-    # along order, and lex order is already sorted by the first coordinate
-    order = np.arange(n)
-    group = np.zeros(n, dtype=np.int64)
+    pts = lexsorted(points + 0.0)  # + 0.0 normalizes -0.0 to +0.0
+    # order: lex indices sorted by (group, coordinate c), None for lex order itself,
+    # which is sorted by the first coordinate; re-sorting keeps the group boundaries
+    order = None
+    split = np.zeros(n - 1, dtype=bool)
     for c in range(pts.shape[1]):
-        x = pts[order, c]
-        split = np.diff(group) != 0
-        if np.any(np.diff(x)[~split] < 0):
-            sub = np.lexsort((x, group))
-            order, x = order[sub], x[sub]
-        starts = np.r_[True, split | (np.diff(x) > tol)]
-        group = np.cumsum(starts)
-    first = np.flatnonzero(starts)
+        x = pts[:, c] if order is None else pts[order, c]
+        gaps = np.diff(x)
+        if np.any((gaps < 0) & ~split):
+            sub = np.lexsort((x, np.cumsum(np.r_[0, split])))
+            order, x = sub if order is None else order[sub], x[sub]
+            gaps = np.diff(x)
+        split |= gaps > tol
+    first = np.flatnonzero(np.r_[True, split])
     if len(first) == n:  # no two points within tol
         return pts
+    order = np.arange(n) if order is None else order
     members = pts[order]
     spread = (np.maximum.reduceat(members, first, axis=0)
               - np.minimum.reduceat(members, first, axis=0))
@@ -109,7 +123,8 @@ class PointSet:
     source: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.points) and np.max(np.abs(self.points)) > self.truncation_radius + DEDUP_TOL:
+        pts = self.points
+        if len(pts) and max(pts.max(), -pts.min()) > self.truncation_radius + DEDUP_TOL:
             raise ValueError("point outside the declared truncation radius")
 
     def __len__(self):
@@ -120,11 +135,7 @@ class PointSet:
         if radius > self.truncation_radius + DEDUP_TOL:
             raise ValueError(f"restriction radius {radius} exceeds the truncation "
                              f"radius {self.truncation_radius}")
-        if len(self.points):
-            mask = np.max(np.abs(self.points), axis=1) <= radius + DEDUP_TOL
-            pts = self.points[mask]
-        else:
-            pts = self.points
+        pts = self.points[_within(self.points, [radius + DEDUP_TOL] * self.dim)]
         return PointSet(self.dim, pts, float(radius),
                         {"kind": "explicit", "points": pts.tolist(),
                          "truncation_radius": float(radius)})
@@ -279,11 +290,12 @@ def _projected_points(transform, bounds, d):
     stop = np.floor(np.min(np.max(ends, axis=1), axis=1, initial=np.inf)) + 1
     start, stop = np.clip(start, lo[-1], hi[-1] + 1), np.minimum(stop, hi[-1])
     length = np.where(kept, np.maximum(stop - start + 1, 0), 0).astype(np.int64)
-    z = np.repeat(lead, length, axis=0)
-    offset = np.repeat(start.astype(np.int64) - (np.cumsum(length) - length), length)
-    z = np.hstack([z, (offset + np.arange(len(z)))[:, None]])
+    # a fiber's start less its first row index; adding the row index walks the fiber
+    offset = start.astype(np.int64) - (np.cumsum(length) - length)
+    z = np.repeat(np.hstack([lead, offset[:, None]]), length, axis=0)
+    z[:, -1] += np.arange(len(z))
     coords = z @ transform.T
-    return coords[np.all(np.abs(coords) <= bounds, axis=1), :d]
+    return np.compress(_within(coords, bounds), coords[:, :d], axis=0)
 
 
 def lattice_points_in_box(lattice, radius):
@@ -306,15 +318,10 @@ def model_set_generate(scheme, radius):
     if radius <= 0:
         raise ValueError("radius must be positive")
     bounds = [radius + DEDUP_TOL] * scheme.d + list(scheme.window.half_widths)
-    phys = _projected_points(scheme.total_basis, bounds, scheme.d)
+    phys = lexsorted(_projected_points(scheme.total_basis, bounds, scheme.d))
     # injectivity of the physical projection on the truncation
-    if len(phys) > 1:
-        order = np.lexsort(phys.T[::-1])
-        sorted_phys = phys[order]
-        gaps = np.max(np.abs(np.diff(sorted_phys, axis=0)), axis=1)
-        if np.any(gaps <= DEDUP_TOL):
-            raise ValueError("physical projection not injective on this truncation")
-        phys = sorted_phys
+    if np.any(_within(np.diff(phys, axis=0), [DEDUP_TOL] * scheme.d)):
+        raise ValueError("physical projection not injective on this truncation")
     src = {"kind": "cut_and_project", "total_basis": scheme.total_basis.tolist(),
            "d": scheme.d, "m": scheme.m,
            "window": list(scheme.window.half_widths), "radius": float(radius)}
@@ -351,8 +358,7 @@ def sumset_truncated(a, b, radius):
         pts = np.zeros((0, a.dim))
     else:
         sums = (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, a.dim)
-        mask = np.all(np.abs(sums) <= radius + DEDUP_TOL, axis=1)
-        pts = _canonical(sums[mask])
+        pts = _canonical(sums[_within(sums, [radius + DEDUP_TOL] * a.dim)])
     safe = (a.truncation_radius >= radius + b.truncation_radius - 1e-12
             or b.truncation_radius >= radius + a.truncation_radius - 1e-12)
     src = {"kind": "sumset", "a": a.source, "b": b.source,
@@ -427,7 +433,7 @@ def load_pointset(path):
             dim = int(header[4:])
         except ValueError as exc:
             raise ValueError(f"malformed point CSV {path}: bad dimension") from exc
-        rows = []
+        fields, numbers = [], []  # numbers: the file line of each point
         for ln, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -436,11 +442,17 @@ def load_pointset(path):
             if len(cells) != dim:
                 raise ValueError(f"malformed point CSV {path}: line {ln} has "
                                  f"{len(cells)} fields, expected {dim}")
+            fields += cells
+            numbers.append(ln)
+    try:  # one conversion; numpy parses each field as float() does
+        pts = np.array(fields, dtype=float).reshape(-1, dim)
+    except ValueError:  # name the line of the first field that does not parse
+        for k, cell in enumerate(fields):
             try:
-                rows.append([float(c) for c in cells])
+                float(cell)
             except ValueError as exc:
-                raise ValueError(f"malformed point CSV {path}: line {ln}") from exc
-    pts = np.array(rows, dtype=float).reshape(-1, dim)
+                raise ValueError(f"malformed point CSV {path}: line {numbers[k // dim]}") from exc
+        raise
     source = None
     try:
         with open(path + ".json") as fh:

@@ -288,6 +288,18 @@ def test_run_unknown_target_exits_2(capsys):
     assert capsys.readouterr().err
 
 
+def test_run_validates_every_target_before_running_any(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_SCENARIO + "subadditivity = ture\n")
+    assert main(["run", "lattice-riesz-2", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert "subadditivity" in captured.err
+
+
 def test_gabor_checks_never_sample(tmp_path, monkeypatch):
     # every check runs on closed-form Hermite coordinates: the sampled
     # synthesis matrix and Hermite basis stay off the check path

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,19 @@ def test_unit_line_densities_are_exact():
     assert report.D_plus == pytest.approx(1.0, abs=1e-9)
     assert report.slope_plus == pytest.approx(0.5, abs=1e-9)
     assert report.scan_region_radius == pytest.approx(12.0)
+
+
+@pytest.mark.parametrize("spacings", [(2.0 ** -0.5, 2.0 ** -0.5), (3.5, 0.3)])
+def test_separable_lattice_extremes_match_closed_form(spacings):
+    # a Z x b Z at truncation 100: per axis a closed box of side 2r holds
+    # floor(2r / a) points at the worst translate and one more at the best,
+    # and the counts multiply across the axes; no 2r / a here is near an integer
+    radii = (10.0, 25.0, 40.0)
+    ps = ql.lattice_points_in_box(ql.Lattice(np.diag(spacings)), 100.0)
+    rep = ql.density_scan(ps, ql.FolnerBoxes(2, radii))
+    per_axis = [[math.floor(2.0 * r / a) for a in spacings] for r in radii]
+    assert rep.lower_counts == [math.prod(m) for m in per_axis]
+    assert rep.upper_counts == [math.prod(k + 1 for k in m) for m in per_axis]
 
 
 def test_square_lattice_density_near_one():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import quasilat as ql
 from quasilat import pointset
-from quasilat.pointset import DEDUP_TOL, _canonical
+from quasilat.pointset import DEDUP_TOL, _canonical, lexsorted
 
 
 def test_integer_lattice_box_count_and_order():
@@ -264,6 +264,19 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(regen.points, ps.points)
 
 
+def test_save_load_roundtrip_is_bit_exact(tmp_path):
+    # random bit patterns cover every exponent, subnormals included
+    rng = np.random.default_rng(5)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308]
+    values = np.r_[special, np.frombuffer(rng.bytes(8 * 20_000), dtype=float)]
+    values = values[np.isfinite(values)]
+    ps = ql.from_points(np.column_stack([np.arange(len(values)), values]))
+    path = tmp_path / "bits.csv"
+    ql.save_pointset(ps, path)
+    back = ql.load_pointset(path)
+    np.testing.assert_array_equal(back.points.view(np.int64), ps.points.view(np.int64))
+
+
 def test_load_without_sidecar(tmp_path):
     ps = ql.from_points([[0.5, 1.0], [-2.0, 0.0]])
     path = tmp_path / "pts.csv"
@@ -337,6 +350,10 @@ def test_canonical_properties(pts, data):
     np.testing.assert_array_equal(_canonical(out), out)
     perm = data.draw(st.permutations(range(len(pts))))
     np.testing.assert_array_equal(_canonical(pts[perm]), out)
+    # already sorted input skips the sort; -0.0 rows must still come out as +0.0
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts))))
+    signed = np.where(flip[:, None] & (pts == 0.0), -0.0, pts)
+    assert _canonical(lexsorted(signed)).tobytes() == out.tobytes()
     assert all(np.any(np.all(row == pts, axis=1)) for row in out)
     reach = np.max(np.abs(pts[:, None, :] - out[None, :, :]), axis=2)
     assert np.all(np.min(reach, axis=1) <= DEDUP_TOL)
