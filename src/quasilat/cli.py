@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import __version__
 from .approxcheck import checked_cover, delone_report
@@ -187,7 +188,9 @@ def _cmd_run(args):
     return 0 if all_passed else 1
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quasilat",
         description="approximate lattices, Beurling densities, Gabor diagnostics")

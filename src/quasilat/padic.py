@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress, cycle, repeat
+from typing import NamedTuple
 
 from .errors import CoverError
 
@@ -36,24 +38,24 @@ def parse_window(w):
     """Exact Fraction from int, Fraction, float (exact binary value), or string.
 
     Strings may be decimal ("0.3") or rational ("3/10"); both parse exactly.
+    Infinities and NaNs, as floats or strings, raise ValueError.
     """
-    if isinstance(w, (Fraction, int, float)):
-        frac = Fraction(w)
-    elif isinstance(w, str):
-        try:
-            frac = Fraction(Decimal(w)) if "/" not in w else Fraction(w)
-        except (InvalidOperation, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse window half-width {w!r}") from exc
-    else:
+    if not isinstance(w, (Fraction, int, float, str)):
         raise ValueError(f"unsupported window type {type(w).__name__}")
+    try:
+        frac = Fraction(Decimal(w)) if isinstance(w, str) and "/" not in w else Fraction(w)
+    except (InvalidOperation, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"cannot parse window half-width {w!r}") from exc
     if frac <= 0:
         raise ValueError("window half-width must be positive")
     return frac
 
 
-@dataclass(frozen=True)
-class PAdicRational:
-    """Canonical a / p^k with p prime and (p does not divide a, or a = 0 and k = 0)."""
+class PAdicRational(NamedTuple):
+    """Canonical a / p^k with p prime and (p does not divide a, or a = 0 and k = 0).
+
+    A NamedTuple: it unpacks, orders, hashes and compares like the tuple (p, a, k).
+    """
 
     p: int
     a: int
@@ -106,24 +108,29 @@ class PAdicModelSet:
 
     @cached_property
     def elements(self):
-        """The PAdicRationals of enumerate_model_set, built on first access."""
-        return tuple(enumerate_model_set(self.p, self.w, self.n_max))
+        """enumerate_model_set's tuple on first access; len is padic_density(self).counts[-1]."""
+        return enumerate_model_set(self.p, self.w, self.n_max)
 
 
 def enumerate_model_set(p, w, n_max):
     """All canonical a/p^k with k <= n_max and |a/p^k| <= w, ordered by (k, a).
 
     Stratum k holds the a in [-M_k, M_k] with M_k = floor(w p^k), minus the
-    multiples of p when k > 0 (those are canonical at a smaller k).
+    multiples of p when k > 0 (those are canonical at a smaller k). Each stratum
+    is built by itertools with no Python code per element; the strata are
+    chained into one tuple.
     """
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     w = parse_window(w)
-    out = []
+    strata = []
     for k in range(n_max + 1):
         m = _numerator_bound(p, w, k)
-        out.extend(PAdicRational(p, a, k) for a in range(-m, m + 1) if k == 0 or a % p)
-    return out
+        nums = range(-m, m + 1)
+        if k > 0:   # drop the multiples of p: a % p != 0 repeats with period p
+            nums = compress(nums, cycle([a % p != 0 for a in nums[:p]]))
+        strata.append(map(tuple.__new__, repeat(PAdicRational), zip(repeat(p), nums, repeat(k))))
+    return tuple(chain.from_iterable(strata))
 
 
 @dataclass

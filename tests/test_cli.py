@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import quasilat as ql
-from quasilat.cli import main
+from quasilat.cli import build_parser, main
 
 TINY_SCENARIO = """
 [scenario]
@@ -329,3 +329,28 @@ def test_gabor_checks_never_sample(tmp_path, monkeypatch):
              "complete": ["--probes", "4"]}
     for check, extra in flags.items():
         assert main(["gabor", check, "--points", str(pts)] + extra) == 0, check
+
+
+def test_non_finite_window_exits_2(tmp_path, capsys):
+    assert main(["padic", "density", "-p", "2", "-w", "inf", "-n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse window half-width" in err
+    assert "Traceback" not in err
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("[scenario]\nname = inf-window\n\n[padic]\np = 2\nw = inf\nn_max = 3\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "cannot parse window half-width" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    out = tmp_path / "padic.json"
+    assert main(["padic", "cover", "-p", "7", "-w", "3/4", "-n", "2",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["padic", "density", "-p", "two", "-w", "1", "-n", "3"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["run", "--list"]) == 0
+    assert capsys.readouterr().out.split() == ql.builtin_scenario_names()

@@ -148,3 +148,44 @@ def test_model_set_is_integer_range_and_cover_is_minimal(p, w, n):
     assert cover.verified
     assert cover.k == len(centres) == _exhaustive_min_cover(sums, w)
     assert all(any(abs(s - f) <= w for f in centres) for s in sums)
+
+
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan,
+                               "inf", "-inf", "nan", "Infinity", "-NaN"])
+def test_parse_window_rejects_non_finite(w):
+    with pytest.raises(ValueError, match="cannot parse window half-width"):
+        ql.parse_window(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       w=st.fractions(min_value=Fraction(1, 10), max_value=2, max_denominator=10),
+       n=st.integers(0, 5))
+def test_enumeration_matches_reduced_fractions(p, w, n):
+    # every m / p^n in [-w, w], reduced by Fraction and sorted by (k, a)
+    big = p ** n
+    values = (Fraction(m, big) for m in range(-2 * big, 2 * big + 1))   # w <= 2
+    reduced = [f for f in values if abs(f) <= w]
+    log_p = {p ** k: k for k in range(n + 1)}
+    want = sorted(((p, f.numerator, log_p[f.denominator]) for f in reduced),
+                  key=lambda t: (t[2], t[1]))
+    got = ql.enumerate_model_set(p, w, n)
+    assert type(got) is tuple
+    assert list(got) == want
+    assert all(type(q) is PAdicRational for q in got)
+
+
+def test_elements_call_the_module_enumeration_once(monkeypatch):
+    calls = []
+    original = ql.padic.enumerate_model_set
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(ql.padic, "enumerate_model_set", counting)
+    ms = ql.PAdicModelSet.build(5, "3/10", 3)
+    first = ms.elements
+    assert len(calls) == 1
+    assert ms.elements is first
+    assert len(calls) == 1
+    assert len(first) == ql.padic_density(ms).counts[-1]
