@@ -25,6 +25,18 @@ order alone. rotation_order detects the symmetry by exact comparison only:
 a set that is symmetric up to rounding takes the plain (order 1) solve.
 On the critical lattice Z^2 the largest probe residual, ~0.114 at h_9,
 sits in class 1 mod 4 with the next largest, h_1 and h_5.
+
+A reflection S z = exp(2 i theta) conj(z) of the set (reflection_angle,
+exact) makes every class solve real: g is real, so S acts anti-unitarily.
+The coordinates u_n(z) = exp(-i n theta) exp(-pi |z|^2 / 2) (sqrt(pi) z)^n /
+sqrt(n!) differ from C by row and column phases, which keep each probe's
+residual norm, and u(S z) = conj(u(z)); so the span is closed under
+conjugation and a real probe projects to a real vector. The sector theta <=
+arg z <= theta + pi/order meets each dihedral orbit once. With alpha = arg z
+- theta, a point inside it gives the real and imaginary parts of
+exp(-i r alpha) u on class r, a point on its rays (alpha = 0 or pi/order,
+where that vector is real) one column: per class the complex solve's column
+count, at about a third of its cost.
 """
 
 import math
@@ -225,13 +237,8 @@ def hermite_cutoff(points):
     return math.ceil(m + 12.0 * math.sqrt(m) + 40.0)
 
 
-def atom_coordinates(points, N):
-    """Hermite coordinates C[n, j] = <pi(lambda_j) g, h_n> for n < N.
-
-    With z = x + i xi, C[n, j] = exp(pi i x xi) exp(-pi |z|^2 / 2)
-    (sqrt(pi) z)^n / sqrt(n!), the Bargmann transform of pi(lambda) h_0
-    (Groechenig 2001, section 3.4); the modulus is evaluated in log space.
-    """
+def _log_modulus_and_angle(points, N):
+    """log |C[n, j]| (-inf where it vanishes) and arg z_j for atom_coordinates."""
     from scipy.special import gammaln
     x, xi = np.asarray(points, dtype=float).reshape(-1, 2).T
     r2 = x * x + xi * xi
@@ -239,9 +246,21 @@ def atom_coordinates(points, N):
     n = np.arange(N, dtype=float)[:, None]
     log_mod = (0.5 * n * np.log(math.pi * np.where(at_zero, 1.0, r2))
                - 0.5 * gammaln(n + 1.0) - 0.5 * math.pi * r2)
-    C = np.exp(log_mod + 1j * (n * np.arctan2(xi, x) + math.pi * x * xi))
-    C[:, at_zero] = np.eye(N, 1)  # pi(0) g = h_0
-    return C
+    log_mod[1:, at_zero] = -np.inf  # pi(0) g = h_0
+    return log_mod, np.arctan2(xi, x)
+
+
+def atom_coordinates(points, N):
+    """Hermite coordinates C[n, j] = <pi(lambda_j) g, h_n> for n < N.
+
+    With z = x + i xi, C[n, j] = exp(pi i x xi) exp(-pi |z|^2 / 2)
+    (sqrt(pi) z)^n / sqrt(n!), the Bargmann transform of pi(lambda) h_0
+    (Groechenig 2001, section 3.4); the modulus is evaluated in log space.
+    """
+    x, xi = np.asarray(points, dtype=float).reshape(-1, 2).T
+    log_mod, angle = _log_modulus_and_angle(points, N)
+    n = np.arange(N, dtype=float)[:, None]
+    return np.exp(log_mod + 1j * (n * angle + math.pi * x * xi))
 
 
 def gram_matrix(sys, max_points=6000):
@@ -363,9 +382,8 @@ def _residual_norms(A, B):
 def rotation_order(points):
     """Order of the exact rotation symmetry of a 2-d point set: 4, 2 or 1.
 
-    4 if the set equals its image under (x, xi) -> (-xi, x), else 2 if it
-    equals its negation, else 1. The lexsorted sets are compared exactly,
-    with no tolerance.
+    4 if the set equals its image under (x, xi) -> (-xi, x), else 2 if it equals
+    its negation, else 1; the lexsorted sets are compared with no tolerance.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     base = lexsorted(pts)
@@ -376,51 +394,75 @@ def rotation_order(points):
     return 1
 
 
-def _orbit_representatives(points, order):
-    """One point of each orbit under the rotations of the given order.
+def reflection_angle(points):
+    """First theta of 0, pi/4, pi/2, 3 pi/4 with exp(2 i theta) conj(set) == set, or None."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    base, (x, xi) = lexsorted(pts), pts.T
+    for k, image in enumerate([(x, -xi), (xi, x), (-x, xi), (-xi, -x)]):
+        if np.array_equal(base, lexsorted(np.column_stack(image))):
+            return k * math.pi / 4
+    return None
 
-    The half-open quadrant x > 0, xi >= 0 meets every orbit of the
-    90-degree rotation in one point, the half-plane x > 0 (with the ray
-    x = 0, xi > 0) every orbit of the negation; the origin is its own orbit.
+
+def _orbit_representatives(points, order, theta):
+    """One point per orbit, and how many of them (listed first) lie inside the sector.
+
+    x > 0, xi >= 0 meets every orbit of the 90-degree rotation once, x > 0 or
+    x = 0 < xi every orbit of the negation; the origin is its own orbit. The
+    dihedral sector is Im(exp(-i theta) z) >= 0 >= Im(exp(-i (theta + pi/order)) z);
+    the forms im[j] are Im(exp(-i j pi/4) z) times 1 or sqrt 2, with exact signs.
     """
     x, xi = points.T
+    if theta is not None:
+        im = (xi, xi - x, -x, -x - xi, -xi, x - xi, x, x + xi)
+        k = round(4 * theta / math.pi)
+        lower, upper = im[k], -im[(k + 4 // order) % 8]
+        inside = (lower > 0) & (upper > 0)
+        on_ray = ~inside & (lower >= 0) & (upper >= 0)
+        return np.concatenate([points[inside], points[on_ray]]), int(np.sum(inside))
     if order == 4:
         keep = (x > 0) & (xi >= 0)
     elif order == 2:
         keep = (x > 0) | ((x == 0) & (xi > 0))
     else:
-        return points
-    return points[keep | ((x == 0) & (xi == 0))]
+        return points, 0
+    return points[keep | ((x == 0) & (xi == 0))], 0
 
 
 def _split_problems(points, probe_count):
-    """Rotation order, orbit representatives, coordinate count N and per-class shapes.
-
-    A shape is (rows, columns, probes); classes without a probe get no solve.
-    """
+    """Symmetry, representatives, N and the (rows, columns, probes) of each class with a probe."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    order = rotation_order(pts)
-    reps = _orbit_representatives(pts, order)
+    order, theta = rotation_order(pts), reflection_angle(pts)
+    reps, inside = _orbit_representatives(pts, order, theta)
     N = max(hermite_cutoff(pts), probe_count)
-    shapes = [(len(range(r, N, order)), len(reps), len(range(r, probe_count, order)))
+    shapes = [(len(range(r, N, order)), len(reps) + inside, len(range(r, probe_count, order)))
               for r in range(min(order, probe_count))]
-    return order, reps, N, shapes
+    return order, theta, reps, inside, N, shapes
 
 
 def solve_shapes(points, probe_count):
-    """Rotation order and the (rows, columns, probes) of each per-class solve."""
-    order, _, _, shapes = _split_problems(points, probe_count)
-    return order, shapes
+    """Rotation order, reflection angle and the (rows, columns, probes) of each class solve."""
+    order, theta, _, _, _, shapes = _split_problems(points, probe_count)
+    return order, theta, shapes
 
 
 def _probe_residual_norms(points, probe_count):
     """Residual norms of the probes e_0 .. e_{probe_count-1} against the atoms.
 
     Class r holds the coordinate rows n = r mod order and the probes
-    k = r mod order, with targets e_{k // order} among those rows.
+    k = r mod order, with targets e_{k // order} among those rows; a
+    reflection of the set makes every class solve real.
     """
-    order, reps, N, shapes = _split_problems(points, probe_count)
-    V = atom_coordinates(reps, N)
+    order, theta, reps, inside, N, shapes = _split_problems(points, probe_count)
+    if theta is None:
+        V = atom_coordinates(reps, N)
+    else:   # rows |u_n| cos((n - r) alpha), then |u_n| sin((n - r) alpha) inside the sector
+        log_mod, angle = _log_modulus_and_angle(reps, N)
+        phase = (np.arange(N) // order * order)[:, None] * (angle - theta)
+        modulus = np.exp(log_mod, out=log_mod)
+        V = np.empty((N, len(reps) + inside))
+        np.multiply(modulus[:, :inside], np.sin(phase[:, :inside]), out=V[:, len(reps):])
+        np.multiply(modulus, np.cos(phase, out=phase), out=V[:, :len(reps)])
     norms = np.empty(probe_count)
     for r, (rows, _, probes) in enumerate(shapes):
         norms[r::order] = _residual_norms(V[r::order], np.eye(rows, probes))

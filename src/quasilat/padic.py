@@ -8,6 +8,8 @@ All arithmetic is on integers; Fractions appear only in reported ratios,
 densities and values, and floats only when callers ask for them.
 """
 
+import gc
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -38,7 +40,8 @@ def parse_window(w):
     """Exact Fraction from int, Fraction, float (exact binary value), or string.
 
     Strings may be decimal ("0.3") or rational ("3/10"); both parse exactly.
-    Infinities and NaNs, as floats or strings, raise ValueError.
+    Infinities and NaNs, as floats or strings, raise ValueError, and so does a
+    w whose bound 2w + 2 on every reported ratio and density overflows a float.
     """
     if not isinstance(w, (Fraction, int, float, str)):
         raise ValueError(f"unsupported window type {type(w).__name__}")
@@ -48,6 +51,9 @@ def parse_window(w):
         raise ValueError(f"cannot parse window half-width {w!r}") from exc
     if frac <= 0:
         raise ValueError("window half-width must be positive")
+    if 2 * frac + 2 > sys.float_info.max:
+        raise ValueError(f"cannot parse window half-width {w!r}: "
+                         "ratios up to 2w + 2 would overflow a float")
     return frac
 
 
@@ -130,7 +136,13 @@ def enumerate_model_set(p, w, n_max):
         if k > 0:   # drop the multiples of p: a % p != 0 repeats with period p
             nums = compress(nums, cycle([a % p != 0 for a in nums[:p]]))
         strata.append(map(tuple.__new__, repeat(PAdicRational), zip(repeat(p), nums, repeat(k))))
-    return tuple(chain.from_iterable(strata))
+    enabled = gc.isenabled()
+    gc.disable()    # the elements hold only ints, so collector passes find no cycle
+    try:
+        return tuple(chain.from_iterable(strata))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass

@@ -23,8 +23,8 @@ from .approxcheck import checked_cover
 from .density import FolnerBoxes, density_scan, translate_count_grid
 from .errors import ScenarioValidationError
 from .gabor import (D_PI, GaborSystem, biorthogonal_dual, completeness_residual,
-                    frame_bounds, hap_residual, riesz_bounds, rotation_order,
-                    solve_shapes, uniform_min_delta)
+                    frame_bounds, hap_residual, reflection_angle,
+                    riesz_bounds, rotation_order, solve_shapes, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme,
                        from_points, lattice_points_in_box, load_pointset,
@@ -41,6 +41,15 @@ DEFAULT_SLACK = 0.05
 GABOR_OPTIONS = {"hermite_n": 40, "hermite_step": 10, "riesz_margin": 2.0,
                  "hap_box": 6.0, "hap_x_extent": 1.0, "hap_x_count": 5,
                  "probe_count": 10}
+
+# Least value of each [gabor] option, and what a smaller one would mean.
+GABOR_MINIMA = {"hermite_n": (1, "the test basis would be empty"),
+                "hermite_step": (1, "the frame sweep would not advance"),
+                "riesz_margin": (0, "the interior radius exceeds the truncation radius"),
+                "hap_box": (0, "the local box would be empty"),
+                "hap_x_extent": (0, "the x-grid would be reversed"),
+                "hap_x_count": (1, "the x-grid would be empty"),
+                "probe_count": (1, "there would be no probe")}
 
 # Flags that an [expect] block may pin, in verdict order.
 EXPECT_FLAGS = ("frame", "riesz", "hap", "complete_proxy", "minimal")
@@ -90,8 +99,16 @@ def _get_bool(value, key="value"):
 
 
 def gabor_options(gc):
-    """GABOR_OPTIONS overridden by the keys of gc, cast to the defaults' types."""
-    return {k: type(v)(gc.get(k, v)) for k, v in GABOR_OPTIONS.items()}
+    """GABOR_OPTIONS overridden by the keys of gc, cast to the defaults' types.
+
+    Raises ScenarioValidationError for a value below its GABOR_MINIMA entry (or NaN).
+    """
+    opt = {k: type(v)(gc.get(k, v)) for k, v in GABOR_OPTIONS.items()}
+    for key, (least, meaning) in GABOR_MINIMA.items():
+        if not opt[key] >= least:
+            raise ScenarioValidationError(
+                f"[gabor] {key} = {opt[key]} is below {least}: {meaning}")
+    return opt
 
 
 def _gabor_checks(gc):
@@ -281,15 +298,16 @@ def _check_dual(system, opt):
 def _check_hap(system, opt):
     """HAP residuals over the x-grid, one solve per orbit of grid points.
 
-    A rotation R that preserves the point set maps the box around x onto the
-    box around R x, so residual(R x) = residual(x); the symmetric axis turns
-    the 90-degree rotation into the index map (i, j) -> (n - 1 - j, i), and
-    the negation into that map applied twice.
+    A rotation or reflection S that preserves the point set maps the box
+    around x onto the box around S x, so residual(S x) = residual(x). The
+    axis is symmetric, so S acts on the doubled index offsets
+    w = (2 i - n + 1) + i (2 j - n + 1) from the grid centre as on z = x + i xi.
     """
     box = opt["hap_box"]
     axis = np.linspace(-opt["hap_x_extent"], opt["hap_x_extent"], opt["hap_x_count"])
     n = len(axis)
-    order = rotation_order(system.points.points)
+    pts = system.points.points
+    order, theta = rotation_order(pts), reflection_angle(pts)
     residuals = [[None] * n for _ in range(n)]
     solves = 0
     for i in range(n):
@@ -298,22 +316,25 @@ def _check_hap(system, opt):
                 continue
             value = hap_residual(system, (axis[i], axis[j]), box)
             solves += 1
-            a, b = i, j
-            for _ in range(order):
-                residuals[a][b] = value
-                for _ in range(4 // order):
-                    a, b = n - 1 - b, a
+            w = complex(2 * i - n + 1, 2 * j - n + 1)
+            orbit = [w * 1j ** (4 // order * k) for k in range(order)]
+            if theta is not None:   # z -> exp(2 i theta) conj(z)
+                orbit += [1j ** round(4 * theta / math.pi) * v.conjugate() for v in orbit]
+            for v in orbit:
+                residuals[round(v.real + n - 1) // 2][round(v.imag + n - 1) // 2] = value
     worst = float(np.max(residuals))
     return ({"box_radius": box, "x_axis": [float(v) for v in axis],
-             "residuals": residuals, "max_residual": worst,
-             "rotation_order": order, "solves": solves}, worst < HAP_FLOOR)
+             "residuals": residuals, "max_residual": worst, "rotation_order": order,
+             "reflection_axis": None if theta is None else theta / math.pi,
+             "solves": solves}, worst < HAP_FLOOR)
 
 
 def _check_complete(system, opt):
     count = opt["probe_count"]
     res = completeness_residual(system, count)
-    order, shapes = solve_shapes(system.points.points, count)
+    order, theta, shapes = solve_shapes(system.points.points, count)
     return ({"probe_count": count, "max_residual": res, "rotation_order": order,
+             "reflection_axis": None if theta is None else theta / math.pi,
              "solve_shapes": [list(s) for s in shapes]}, res < COMPLETE_FLOOR)
 
 

@@ -175,6 +175,35 @@ def test_negative_edge_margin_exits_2(tmp_path, capsys):
     assert "exceeds the truncation radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, flag, key, value", [
+    ("frame-bounds", "--hermite-N", "hermite_n", "0"),
+    ("frame-bounds", "--hermite-step", "hermite_step", "0"),
+    ("frame-bounds", "--hermite-step", "hermite_step", "-5"),
+    ("riesz", "--edge-margin", "riesz_margin", "-0.5"),
+    ("hap", "--K", "hap_box", "-1"),
+    ("hap", "--K", "hap_box", "nan"),
+    ("hap", "--x-extent", "hap_x_extent", "-1"),
+    ("hap", "--x-grid", "hap_x_count", "0"),
+    ("complete", "--probes", "probe_count", "0"),
+])
+def test_gabor_option_below_its_minimum_exits_2(tmp_path, capsys, cmd, flag, key, value):
+    pts = tmp_path / "z2.csv"
+    assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
+                 "--radius", "12", "--out", str(pts)]) == 0
+    assert main(["gabor", cmd, "--points", str(pts), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"[gabor] {key} = " in err and "is below" in err
+    assert "Traceback" not in err
+    check = "frame" if cmd == "frame-bounds" else cmd
+    cfg = tmp_path / "minimum.cfg"
+    cfg.write_text(TINY_SCENARIO.replace("basis = 1\n", "basis = 1, 0, 0, 1\n")
+                   + f"\n[gabor]\nradius = 10\nchecks = {check}\n{key} = {value}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert f"[gabor] {key} = " in capsys.readouterr().err
+    with pytest.raises(ql.ScenarioValidationError, match=key):
+        ql.scenarios.gabor_options({key: value})
+
+
 def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys):
     pts = tmp_path / "z2.csv"
     assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
@@ -340,6 +369,22 @@ def test_non_finite_window_exits_2(tmp_path, capsys):
     cfg.write_text("[scenario]\nname = inf-window\n\n[padic]\np = 2\nw = inf\nn_max = 3\n")
     assert main(["run", str(cfg)]) == 2
     assert "cannot parse window half-width" in capsys.readouterr().err
+
+
+def test_float_overflowing_window_exits_2(tmp_path, capsys):
+    for w in ("1e308", "1e400"):
+        assert main(["padic", "density", "-p", "2", "-w", w, "-n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse window half-width" in err
+        assert "Traceback" not in err
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"[scenario]\nname = huge-window\n\n[padic]\np = 2\nw = {w}\nn_max = 3\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "cannot parse window half-width" in capsys.readouterr().err
+    out = tmp_path / "padic.json"
+    assert main(["padic", "density", "-p", "2", "-w", "8e307", "-n", "3",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["density_float"] == 2 * 8e307
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

@@ -340,6 +340,54 @@ def test_rotation_order_is_exact(oversampled_system):
     assert gabor.rotation_order(np.zeros((0, 2))) == 4  # the empty set
 
 
+@settings(max_examples=60, deadline=None)
+@given(want=st.sampled_from([1, 2, 4]), axis=st.integers(0, 3), scale=st.floats(0.3, 1.0),
+       ks=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1,
+                   max_size=7),
+       probes=st.integers(1, 12))
+def test_reflection_class_solves_match_full_svd(want, axis, scale, ks, probes):
+    # a set made exactly D1, D2 or D4 by adding its rotated and reflected images
+    pts = scale * np.array(ks, dtype=float)
+    turned = np.column_stack([-pts[:, 1], pts[:, 0]])
+    pts = np.vstack([pts, -pts, turned, -turned][:want])
+    x, xi = pts.T   # the image under z -> exp(2 i theta) conj(z), theta = axis pi/4
+    pts = np.vstack([pts, np.column_stack([(x, -xi), (xi, x), (-x, xi), (-xi, -x)][axis])])
+    system = ql.GaborSystem(ql.from_points(pts, truncation_radius=6.0))
+    assert gabor.reflection_angle(system.points.points) is not None
+    if want == 4:   # D4 holds every reflection, the first found is theta = 0
+        assert gabor.reflection_angle(system.points.points) == 0.0
+    # each real class solve has the column count of the complex one
+    order, _, shapes = gabor.solve_shapes(system.points.points, probes)
+    reps, _ = gabor._orbit_representatives(system.points.points, order, None)
+    assert [cols for _, cols, _ in shapes] == [len(reps)] * min(order, probes)
+    N = max(ql.hermite_cutoff(system.points.points), probes)
+    C = ql.atom_coordinates(system.points.points, N)
+    full = _lstsq_residual_norms(C, np.eye(N, probes))
+    assert np.max(np.abs(gabor._probe_residual_norms(system.points.points, probes)
+                         - full)) <= 1e-12
+    assert abs(ql.completeness_residual(system, probes) - np.max(full)) <= 1e-12
+    N = ql.hermite_cutoff(system.points.points)
+    hap = _lstsq_residual_norms(ql.atom_coordinates(system.points.points, N),
+                                np.eye(N, 1))[0]
+    assert abs(ql.hap_residual(system, (0.0, 0.0), 6.0) - hap) <= 1e-12
+
+
+def test_reflection_angle_is_exact(oversampled_system):
+    pts = oversampled_system.points.points
+    assert gabor.reflection_angle(pts) == 0.0
+    rect = ql.lattice_points_in_box(ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 11.0)
+    assert gabor.reflection_angle(rect.points) == 0.0
+    # a linear shear keeps the negation but no reflection
+    sheared = np.column_stack([pts[:, 0] + pts[:, 1], pts[:, 1]])
+    assert gabor.rotation_order(sheared) == 2
+    assert gabor.reflection_angle(sheared) is None
+    for base in (pts, rect.points):
+        moved = base.copy()
+        moved[0, 0] += DEDUP_TOL / 2.0
+        assert gabor.reflection_angle(moved) is None
+    assert gabor.reflection_angle(np.zeros((0, 2))) == 0.0  # the empty set
+
+
 def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
     rect = ql.GaborSystem(ql.lattice_points_in_box(
         ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 11.0))
@@ -352,7 +400,7 @@ def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
                         lambda A, B: calls.append(A.shape) or solve(A, B))
     run, _ = ql.scenarios.GABOR_CHECKS["hap"]
     opt = ql.scenarios.gabor_options({"hap_box": 4.0})  # a smaller box, same grid
-    for system, order, solves in [(oversampled_system, 4, 7), (rect, 2, 13),
+    for system, order, solves in [(oversampled_system, 4, 6), (rect, 2, 9),
                                   (shifted, 1, 25)]:
         calls.clear()
         block, _ = run(system, opt)
@@ -363,6 +411,31 @@ def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
             direct = [[ql.hap_residual(system, (a, b), opt["hap_box"]) for b in axis]
                       for a in axis]
             assert np.max(np.abs(np.subtract(block["residuals"], direct))) <= 1e-12
+
+
+def test_hap_grid_orbits_under_a_diagonal_reflection(monkeypatch):
+    # m (1.4, 0.4) + n (0.4, 1.4) is exactly closed under the swap (x, xi) -> (xi, x)
+    # and the negation, not under the 90-degree rotation: D2 with theta = pi/4
+    m, n = np.mgrid[-12:13, -12:13].reshape(2, -1)
+    pts = np.column_stack([m * 1.4 + n * 0.4, m * 0.4 + n * 1.4])
+    system = ql.GaborSystem(ql.from_points(pts[np.all(np.abs(pts) <= 10.5, axis=1)],
+                                           truncation_radius=10.5))
+    assert gabor.rotation_order(system.points.points) == 2
+    assert gabor.reflection_angle(system.points.points) == math.pi / 4
+    solve = gabor._residual_norms
+    dtypes = []
+    monkeypatch.setattr(gabor, "_residual_norms",
+                        lambda A, B: dtypes.append(A.dtype) or solve(A, B))
+    run, _ = ql.scenarios.GABOR_CHECKS["hap"]
+    opt = ql.scenarios.gabor_options({"hap_box": 4.0})
+    block, _ = run(system, opt)
+    # centre, two orbits on each diagonal, four of the sixteen other points
+    assert (block["rotation_order"], block["reflection_axis"], block["solves"]) == (2, 0.25, 9)
+    assert len(dtypes) == 9 and dtypes[0] == np.float64  # the centred set keeps the reflection
+    axis = block["x_axis"]
+    direct = [[ql.hap_residual(system, (a, b), opt["hap_box"]) for b in axis] for a in axis]
+    assert np.max(np.abs(np.subtract(block["residuals"], direct))) <= 1e-12
+    assert np.ptp(direct) > 0.1  # a residual map that varies over the grid
 
 
 def test_critical_lattice_completeness_residual():

@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -157,6 +159,22 @@ def test_parse_window_rejects_non_finite(w):
         ql.parse_window(w)
 
 
+@pytest.mark.parametrize("w", [1e308, "1e308", "1e400", 10 ** 400,
+                               Fraction(sys.float_info.max),
+                               (Fraction(sys.float_info.max) - 1) / 2])
+def test_parse_window_rejects_float_overflow(w):
+    # every ratio and the extrapolated density are at most 2w + 2
+    with pytest.raises(ValueError, match="cannot parse window half-width"):
+        ql.parse_window(w)
+
+
+def test_parse_window_accepts_the_largest_float_safe_windows():
+    for w in (8e307, "8e307", (Fraction(sys.float_info.max) - 2) / 2):
+        assert 2 * ql.parse_window(w) + 2 <= sys.float_info.max
+    rep = ql.padic_density(ql.PAdicModelSet.build(2, "8e307", 3)).to_dict()
+    assert max(rep["ratios_float"] + [rep["density_float"]]) < math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7]),
        w=st.fractions(min_value=Fraction(1, 10), max_value=2, max_denominator=10),
@@ -189,3 +207,24 @@ def test_elements_call_the_module_enumeration_once(monkeypatch):
     assert ms.elements is first
     assert len(calls) == 1
     assert len(first) == ql.padic_density(ms).counts[-1]
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_enumeration_runs_no_cyclic_collection(was_enabled):
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+    (gc.enable if was_enabled else gc.disable)()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        elements = ql.enumerate_model_set(2, 1, 14)
+    finally:
+        gc.callbacks.remove(record)
+        enabled_after = gc.isenabled()
+        gc.enable()
+    assert len(elements) == 2 * 2 ** 14 + 1
+    assert collections == []
+    assert enabled_after == was_enabled
