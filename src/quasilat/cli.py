@@ -145,7 +145,7 @@ def _cmd_approx(args):
 
 def _cmd_gabor(args):
     system = GaborSystem(load_pointset(args.points))
-    run, _ = GABOR_CHECKS["frame" if args.gabor_cmd == "frame-bounds" else args.gabor_cmd]
+    run = GABOR_CHECKS["frame" if args.gabor_cmd == "frame-bounds" else args.gabor_cmd][0]
     block, _ = run(system, gabor_options(vars(args)))
     _emit(block, args.out)
     return 0

@@ -161,9 +161,8 @@ def _translate_centers(step, scan_radius):
 def translate_count_grid(ps, radius, step, scan_radius):
     """Counts of ps in x + [-radius, radius]^d for x over the grid step*Z^d in [-scan, scan]^d.
 
-    Returns (centers_1d, counts) with counts indexed by the per-axis grid.
-    Used by density_scan and by union subadditivity checks that need the
-    full count field rather than only its extrema.
+    Returns (centers_1d, counts) with counts indexed by the per-axis grid,
+    the full count field rather than only its extrema.
     """
     if scan_radius + radius > ps.truncation_radius + DEDUP_TOL:
         raise InsufficientTruncationError("scan region plus box leaves the truncation")
@@ -208,6 +207,22 @@ def _extreme_counts(counter, radius, scan):
     return int(inf.min()), int(sup.max())
 
 
+def extreme_counts(points, radii, scan, step=None):
+    """Per radius, (inf, sup) of the box count over translates in [-scan, scan]^d.
+
+    Rows may repeat; each copy counts. With step=None the extrema are exact
+    over all translates, else over the grid step*Z^d.
+    """
+    if len(points) == 0:
+        return [(0, 0)] * len(radii)
+    counter = _PrefixCounter(points)
+    if step is None:
+        return [_extreme_counts(counter, r, scan) for r in radii]
+    centers = _translate_centers(step, scan)
+    fields = (counter.translate_counts(centers, r) for r in radii)
+    return [(int(c.min()), int(c.max())) for c in fields]
+
+
 def _extrapolate(radii, values):
     """Intercept and slope of a least-squares line in h = 1/r over the box radii."""
     r = np.asarray(radii, dtype=float)
@@ -245,23 +260,11 @@ def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
     if translate_step is not None and translate_step <= 0:
         raise ValueError("translate_step must be positive")
 
-    counter = _PrefixCounter(ps.points) if len(ps) else None
-    centers = None if translate_step is None else _translate_centers(translate_step, scan)
-    lower_counts, upper_counts, lower_est, upper_est = [], [], [], []
-    for n, r in enumerate(boxes.radii):
-        if counter is None:
-            c_min = c_max = 0
-        elif translate_step is None:
-            c_min, c_max = _extreme_counts(counter, r, scan)
-        else:
-            counts = counter.translate_counts(centers, r)
-            c_min = int(counts.min())
-            c_max = int(counts.max())
-        mu = boxes.measure(n)
-        lower_counts.append(c_min)
-        upper_counts.append(c_max)
-        lower_est.append(c_min / mu)
-        upper_est.append(c_max / mu)
+    extremes = extreme_counts(ps.points, boxes.radii, scan, translate_step)
+    lower_counts = [lo for lo, _ in extremes]
+    upper_counts = [hi for _, hi in extremes]
+    lower_est = [c / boxes.measure(n) for n, c in enumerate(lower_counts)]
+    upper_est = [c / boxes.measure(n) for n, c in enumerate(upper_counts)]
 
     d_minus, slope_minus = _extrapolate(boxes.radii, lower_est)
     d_plus, slope_plus = _extrapolate(boxes.radii, upper_est)

@@ -51,6 +51,17 @@ from .pointset import DEDUP_TOL, PointSet, lexsorted
 # Formal degree of the representation under Lebesgue normalization.
 D_PI = 1.0
 
+# frame_bounds: the point truncation must reach sqrt(N / pi) + FRAME_GUARD, and
+# the sweep has converged when its last two lower bounds differ by at most
+# FRAME_REL_TOL * max(last, FRAME_A_FLOOR).
+FRAME_GUARD = 6.0
+FRAME_REL_TOL = 0.1
+FRAME_A_FLOOR = 1e-2
+
+# biorthogonal_dual: a Gram whose least eigenvalue is at most
+# DUAL_EIG_TOL * max(largest, 1) counts as singular.
+DUAL_EIG_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -280,8 +291,7 @@ def gram_matrix(sys, max_points=6000):
                   + 1j * math.pi * dxi * (x[None, :] + x[:, None]))
 
 
-def frame_bounds(sys, test_basis_size, n_step=10, rel_tol=0.1, a_floor=1e-2,
-                 k_guard=6.0):
+def frame_bounds(sys, test_basis_size, n_step=10):
     """Finite-section frame bound estimates on the span of Hermite functions.
 
     M[i][j] = sum over lambda of <pi(lambda) g, h_i><h_j, pi(lambda) g>; the
@@ -291,7 +301,7 @@ def frame_bounds(sys, test_basis_size, n_step=10, rel_tol=0.1, a_floor=1e-2,
     the guard margin.
     """
     N = int(test_basis_size)
-    need = math.sqrt(N / math.pi) + k_guard
+    need = math.sqrt(N / math.pi) + FRAME_GUARD
     if sys.points.truncation_radius + 1e-9 < need:
         raise TruncationTooSmallError(
             f"truncation {sys.points.truncation_radius} below guard radius "
@@ -305,7 +315,7 @@ def frame_bounds(sys, test_basis_size, n_step=10, rel_tol=0.1, a_floor=1e-2,
     a_sweep = [max(float(e[0]), 0.0) for e in eigs]
     b_sweep = [float(e[-1]) for e in eigs]
     converged = (len(sizes) >= 2 and abs(a_sweep[-1] - a_sweep[-2])
-                 <= rel_tol * max(a_sweep[-1], a_floor))
+                 <= FRAME_REL_TOL * max(a_sweep[-1], FRAME_A_FLOOR))
     return SpectralBounds(a_sweep[-1], b_sweep[-1], N, bool(converged),
                           sizes, a_sweep, b_sweep)
 
@@ -339,11 +349,11 @@ class DualFamily:
         return [Waveform(grid, w) for w in (W / np.sqrt(grid.quad_weights)[:, None]).T]
 
 
-def biorthogonal_dual(sys, eig_tol=1e-10):
+def biorthogonal_dual(sys):
     """Dual family via the inverse Gram; raises NotMinimalError if G is singular."""
     G = gram_matrix(sys)
     eigs, U = np.linalg.eigh(G)
-    if eigs[0] <= eig_tol * max(float(eigs[-1]), 1.0):
+    if eigs[0] <= DUAL_EIG_TOL * max(float(eigs[-1]), 1.0):
         raise NotMinimalError("not minimal at tolerance: Gram matrix numerically singular")
     Ginv = (U / eigs) @ U.conj().T
     residual = float(np.max(np.abs(G @ Ginv - np.eye(len(eigs)))))

@@ -20,15 +20,15 @@ import numpy as np
 
 from . import __version__
 from .approxcheck import checked_cover
-from .density import FolnerBoxes, density_scan, translate_count_grid
-from .errors import ScenarioValidationError
-from .gabor import (D_PI, GaborSystem, biorthogonal_dual, completeness_residual,
-                    frame_bounds, hap_residual, reflection_angle,
+from .density import FolnerBoxes, density_scan, extreme_counts
+from .errors import NotMinimalError, ScenarioValidationError
+from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
+                    completeness_residual, frame_bounds, hap_residual, reflection_angle,
                     riesz_bounds, rotation_order, solve_shapes, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme,
-                       from_points, lattice_points_in_box, load_pointset,
-                       min_separation, regenerate, sumset_truncated)
+                       lattice_points_in_box, load_pointset, regenerate,
+                       sumset_truncated)
 
 # Decision thresholds for the spectral flags.
 A_FLOOR = 1e-2          # frame / Riesz lower bounds below this do not count
@@ -51,26 +51,8 @@ GABOR_MINIMA = {"hermite_n": (1, "the test basis would be empty"),
                 "hap_x_count": (1, "the x-grid would be empty"),
                 "probe_count": (1, "there would be no probe")}
 
-# Flags that an [expect] block may pin, in verdict order.
-EXPECT_FLAGS = ("frame", "riesz", "hap", "complete_proxy", "minimal")
-
-# (section, key) pairs read as booleans; an empty [expect] flag pins nothing.
-BOOL_KEYS = (("density", "subadditivity"), ("padic", "cover"),
-             *(("expect", flag) for flag in EXPECT_FLAGS))
-
 # Defaults of the [points] options; a cfg key or a gen flag overrides each one.
 POINT_OPTIONS = {"window": 1.0, "beta": 0.5, "q": 4.0}
-
-# Each section's (required keys, optional keys); configparser lowercases keys.
-SECTION_KEYS = {
-    "scenario": ((), ("name", "slack")),
-    "points": (("kind",), ("basis", "path", *POINT_OPTIONS)),
-    "density": (("radii", "truncation"), ("subadditivity",)),
-    "approx": (("base_radius", "sumset_radius"), ("coverage_tol",)),
-    "gabor": (("radius",), ("checks", *GABOR_OPTIONS)),
-    "padic": (("p", "w", "n_max"), ("cover", "max_k", "max_deviation")),
-    "expect": ((), ("k", "density_rtol", *EXPECT_FLAGS)),
-}
 
 
 @dataclass
@@ -155,10 +137,9 @@ def validate_scenario(sc):
         missing = [k for k in SECTION_KEYS[section][0] if k not in getattr(sc, section)]
         if missing:
             raise ScenarioValidationError(f"[{section}] missing {missing[0]}")
-    for section, key in BOOL_KEYS:
-        value = getattr(sc, section).get(key)
-        if value is not None and (section != "expect" or str(value).strip()):
-            _get_bool(value, f"[{section}] {key}")
+    pinned = [flag for flag in EXPECT_FLAGS if str(sc.expect.get(flag, "")).strip()]
+    for flag in pinned:
+        _get_bool(sc.expect[flag], f"[expect] {flag}")
     if sc.padic:
         return
     requested = [float(sc.density["truncation"])]
@@ -174,10 +155,16 @@ def validate_scenario(sc):
         if unknown:
             raise ScenarioValidationError(
                 f"unknown gabor checks {unknown}; known: {', '.join(GABOR_CHECKS)}")
+        for check, (_, flag, *_) in GABOR_CHECKS.items():
+            if flag in pinned and check not in checks:
+                raise ScenarioValidationError(
+                    f"[expect] {flag} pins the flag of the {check} check, "
+                    f"which [gabor] checks does not list")
         opt = gabor_options(sc.gabor)
-        if "frame" in checks and radius + 1e-9 < math.sqrt(opt["hermite_n"] / math.pi) + 6.0:
+        need = math.sqrt(opt["hermite_n"] / math.pi) + FRAME_GUARD
+        if "frame" in checks and radius + 1e-9 < need:
             raise ScenarioValidationError(
-                "gabor radius below the test-basis guard margin sqrt(N/pi) + 6")
+                f"gabor radius below the test-basis guard margin sqrt(N/pi) + {FRAME_GUARD:g}")
         if "hap" in checks and opt["hap_x_extent"] + opt["hap_box"] > radius + 1e-9:
             raise ScenarioValidationError("hap box leaves the gabor truncation")
     # checks the kind, its keys and, for a csv, that every radius fits the file
@@ -259,19 +246,17 @@ def _run_padic(sc):
                          True, float(dens.density), float(target), dens.density == target),
                 _verdict("padic_ratio_deviation", "max_n |ratio_n - 2w| p^n <= c",
                          True, c, c_max, c <= c_max + 1e-12)]
-    if _get_bool(sc.padic.get("cover", "true")):
-        # Cover at depth min(n_max, 6). The centres then lie in (1/p^6) Z,
-        # the depth at which perfbench rechecks scenario covers; a depth-12
-        # centre such as 4097/4096 would fail that recheck.
-        cover_n = min(n_max, 6)
-        cover_ms = ms if cover_n == n_max else PAdicModelSet.build(
-            p, sc.padic["w"], cover_n)
-        cover = padic_cover_set(cover_ms)
-        results["cover"] = cover.to_dict()
-        k_max = int(sc.padic.get("max_k", 3))
-        verdicts.append(_verdict(
-            "padic_cover_size", "minimal cover size k <= k_max", True,
-            cover.k, k_max, cover.verified and cover.k <= k_max))
+    # Cover at depth min(n_max, 6). The centres then lie in (1/p^6) Z, the
+    # depth at which perfbench rechecks scenario covers; a depth-12 centre
+    # such as 4097/4096 would fail that recheck.
+    cover_n = min(n_max, 6)
+    cover_ms = ms if cover_n == n_max else PAdicModelSet.build(p, sc.padic["w"], cover_n)
+    cover = padic_cover_set(cover_ms)
+    results["cover"] = cover.to_dict()
+    k_max = int(sc.padic.get("max_k", 3))
+    verdicts.append(_verdict(
+        "padic_cover_size", "minimal cover size k <= k_max", True,
+        cover.k, k_max, cover.verified and cover.k <= k_max))
     return results, verdicts
 
 
@@ -286,10 +271,15 @@ def _check_riesz(system, opt):
 
 
 def _check_dual(system, opt):
+    """Minimality gap of the interior family; a singular Gram has no dual and no flag."""
     pts = system.points
     interior = GaborSystem(pts.restrict(pts.truncation_radius - opt["riesz_margin"]))
-    dual = biorthogonal_dual(interior)
     delta = uniform_min_delta(interior)
+    try:
+        dual = biorthogonal_dual(interior)
+    except NotMinimalError:
+        return ({"B_sup": None, "biorth_residual": None, "delta": delta,
+                 "delta_times_max_dual_norm": None}, False)
     return ({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual,
              "delta": delta, "delta_times_max_dual_norm": delta * math.sqrt(dual.B_sup)},
             delta > DELTA_FLOOR)
@@ -338,21 +328,32 @@ def _check_complete(system, opt):
              "solve_shapes": [list(s) for s in shapes]}, res < COMPLETE_FLOOR)
 
 
-# check name -> (runner(system, options) -> (report block, flag value), flag name)
-GABOR_CHECKS = {"frame": (_check_frame, "frame"),
-                "riesz": (_check_riesz, "riesz"),
-                "dual": (_check_dual, "minimal"),
-                "hap": (_check_hap, "hap"),
-                "complete": (_check_complete, "complete_proxy")}
+# check -> (runner(system, options) -> (report block, flag value), flag name,
+# verdict, density the flag bounds, whether the bound is divided by k), in
+# verdict order. A flag bounding D_minus implies D_minus >= d_pi (1 - slack)
+# [/ k]; one bounding D_plus implies D_plus <= d_pi (1 + slack).
+GABOR_CHECKS = {
+    "frame": (_check_frame, "frame", "frame_lower_density", "D_minus", True),
+    "riesz": (_check_riesz, "riesz", "riesz_upper_density", "D_plus", False),
+    "hap": (_check_hap, "hap", "hap_lower_density", "D_minus", False),
+    "complete": (_check_complete, "complete_proxy", "complete_proxy_lower_density",
+                 "D_minus", True),
+    "dual": (_check_dual, "minimal", "minimal_upper_density", "D_plus", False)}
 
-# flag -> (verdict, density it bounds, whether the bound is divided by k).
-# A flag bounding D_minus implies D_minus >= d_pi (1 - slack) [/ k]; one
-# bounding D_plus implies D_plus <= d_pi (1 + slack).
-IMPLIED = {"frame": ("frame_lower_density", "D_minus", True),
-           "complete_proxy": ("complete_proxy_lower_density", "D_minus", True),
-           "hap": ("hap_lower_density", "D_minus", False),
-           "riesz": ("riesz_upper_density", "D_plus", False),
-           "minimal": ("minimal_upper_density", "D_plus", False)}
+# Flags that an [expect] block may pin, in verdict order; each is a boolean,
+# and an empty one pins nothing.
+EXPECT_FLAGS = tuple(row[1] for row in GABOR_CHECKS.values())
+
+# Each section's (required keys, optional keys); configparser lowercases keys.
+SECTION_KEYS = {
+    "scenario": ((), ("name", "slack")),
+    "points": (("kind",), ("basis", "path", *POINT_OPTIONS)),
+    "density": (("radii", "truncation"), ()),
+    "approx": (("base_radius", "sumset_radius"), ("coverage_tol",)),
+    "gabor": (("radius",), ("checks", *GABOR_OPTIONS)),
+    "padic": (("p", "w", "n_max"), ("max_k", "max_deviation")),
+    "expect": ((), ("k", "density_rtol", *EXPECT_FLAGS)),
+}
 
 
 def _run_gabor(sc, results, flags):
@@ -363,42 +364,40 @@ def _run_gabor(sc, results, flags):
     out = {"radius": radius, "point_count": len(pts)}
     opt = gabor_options(gc)
     for name in _gabor_checks(gc):
-        run, flag = GABOR_CHECKS[name]
+        run, flag = GABOR_CHECKS[name][:2]
         out[name], flags[flag] = run(system, opt)
     results["gabor"] = out
 
 
-def _run_subadditivity(sc, source, results, verdicts):
-    """Count subadditivity of a symmetrized union and its exact upper-density bound.
+def _run_subadditivity(sc, union, dens, results, verdicts):
+    """Count subadditivity of a symmetrized union, exact over all translates.
 
-    The counts are compared on the translate grid of step sep/2; the three
-    D_plus scans are exact.
+    symmetrize keeps the lex-first of each group of rows within DEDUP_TOL,
+    so every union row is a row of base, -base or the sublattice, and
+    count(parts in B) - count(union in B) is the count in B of the other
+    rows, repeats included. The worst excess of the union over its parts is
+    minus the exact inf of that count. The union's D_plus is the density
+    stage's own.
     """
-    if source.get("kind") != "symmetrize":
-        raise ScenarioValidationError("subadditivity check needs a symmetrize recipe")
-    radii = _floats(sc.density["radii"])
-    union = regenerate(source)
+    source = union.source
     base = regenerate(source["base"])
-    neg = from_points(-base.points, dim=base.dim,
-                      truncation_radius=base.truncation_radius)
     lat = lattice_points_in_box(Lattice(np.array(source["sublattice_basis"])),
                                 source["radius"])
-    scan = union.truncation_radius - max(radii)
-    sep = min_separation(union.points)
-    step = sep / 2.0 if math.isfinite(sep) else 1.0
-    per_n = []
-    for r in radii:
-        # one full-size field at a time: each part is subtracted in place
-        _, excess = translate_count_grid(union, r, step, scan)
-        for part in (base, neg, lat):
-            excess -= translate_count_grid(part, r, step, scan)[1]
-        per_n.append(int(excess.max()))
-    boxes = FolnerBoxes(union.dim, tuple(radii))
-    du, db, dl = (density_scan(ps, boxes, scan_region_radius=scan).D_plus
-                  for ps in (union, base, lat))
+    rows, copies = np.unique(np.vstack([base.points, -base.points, lat.points]) + 0.0,
+                             axis=0, return_counts=True)
+    both, at = np.unique(np.vstack([rows, union.points]), axis=0, return_inverse=True)
+    if len(both) != len(rows):
+        raise ValueError("symmetrized union has a row that none of its parts has")
+    copies[at.reshape(-1)[len(rows):]] -= 1
+    scan = dens.scan_region_radius
+    per_n = [-inf for inf, _ in
+             extreme_counts(np.repeat(rows, copies, axis=0), dens.radii, scan)]
+    boxes = FolnerBoxes(union.dim, tuple(dens.radii))
+    db, dl = (density_scan(ps, boxes, scan_region_radius=scan).D_plus for ps in (base, lat))
+    du = dens.D_plus
     rhs = 2.0 * db + dl * (1.0 + sc.slack)
-    results["subadditivity"] = {"radii": radii, "max_excess_per_n": per_n,
-                                "translate_step": step, "scan_region_radius": scan,
+    results["subadditivity"] = {"radii": dens.radii, "max_excess_per_n": per_n,
+                                "scan_region_radius": scan,
                                 "D_plus_union": du, "D_plus_base": db,
                                 "D_plus_sublattice": dl}
     verdicts.append(_verdict(
@@ -449,10 +448,10 @@ def run_scenario(sc):
     if sc.gabor:
         _run_gabor(sc, results, flags)
 
-    if _get_bool(sc.density.get("subadditivity", "false")):
-        _run_subadditivity(sc, source, results, verdicts)
+    if source.get("kind") == "symmetrize":
+        _run_subadditivity(sc, ps, dens, results, verdicts)
 
-    for flag, (name, side, per_k) in IMPLIED.items():
+    for _, flag, name, side, per_k in GABOR_CHECKS.values():
         if flag not in flags:
             continue
         lhs = getattr(dens, side)

@@ -46,7 +46,7 @@ def test_version_subprocess():
 def test_import_and_light_scenarios_load_no_scipy():
     # SciPy submodules load inside the functions that use them, so the CLI
     # import and scenarios without KD-trees, splines, gammaln or pivoted-QR
-    # solves leave them unloaded
+    # solves leave them unloaded; the exact subadditivity count needs no KD-tree
     src = str(pathlib.Path(ql.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import json, sys\n"
@@ -55,11 +55,12 @@ def test_import_and_light_scenarios_load_no_scipy():
             "loaded = [[m for m in heavy if m in sys.modules]]\n"
             "code = main(['run', 'padic-2', 'lattice-riesz-2'])\n"
             "loaded.append([m for m in heavy if m in sys.modules])\n"
-            "print(json.dumps([code, loaded]))\n")
+            "sym = main(['run', 'symmetrized-sparse'])\n"
+            "print(json.dumps([code, loaded, sym, 'scipy.spatial' in sys.modules]))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.splitlines()[-1]) == [0, [[], []]]
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, [[], []], 0, False]
 
 
 def test_gen_writes_loadable_csv(tmp_path):
@@ -321,12 +322,12 @@ def test_run_validates_every_target_before_running_any(tmp_path, capsys, monkeyp
     ran = []
     monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
     bad = tmp_path / "bad.cfg"
-    bad.write_text(TINY_SCENARIO + "subadditivity = ture\n")
+    bad.write_text(TINY_SCENARIO + "\n[expect]\nframe = ture\n")
     assert main(["run", "lattice-riesz-2", str(bad)]) == 2
     captured = capsys.readouterr()
     assert ran == []
     assert captured.out == ""
-    assert "subadditivity" in captured.err
+    assert "[expect] frame" in captured.err
 
 
 def test_gabor_checks_never_sample(tmp_path, monkeypatch):

@@ -1,12 +1,17 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasilat as ql
 from quasilat.cli import main
-from quasilat.scenarios import SECTION_KEYS, build_point_source, validate_scenario
+from quasilat.pointset import DEDUP_TOL
+from quasilat.scenarios import (SECTION_KEYS, _run_subadditivity, build_point_source,
+                                validate_scenario)
 
 TINY = """
 [scenario]
@@ -165,10 +170,7 @@ def test_validate_padic_requirements():
 
 
 def test_booleans_take_configparser_words_only(tmp_path, capsys):
-    cases = [("[density] subadditivity",
-              lambda v: TINY.replace("truncation = 10", f"truncation = 10\nsubadditivity = {v}")),
-             ("[padic] cover", lambda v: PADIC + f"cover = {v}\n"),
-             ("[expect] frame", lambda v: TINY + f"\n[expect]\nframe = {v}\n")]
+    cases = [("[expect] frame", lambda v: TINY + f"\n[expect]\nframe = {v}\n")]
     for key, cfg in cases:
         for word in ("ture", "treu", "flase", "2", "y", ""):
             path = write_cfg(tmp_path, cfg(word))
@@ -181,9 +183,6 @@ def test_booleans_take_configparser_words_only(tmp_path, capsys):
             assert f"{key} = {word!r} is not a boolean" in capsys.readouterr().err
         for word in ("1", "0", "yes", "No", "TRUE", "false", "On", "oFF"):
             ql.parse_scenario(write_cfg(tmp_path, cfg(word)))
-    for word, covered in (("YES", True), ("Off", False)):
-        sc = ql.parse_scenario(write_cfg(tmp_path, PADIC + f"cover = {word}\n"))
-        assert ("cover" in ql.run_scenario(sc).results) == covered
 
 
 def test_padic_scenario_refuses_other_sections(tmp_path, capsys):
@@ -232,3 +231,127 @@ def test_expected_flag_mismatch_fails(tmp_path):
     assert not report.passed
     failed = [v for v in report.verdicts if not v["passed"]]
     assert any(v["name"] == "expected_k" for v in failed)
+
+
+def test_refused_cfgs_run_nothing(tmp_path, capsys, monkeypatch):
+    # subadditivity runs for every symmetrize recipe and the p-adic cover
+    # always, so neither takes a switch; an [expect] flag needs its check
+    ran = []
+    monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
+    cases = [(TINY.replace("truncation = 10", "truncation = 10\nsubadditivity = true"),
+              "unknown keys ['subadditivity'] in [density]"),
+             (PADIC + "cover = true\n", "unknown keys ['cover'] in [padic]"),
+             (FULL + "\n[expect]\nriesz = true\nhap = true\n",
+              "[expect] hap pins the flag of the hap check")]
+    for text, message in cases:
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
+            ql.parse_scenario(path)
+        assert main(["run", "lattice-riesz-2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert message in captured.err
+    # an empty flag pins nothing, so it needs no check
+    ql.parse_scenario(write_cfg(tmp_path, FULL + "\n[expect]\nriesz = true\nhap =\n"))
+
+
+def test_dual_on_a_non_minimal_set_clears_the_flag(tmp_path):
+    # (1/sqrt2) Z^2 has density 2: its Gram is numerically singular, so no dual
+    text = """
+[scenario]
+name = dual-half
+
+[points]
+kind = lattice
+basis = 0.7071067811865476, 0, 0, 0.7071067811865476
+
+[density]
+radii = 10, 20
+truncation = 30
+
+[gabor]
+radius = 6
+checks = dual
+
+[expect]
+minimal = false
+density_rtol = 0.05
+"""
+    report = ql.run_scenario(ql.parse_scenario(write_cfg(tmp_path, text)))
+    assert report.passed
+    block = report.results["gabor"]["dual"]
+    assert block["delta"] <= 1e-2
+    assert block["B_sup"] is block["biorth_residual"] is block["delta_times_max_dual_norm"] is None
+    verdict = {v["name"]: v for v in report.verdicts}["minimal_upper_density"]
+    assert not verdict["flagged"] and verdict["passed"]
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 0
+
+
+def _box_counts(points, centres, radius):
+    """Brute-force count of points in each closed box centre + [-radius, radius]^2."""
+    inside = np.abs(points[None, :, :] - centres[:, None, :]) <= radius + DEDUP_TOL
+    return np.all(inside, axis=2).sum(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2.0, 3.0, 4.0, math.sqrt(2.0)]),
+       halves=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                       min_size=1, max_size=10),
+       on_lattice=st.lists(st.tuples(st.integers(-1, 1), st.integers(-4, 4),
+                                     st.sampled_from([0.0, 1e-15, -4e-10])), max_size=6),
+       mirrored=st.integers(0, 16))
+def test_subadditivity_excess_is_exact(q, halves, on_lattice, mirrored):
+    # half-integer rows, rows on the sublattice q Z x Z and mirrored rows make
+    # base, -base and the sublattice overlap; a shifted on-lattice row and
+    # the multiples 2k/q against k q at q = sqrt 2 meet their lattice row
+    # within DEDUP_TOL without being equal to it
+    trunc, radii = 4.0, (1.0, 1.5)
+    near = [(k * q + shift, m) for k, m, shift in on_lattice]
+    near += [(2.0 * k / q, m) for k, m, _ in on_lattice]
+    pts = np.vstack([np.array(halves) / 2.0, np.array(near).reshape(-1, 2)])
+    base = ql.from_points(np.vstack([pts, -pts[:mirrored]]), dim=2, truncation_radius=trunc)
+    sub = ql.Lattice(np.diag([q, 1.0]))
+    union = ql.symmetrize(base, sub, trunc)
+    dens = ql.density_scan(union, ql.FolnerBoxes(2, radii))
+    results, verdicts = {}, []
+    _run_subadditivity(ql.Scenario("x", {}, {}), union, dens, results, verdicts)
+    excess = results["subadditivity"]["max_excess_per_n"]
+    assert results["subadditivity"]["D_plus_union"] == dens.D_plus
+
+    neg = ql.from_points(-base.points, dim=2, truncation_radius=trunc)
+    parts = [base, neg, ql.lattice_points_in_box(sub, trunc)]
+    scan = dens.scan_region_radius
+    sep = ql.min_separation(union.points)
+    step = sep / 2.0 if math.isfinite(sep) else 1.0
+    for r, got in zip(radii, excess):
+        # the count along each axis changes only at p +- r: test every
+        # breakpoint and every cell between two of them
+        axes = []
+        for j in range(2):
+            coords = np.concatenate([ps.points[:, j] for ps in (union, *parts)])
+            cuts = np.unique(np.clip(np.concatenate(
+                [coords - r - DEDUP_TOL, coords + r + DEDUP_TOL, [-scan, scan]]),
+                -scan, scan))
+            axes.append(np.concatenate([cuts, (cuts[1:] + cuts[:-1]) / 2.0]))
+        centres = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        brute = _box_counts(union.points, centres, r) - sum(
+            _box_counts(ps.points, centres, r) for ps in parts if len(ps))
+        assert got == int(brute.max())
+        # the sep/2 grid samples a subset of the translates
+        grid = ql.translate_count_grid(union, r, step, scan)[1] - sum(
+            ql.translate_count_grid(ps, r, step, scan)[1] for ps in parts)
+        assert got >= int(grid.max())
+    assert verdicts[0]["name"] == "union_count_subadditivity"
+    assert verdicts[0]["passed"] == (max(excess) <= 0)
+
+
+def test_symmetrized_sparse_runs_at_irrational_q(tmp_path):
+    # 2/q rounds one ulp below q = sqrt 2, so base row (2/q, 2) and sublattice
+    # row (q, 2) merge in the union without being equal
+    text = ("[scenario]\nname = sym-sqrt2\n[points]\nkind = symmetrized_sparse\n"
+            "q = 1.4142135623730951\n[density]\nradii = 5, 10, 15\ntruncation = 60\n")
+    report = ql.run_scenario(ql.parse_scenario(write_cfg(tmp_path, text)))
+    verdicts = {v["name"]: v for v in report.verdicts}
+    assert verdicts["union_count_subadditivity"]["passed"]
+    assert verdicts["symmetrized_upper_density_bound"]["passed"]
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 0
