@@ -12,9 +12,9 @@ import quasilat as ql
 
 
 def report(tag, base, sumset):
-    cover = ql.find_cover_set(sumset, base, coverage_tol=1e-6)
-    ok = ql.verify_cover(sumset, base, cover.defect_set, 1e-6,
-                         cover.verified_region_radius)
+    cover = ql.find_cover_set(sumset, base)
+    ok = ql.verify_cover(sumset, base, cover.defect_set,
+                         verified_region_radius=cover.verified_region_radius)
     flat = [round(float(v), 4) for v in cover.defect_set[:, 0]]
     print(f"  {tag}: k = {cover.k} (minimal: {cover.to_dict()['k_minimal']}), "
           f"defect translates {flat}, reverified {ok}")
@@ -38,7 +38,7 @@ def main():
           f"generated out to twice that radius so no witness can be lost "
           f"to truncation")
 
-    bad = ql.verify_cover(fib_sum, fib, cover.defect_set[:1], 1e-6)
+    bad = ql.verify_cover(fib_sum, fib, cover.defect_set[:1])
     print(f"    dropping one translate breaks the cover: verify -> {bad}")
 
 

@@ -33,28 +33,3 @@ from .gabor import (D_PI, DualFamily, GaborSystem, GridSpec, SpectralBounds,
                     uniform_min_delta)
 from .scenarios import (Report, Scenario, builtin_scenario_names,
                         builtin_scenario_path, parse_scenario, run_scenario)
-
-__all__ = [
-    "__version__",
-    "QuasilatError", "DegenerateLatticeError", "EnumerationBoundError",
-    "InsufficientTruncationError", "ShiftRangeError", "TruncationTooSmallError",
-    "NotMinimalError", "CoverError", "ScenarioValidationError",
-    "PointSet", "Lattice", "Window", "CutAndProjectScheme", "fibonacci_scheme",
-    "from_points", "lattice_points_in_box", "model_set_generate", "symmetrize",
-    "sumset_truncated", "min_separation", "regenerate", "save_pointset",
-    "load_pointset",
-    "FolnerBoxes", "DensityReport", "van_hove_ratio", "count_in_translate",
-    "translate_count_grid", "density_scan",
-    "DeloneReport", "CoverResult", "delone_report", "find_cover_set",
-    "verify_cover",
-    "PAdicRational", "PAdicModelSet", "PAdicDensityReport", "PAdicCoverResult",
-    "parse_window", "padic_norm", "enumerate_model_set", "padic_density",
-    "padic_cover_set",
-    "D_PI", "GridSpec", "Waveform", "GaborSystem", "SpectralBounds",
-    "DualFamily", "inner", "gaussian_window", "hermite_basis", "tf_shift",
-    "cocycle", "orthogonality_check", "frame_bounds", "riesz_bounds",
-    "gram_matrix", "biorthogonal_dual", "uniform_min_delta", "hap_residual",
-    "completeness_residual", "atom_coordinates", "hermite_cutoff",
-    "Scenario", "Report", "parse_scenario", "run_scenario",
-    "builtin_scenario_names", "builtin_scenario_path",
-]

@@ -10,13 +10,14 @@ state shared.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import CoverError
 from .pointset import DEDUP_TOL, lexsorted, min_separation
 
+COVERAGE_TOL = 1e-6      # sup-norm slack of a coverage witness: dist(s - f, base) <= this
 RASTER_STRIDE = 4        # candidate covering radius from every 4th probe per axis
 EXACT_QUERY_MAX = 4096   # probes beyond the candidate queried outright up to this many
 
@@ -35,12 +36,7 @@ class DeloneReport:
 
     def to_dict(self):
         sep = self.min_separation
-        return {"min_separation": sep if math.isfinite(sep) else None,
-                "covering_radius": self.covering_radius,
-                "is_symmetric": self.is_symmetric,
-                "contains_identity": self.contains_identity,
-                "probes": self.probes,
-                "probes_queried": self.probes_queried}
+        return {**asdict(self), "min_separation": sep if math.isfinite(sep) else None}
 
 
 @dataclass
@@ -57,11 +53,8 @@ class CoverResult:
     verified_region_radius: float
 
     def to_dict(self):
-        return {"k": self.k,
-                "k_minimal": self.k <= 3,
-                "defect_set": [list(map(float, f)) for f in self.defect_set],
-                "coverage_tol": self.coverage_tol,
-                "verified_region_radius": self.verified_region_radius}
+        return {**asdict(self), "k_minimal": self.k <= 3,
+                "defect_set": [list(map(float, f)) for f in self.defect_set]}
 
 
 def delone_report(ps, interior_margin):
@@ -175,7 +168,7 @@ def _coverage_matrix(candidates, targets, base_tree, tol):
     return (dist <= tol).reshape(len(candidates), len(targets))
 
 
-def find_cover_set(sumset, base, coverage_tol=1e-6, verified_region_radius=None,
+def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radius=None,
                    max_iterations=64):
     """Cover of the sumset truncation by translates of base: greedy, then pairs.
 
@@ -241,7 +234,7 @@ def find_cover_set(sumset, base, coverage_tol=1e-6, verified_region_radius=None,
                        float(verified_region_radius))
 
 
-def verify_cover(sumset, base, defect_set, coverage_tol=1e-6,
+def verify_cover(sumset, base, defect_set, coverage_tol=COVERAGE_TOL,
                  verified_region_radius=None):
     """Independent re-check that every sumset point in the region lies in defect_set + base."""
     if verified_region_radius is None:

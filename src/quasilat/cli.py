@@ -13,7 +13,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .approxcheck import checked_cover, delone_report
+from .approxcheck import COVERAGE_TOL, checked_cover, delone_report
 from .density import FolnerBoxes, density_scan
 from .errors import QuasilatError, ScenarioValidationError
 from .gabor import GaborSystem
@@ -59,7 +59,7 @@ def _add_approx(sub):
     p.add_argument("--sumset", help="point CSV for the sumset; default: base+base")
     p.add_argument("--sumset-radius", type=float,
                    help="truncation for the internally built base+base sumset")
-    p.add_argument("--coverage-tol", type=float, default=1e-6)
+    p.add_argument("--coverage-tol", type=float, default=COVERAGE_TOL)
     p.add_argument("--region", type=float, help="verified region radius override")
     p.add_argument("--delone-margin", type=float, default=2.0)
     p.add_argument("--out")
@@ -72,7 +72,7 @@ def _add_gabor(sub):
     common.add_argument("--points", required=True, help="time-frequency node CSV")
     common.add_argument("--out")
     # the flags below fill the GABOR_OPTIONS keys that scenario files use
-    common.set_defaults(**GABOR_OPTIONS)
+    common.set_defaults(**{key: row[0] for key, row in GABOR_OPTIONS.items()})
 
     fp = gsub.add_parser("frame-bounds", parents=[common])
     fp.add_argument("--hermite-N", type=int, dest="hermite_n")

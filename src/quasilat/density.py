@@ -13,7 +13,7 @@ per-box estimates linearly in 1/radius (each has an O(1/radius) boundary term).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -73,19 +73,7 @@ class DensityReport:
     scan_region_radius: float
 
     def to_dict(self):
-        return {
-            "radii": list(self.radii),
-            "lower_counts": [int(c) for c in self.lower_counts],
-            "upper_counts": [int(c) for c in self.upper_counts],
-            "lower_estimates": list(self.lower_estimates),
-            "upper_estimates": list(self.upper_estimates),
-            "D_minus": self.D_minus,
-            "D_plus": self.D_plus,
-            "slope_minus": self.slope_minus,
-            "slope_plus": self.slope_plus,
-            "translate_step": self.translate_step,
-            "scan_region_radius": self.scan_region_radius,
-        }
+        return asdict(self)
 
 
 def count_in_translate(ps, x, radius):

@@ -136,33 +136,30 @@ class PointSet:
             raise ValueError(f"restriction radius {radius} exceeds the truncation "
                              f"radius {self.truncation_radius}")
         pts = self.points[_within(self.points, [radius + DEDUP_TOL] * self.dim)]
-        return PointSet(self.dim, pts, float(radius),
-                        {"kind": "explicit", "points": pts.tolist(),
-                         "truncation_radius": float(radius)})
+        return from_points(pts, self.dim, radius)
 
     def translate(self, v):
-        v = np.asarray(v, dtype=float)
-        pts = _canonical(self.points + v)
-        radius = float(np.max(np.abs(pts))) if len(pts) else 0.0
-        return PointSet(self.dim, pts, radius,
-                        {"kind": "explicit", "points": pts.tolist(),
-                         "truncation_radius": radius})
+        return from_points(self.points + np.asarray(v, dtype=float), self.dim)
 
 
 def from_points(points, dim=None, truncation_radius=None):
-    """Wrap an explicit list of points as a PointSet."""
+    """Wrap an explicit list of points as a PointSet.
+
+    Its recipe, ``{"kind": "explicit", "dim", "points", "truncation_radius"}``,
+    is the only explicit one; the truncation radius defaults to the largest
+    sup norm. Without ``dim`` a 1-d array or an empty set is 1-d.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and dim is None:
         pts = pts[:, None]
     if dim is None:
         dim = pts.shape[1] if pts.size else 1
-    pts = _as_points(pts, dim)
-    pts = _canonical(pts)
+    pts = _canonical(_as_points(pts, dim))
     if truncation_radius is None:
         truncation_radius = float(np.max(np.abs(pts))) if len(pts) else 0.0
-    src = {"kind": "explicit", "points": pts.tolist(),
-           "truncation_radius": float(truncation_radius)}
-    return PointSet(dim, pts, float(truncation_radius), src)
+    radius = float(truncation_radius)
+    src = {"kind": "explicit", "dim": dim, "points": pts.tolist(), "truncation_radius": radius}
+    return PointSet(dim, pts, radius, src)
 
 
 @dataclass(frozen=True)
@@ -390,11 +387,8 @@ def regenerate(source):
         scheme = CutAndProjectScheme(np.array(source["total_basis"]), source["d"],
                                      source["m"], Window(tuple(source["window"])))
         return model_set_generate(scheme, source["radius"])
-    if kind == "explicit":
-        pts = np.array(source["points"], dtype=float)
-        dim = pts.shape[1] if pts.ndim == 2 and pts.size else 1
-        return PointSet(dim, _canonical(pts.reshape(-1, dim)),
-                        float(source["truncation_radius"]), dict(source))
+    if kind == "explicit":  # a recipe without "dim" predates it; from_points infers it
+        return from_points(source["points"], source.get("dim"), source["truncation_radius"])
     if kind == "symmetrize":
         base = regenerate(source["base"])
         return symmetrize(base, Lattice(np.array(source["sublattice_basis"])),
@@ -453,14 +447,11 @@ def load_pointset(path):
             except ValueError as exc:
                 raise ValueError(f"malformed point CSV {path}: line {numbers[k // dim]}") from exc
         raise
-    source = None
     try:
         with open(path + ".json") as fh:
             meta = json.load(fh)
-        source = meta.get("source")
-        radius = float(meta.get("truncation_radius"))
     except FileNotFoundError:
-        radius = float(np.max(np.abs(pts))) if len(pts) else 0.0
-    if source is None:
-        source = {"kind": "explicit", "points": pts.tolist(), "truncation_radius": radius}
-    return PointSet(dim, _canonical(pts), radius, source)
+        meta = {}
+    if meta.get("source") is None:
+        return from_points(pts, dim, meta.get("truncation_radius"))
+    return PointSet(dim, _canonical(pts), float(meta.get("truncation_radius")), meta["source"])

@@ -19,14 +19,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .approxcheck import checked_cover
+from .approxcheck import COVERAGE_TOL, checked_cover
 from .density import FolnerBoxes, density_scan, extreme_counts
 from .errors import NotMinimalError, ScenarioValidationError
 from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
                     completeness_residual, frame_bounds, hap_residual, reflection_angle,
                     riesz_bounds, rotation_order, solve_shapes, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density
-from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme,
+from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme, from_points,
                        lattice_points_in_box, load_pointset, regenerate,
                        sumset_truncated)
 
@@ -37,19 +37,16 @@ HAP_FLOOR = 0.05        # max local approximation residual
 DELTA_FLOOR = 1e-2      # uniform minimality gap
 DEFAULT_SLACK = 0.05
 
-# Defaults of the [gabor] options; a cfg key or a CLI flag overrides each one.
-GABOR_OPTIONS = {"hermite_n": 40, "hermite_step": 10, "riesz_margin": 2.0,
-                 "hap_box": 6.0, "hap_x_extent": 1.0, "hap_x_count": 5,
-                 "probe_count": 10}
-
-# Least value of each [gabor] option, and what a smaller one would mean.
-GABOR_MINIMA = {"hermite_n": (1, "the test basis would be empty"),
-                "hermite_step": (1, "the frame sweep would not advance"),
-                "riesz_margin": (0, "the interior radius exceeds the truncation radius"),
-                "hap_box": (0, "the local box would be empty"),
-                "hap_x_extent": (0, "the x-grid would be reversed"),
-                "hap_x_count": (1, "the x-grid would be empty"),
-                "probe_count": (1, "there would be no probe")}
+# [gabor] option -> (default, least value, what a smaller one would mean); a
+# cfg key or a CLI flag overrides the default, cast to the default's type.
+GABOR_OPTIONS = {
+    "hermite_n": (40, 1, "the test basis would be empty"),
+    "hermite_step": (10, 1, "the frame sweep would not advance"),
+    "riesz_margin": (2.0, 0, "the interior radius exceeds the truncation radius"),
+    "hap_box": (6.0, 0, "the local box would be empty"),
+    "hap_x_extent": (1.0, 0, "the x-grid would be reversed"),
+    "hap_x_count": (5, 1, "the x-grid would be empty"),
+    "probe_count": (10, 1, "there would be no probe")}
 
 # Defaults of the [points] options; a cfg key or a gen flag overrides each one.
 POINT_OPTIONS = {"window": 1.0, "beta": 0.5, "q": 4.0}
@@ -81,20 +78,26 @@ def _get_bool(value, key="value"):
 
 
 def gabor_options(gc):
-    """GABOR_OPTIONS overridden by the keys of gc, cast to the defaults' types.
+    """The GABOR_OPTIONS defaults overridden by the keys of gc.
 
-    Raises ScenarioValidationError for a value below its GABOR_MINIMA entry (or NaN).
+    Raises ScenarioValidationError for a value below its least value (or NaN).
     """
-    opt = {k: type(v)(gc.get(k, v)) for k, v in GABOR_OPTIONS.items()}
-    for key, (least, meaning) in GABOR_MINIMA.items():
-        if not opt[key] >= least:
+    opt = {}
+    for key, (default, least, meaning) in GABOR_OPTIONS.items():
+        opt[key] = value = type(default)(gc.get(key, default))
+        if not value >= least:
             raise ScenarioValidationError(
-                f"[gabor] {key} = {opt[key]} is below {least}: {meaning}")
+                f"[gabor] {key} = {value} is below {least}: {meaning}")
     return opt
 
 
 def _gabor_checks(gc):
     return [c.strip() for c in gc.get("checks", "").split(",") if c.strip()]
+
+
+def _pins(expect):
+    """The [expect] entries that pin something; an empty one pins nothing."""
+    return {key: value for key, value in expect.items() if str(value).strip()}
 
 
 def parse_scenario(path):
@@ -137,9 +140,6 @@ def validate_scenario(sc):
         missing = [k for k in SECTION_KEYS[section][0] if k not in getattr(sc, section)]
         if missing:
             raise ScenarioValidationError(f"[{section}] missing {missing[0]}")
-    pinned = [flag for flag in EXPECT_FLAGS if str(sc.expect.get(flag, "")).strip()]
-    for flag in pinned:
-        _get_bool(sc.expect[flag], f"[expect] {flag}")
     if sc.padic:
         return
     requested = [float(sc.density["truncation"])]
@@ -147,19 +147,14 @@ def validate_scenario(sc):
         raise ScenarioValidationError("density truncation below largest box radius")
     if sc.approx:
         requested.append(float(sc.approx["base_radius"]))
+    checks = _gabor_checks(sc.gabor)
     if sc.gabor:
         radius = float(sc.gabor["radius"])
         requested.append(radius)
-        checks = _gabor_checks(sc.gabor)
         unknown = [c for c in checks if c not in GABOR_CHECKS]
         if unknown:
             raise ScenarioValidationError(
                 f"unknown gabor checks {unknown}; known: {', '.join(GABOR_CHECKS)}")
-        for check, (_, flag, *_) in GABOR_CHECKS.items():
-            if flag in pinned and check not in checks:
-                raise ScenarioValidationError(
-                    f"[expect] {flag} pins the flag of the {check} check, "
-                    f"which [gabor] checks does not list")
         opt = gabor_options(sc.gabor)
         need = math.sqrt(opt["hermite_n"] / math.pi) + FRAME_GUARD
         if "frame" in checks and radius + 1e-9 < need:
@@ -168,7 +163,22 @@ def validate_scenario(sc):
         if "hap" in checks and opt["hap_x_extent"] + opt["hap_box"] > radius + 1e-9:
             raise ScenarioValidationError("hap box leaves the gabor truncation")
     # checks the kind, its keys and, for a csv, that every radius fits the file
-    build_point_source(sc.points, max(requested))
+    source = build_point_source(sc.points, max(requested))
+    # [expect] key -> (what it pins, why this scenario lacks it, whether it has it)
+    pinnable = {"k": ("the cover size k", "needs an [approx] block", bool(sc.approx)),
+                "density_rtol": ("the tolerance of density_matches_formula",
+                                 f"does not run on {sc.points['kind']} points "
+                                 "(no closed-form density)",
+                                 _intrinsic_density(source) is not None)}
+    for check, (_, flag, *_) in GABOR_CHECKS.items():
+        pinnable[flag] = (f"the flag of the {check} check", "[gabor] checks does not list",
+                          check in checks)
+    for key, value in _pins(sc.expect).items():
+        if key in EXPECT_FLAGS:
+            _get_bool(value, f"[expect] {key}")
+        what, lack, has = pinnable[key]
+        if not has:
+            raise ScenarioValidationError(f"[expect] {key} pins {what}, which {lack}")
 
 
 def build_point_source(points_cfg, radius):
@@ -203,9 +213,7 @@ def build_point_source(points_cfg, radius):
         m_max = math.floor(radius + 1e-9)
         ms = np.arange(-m_max, m_max + 1, dtype=float)
         return {"kind": "symmetrize",
-                "base": {"kind": "explicit",
-                         "points": np.stack([ms / q, ms], axis=1).tolist(),
-                         "truncation_radius": radius},
+                "base": from_points(np.stack([ms / q, ms], axis=1), 2, radius).source,
                 "sublattice_basis": [[q, 0.0], [0.0, 1.0]],
                 "radius": radius}
     if kind == "csv":
@@ -331,9 +339,11 @@ def _check_complete(system, opt):
 # check -> (runner(system, options) -> (report block, flag value), flag name,
 # verdict, density the flag bounds, whether the bound is divided by k), in
 # verdict order. A flag bounding D_minus implies D_minus >= d_pi (1 - slack)
-# [/ k]; one bounding D_plus implies D_plus <= d_pi (1 + slack).
+# [/ k]; one bounding D_plus implies D_plus <= d_pi (1 + slack). Only the
+# completeness theorem for k-approximate lattices carries 1/k; the frame
+# condition holds for every discrete set.
 GABOR_CHECKS = {
-    "frame": (_check_frame, "frame", "frame_lower_density", "D_minus", True),
+    "frame": (_check_frame, "frame", "frame_lower_density", "D_minus", False),
     "riesz": (_check_riesz, "riesz", "riesz_upper_density", "D_plus", False),
     "hap": (_check_hap, "hap", "hap_lower_density", "D_minus", False),
     "complete": (_check_complete, "complete_proxy", "complete_proxy_lower_density",
@@ -422,9 +432,10 @@ def run_scenario(sc):
     results["density"] = dens.to_dict()
     results["density"]["point_count"] = len(ps)
 
+    pins = _pins(sc.expect)
     formula = _intrinsic_density(source)
     if formula is not None:
-        rtol = float(sc.expect.get("density_rtol", 0.02))
+        rtol = float(pins.get("density_rtol", 0.02))
         err = max(abs(dens.D_minus - formula), abs(dens.D_plus - formula)) / formula
         verdicts.append(_verdict(
             "density_matches_formula",
@@ -432,18 +443,16 @@ def run_scenario(sc):
             True, err, rtol, err <= rtol,
             note=f"rho = {formula!r}"))
 
-    k_eff = 1
+    k = 1  # the cover's k; [expect] k only pins it
     if sc.approx:
         base = regenerate(build_point_source(sc.points, float(sc.approx["base_radius"])))
         sumset = sumset_truncated(base, base, float(sc.approx["sumset_radius"]))
         results["approx"] = checked_cover(
-            sumset, base, float(sc.approx.get("coverage_tol", 1e-6)))
-        k_eff = max(results["approx"]["k"], 1)
+            sumset, base, float(sc.approx.get("coverage_tol", COVERAGE_TOL)))
+        k = max(results["approx"]["k"], 1)
         if not results["approx"]["reverified"]:
             verdicts.append(_verdict("cover_reverified", "independent cover check",
                                      True, 0, 1, False))
-    if "k" in sc.expect:
-        k_eff = int(sc.expect["k"])
 
     if sc.gabor:
         _run_gabor(sc, results, flags)
@@ -457,7 +466,7 @@ def run_scenario(sc):
         lhs = getattr(dens, side)
         if side == "D_minus":
             inequality = "D_minus >= d_pi (1 - slack)" + (" / k" if per_k else "")
-            rhs = D_PI * (1.0 - sc.slack) / (k_eff if per_k else 1)
+            rhs = D_PI * (1.0 - sc.slack) / (k if per_k else 1)
             holds = lhs >= rhs
         else:
             inequality = "D_plus <= d_pi (1 + slack)"
@@ -467,13 +476,13 @@ def run_scenario(sc):
                                  not flags[flag] or holds))
 
     for flag in EXPECT_FLAGS:
-        if str(sc.expect.get(flag, "")).strip():
-            want = _get_bool(sc.expect[flag])
+        if flag in pins:
+            want = _get_bool(pins[flag])
             got = flags.get(flag)
             verdicts.append(_verdict(f"expected_{flag}", f"{flag} flag == expectation",
                                      True, got, want, got == want))
-    if "k" in sc.expect and "approx" in results:
-        want = int(sc.expect["k"])
+    if "k" in pins:
+        want = int(pins["k"])
         verdicts.append(_verdict("expected_k", "cover size k == expectation",
                                  True, results["approx"]["k"], want,
                                  results["approx"]["k"] == want))

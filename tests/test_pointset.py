@@ -317,6 +317,23 @@ def test_regenerate_every_recipe_kind():
         ql.regenerate({"kind": "mystery"})
 
 
+def test_explicit_recipe_keeps_its_dimension():
+    empty = ql.from_points(np.zeros((0, 2)), dim=2, truncation_radius=3)
+    assert ql.regenerate(empty.source).dim == 2
+    assert empty.source == {"kind": "explicit", "dim": 2, "points": [],
+                            "truncation_radius": 3.0}
+    union = {"kind": "symmetrize", "base": empty.source,
+             "sublattice_basis": [[2.0, 0.0], [0.0, 1.0]], "radius": 3.0}
+    lat = ql.lattice_points_in_box(ql.Lattice(np.diag([2.0, 1.0])), 3.0)
+    np.testing.assert_array_equal(ql.regenerate(union).points, lat.points)
+    # restrict and translate write the same recipe as from_points
+    for ps in (lat.restrict(2.0), lat.translate([0.5, 0.0])):
+        assert ps.source == ql.from_points(ps.points, 2, ps.truncation_radius).source
+    # a recipe written before "dim" regenerates with the dimension inferred
+    old = {k: v for k, v in ql.from_points([[0.5, 1.0]]).source.items() if k != "dim"}
+    assert ql.regenerate(old).dim == 2
+
+
 def _dedup_rule(points):
     """Reference rule: in lex order, drop a point within DEDUP_TOL of an earlier kept one."""
     pts = points + 0.0

@@ -170,7 +170,8 @@ def test_validate_padic_requirements():
 
 
 def test_booleans_take_configparser_words_only(tmp_path, capsys):
-    cases = [("[expect] frame", lambda v: TINY + f"\n[expect]\nframe = {v}\n")]
+    cases = [("[expect] frame", lambda v: TINY + "\n[gabor]\nradius = 10\nchecks = frame\n"
+              f"\n[expect]\nframe = {v}\n")]
     for key, cfg in cases:
         for word in ("ture", "treu", "flase", "2", "y", ""):
             path = write_cfg(tmp_path, cfg(word))
@@ -253,6 +254,71 @@ def test_refused_cfgs_run_nothing(tmp_path, capsys, monkeypatch):
         assert message in captured.err
     # an empty flag pins nothing, so it needs no check
     ql.parse_scenario(write_cfg(tmp_path, FULL + "\n[expect]\nriesz = true\nhap =\n"))
+
+
+def test_expect_pins_need_what_they_pin(tmp_path, capsys, monkeypatch):
+    # an [expect] key that nothing would check is refused before anything runs
+    ran = []
+    monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
+    sparse = TINY.replace("basis = 1", "q = 4").replace("lattice", "symmetrized_sparse")
+    cases = [(TINY + "\n[expect]\nframe = true\n",
+              "[expect] frame pins the flag of the frame check"),
+             (TINY + "\n[expect]\nk = 1\n",
+              "[expect] k pins the cover size k, which needs an [approx] block"),
+             (sparse + "\n[expect]\ndensity_rtol = 0.02\n",
+              "[expect] density_rtol pins the tolerance of density_matches_formula")]
+    for text, message in cases:
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
+            ql.parse_scenario(path)
+        assert main(["run", "lattice-riesz-2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert message in captured.err
+    ql.parse_scenario(write_cfg(tmp_path, sparse))
+
+
+K_FROM_COVER = """
+[scenario]
+name = k-from-cover
+
+[points]
+kind = fibonacci_product
+window = 1
+beta = 0.5
+
+[density]
+radii = 10, 20
+truncation = 30
+
+[approx]
+base_radius = 8
+sumset_radius = 4
+
+[gabor]
+radius = 8
+checks = complete
+probe_count = 4
+"""
+
+
+def test_k_comes_from_the_cover(tmp_path):
+    # the window-1 Fibonacci product is a 2-approximate lattice; a pin only
+    # checks the cover's k and never replaces it in the completeness bound.
+    # density_matches_formula is not asserted: these radii are too short for it
+    for pin, pin_holds in (("", None), ("\n[expect]\nk = 1\n", False)):
+        report = ql.run_scenario(ql.parse_scenario(write_cfg(tmp_path, K_FROM_COVER + pin)))
+        assert report.results["approx"]["k"] == 2
+        assert report.results["approx"]["k_minimal"] is True
+        verdicts = {v["name"]: v for v in report.verdicts}
+        complete = verdicts["complete_proxy_lower_density"]
+        assert complete["inequality"].endswith("/ k")
+        assert complete["rhs"] == pytest.approx(0.95 / 2, rel=1e-12)
+        if pin_holds is None:
+            assert "expected_k" not in verdicts
+        else:
+            assert verdicts["expected_k"]["passed"] is pin_holds
+            assert (verdicts["expected_k"]["lhs"], verdicts["expected_k"]["rhs"]) == (2, 1)
 
 
 def test_dual_on_a_non_minimal_set_clears_the_flag(tmp_path):
