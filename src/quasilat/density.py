@@ -8,7 +8,9 @@ finite grids: per axis the count is a sum of closed-interval indicators, so
 its sup is attained at a left endpoint (boxes with a face on a point) and its
 inf inside a cell between a right and the next left endpoint (boxes centred
 at the cell midpoints). Each axis's sorted distinct coordinates are built
-once per scan and shared by every radius. D_minus/D_plus extrapolate the
+once per scan and shared by every radius. On a product set X_1 x ... x X_d
+(lex-sorted rows, no repeats) a box count is the product of per-axis counts:
+the same integers, with no d-dim prefix table. D_minus/D_plus extrapolate the
 per-box estimates linearly in 1/radius (each has an O(1/radius) boundary term).
 """
 
@@ -94,12 +96,31 @@ def count_in_translate(ps, x, radius):
     return int(np.count_nonzero(inside))
 
 
+def _product_factors(points):
+    """Sorted factors X_j if the rows are exactly X_1 x ... x X_d in lex order, else None."""
+    factors, block = [], points
+    for _ in range(points.shape[1]):
+        col = block[:, 0]
+        values = col[np.r_[True, col[1:] != col[:-1]]]
+        reps, extra = divmod(len(col), len(values))
+        tiles = block[:len(col) - extra].reshape(len(values), reps, -1)
+        if (extra or np.any(values[1:] <= values[:-1]) or np.any(tiles[:, :, 0] != values[:, None])
+                or np.any(tiles[:, :, 1:] != tiles[:1, :, 1:])):
+            return None
+        factors.append(values)
+        block = tiles[0, :, 1:]
+    return factors if len(block) == 1 else None
+
+
 class _PrefixCounter:
-    """Exact box counts via per-axis coordinate compression and a prefix-sum table
-    (int32 holds any count here and halves the memory the box lookups read)."""
+    """Exact box counts via per-axis coordinate compression: per-axis counts multiply
+    on a product set, else a prefix-sum table (int32: holds any count, halves lookups)."""
 
     def __init__(self, points):
         self.dim = points.shape[1]
+        self.axes, self.table = _product_factors(points), None
+        if self.axes is not None:
+            return
         self.axes, cell = [], 0  # cell: raveled table index of each point
         for j in range(self.dim):
             col = points[:, j]
@@ -125,11 +146,12 @@ class _PrefixCounter:
         One prefix difference per axis: after axis j, out holds for every
         interval on the axes 0..j the prefix counts along the later axes.
         """
-        out = self.table
+        out = np.int32(1) if self.table is None else self.table
         for j in range(self.dim):
             lo = np.searchsorted(self.axes[j], lows[j], side="left")
             hi = np.searchsorted(self.axes[j], highs[j], side="right")
-            out = np.take(out, hi, axis=j) - np.take(out, lo, axis=j)
+            out = (np.multiply.outer(out, (hi - lo).astype(np.int32)) if self.table is None
+                   else np.take(out, hi, axis=j) - np.take(out, lo, axis=j))
         return out
 
     def translate_counts(self, centers, radius):

@@ -454,4 +454,6 @@ def load_pointset(path):
         meta = {}
     if meta.get("source") is None:
         return from_points(pts, dim, meta.get("truncation_radius"))
-    return PointSet(dim, _canonical(pts), float(meta.get("truncation_radius")), meta["source"])
+    if meta.get("truncation_radius") is None:
+        raise ValueError(f"sidecar {path}.json has a source but no truncation_radius")
+    return PointSet(dim, _canonical(pts), float(meta["truncation_radius"]), meta["source"])

@@ -176,6 +176,11 @@ def validate_scenario(sc):
     for key, value in _pins(sc.expect).items():
         if key in EXPECT_FLAGS:
             _get_bool(value, f"[expect] {key}")
+        elif key in PIN_TYPES:
+            try:
+                PIN_TYPES[key](value)
+            except ValueError as exc:
+                raise ScenarioValidationError(f"[expect] {key} = {value!r}: {exc}") from exc
         what, lack, has = pinnable[key]
         if not has:
             raise ScenarioValidationError(f"[expect] {key} pins {what}, which {lack}")
@@ -353,6 +358,7 @@ GABOR_CHECKS = {
 # Flags that an [expect] block may pin, in verdict order; each is a boolean,
 # and an empty one pins nothing.
 EXPECT_FLAGS = tuple(row[1] for row in GABOR_CHECKS.values())
+PIN_TYPES = {"k": int, "density_rtol": float}  # the other [expect] keys are flags
 
 # Each section's (required keys, optional keys); configparser lowercases keys.
 SECTION_KEYS = {
@@ -362,7 +368,7 @@ SECTION_KEYS = {
     "approx": (("base_radius", "sumset_radius"), ("coverage_tol",)),
     "gabor": (("radius",), ("checks", *GABOR_OPTIONS)),
     "padic": (("p", "w", "n_max"), ("max_k", "max_deviation")),
-    "expect": ((), ("k", "density_rtol", *EXPECT_FLAGS)),
+    "expect": ((), (*PIN_TYPES, *EXPECT_FLAGS)),
 }
 
 

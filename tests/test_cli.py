@@ -107,6 +107,19 @@ def test_density_truncation_guard_exits_2(tmp_path, capsys):
     assert "truncation" in capsys.readouterr().err
 
 
+def test_density_sidecar_without_truncation_radius_exits_2(tmp_path, capsys):
+    path = gen_line(tmp_path)
+    sidecar = pathlib.Path(f"{path}.json")
+    meta = json.loads(sidecar.read_text())
+    del meta["truncation_radius"]
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="no truncation_radius"):
+        ql.load_pointset(path)
+    rc = main(["density", "--points", str(path), "--radii", "0.5"])
+    assert rc == 2
+    assert "no truncation_radius" in capsys.readouterr().err
+
+
 def test_approx_command(tmp_path):
     base = gen_line(tmp_path, radius=20.0)
     out = tmp_path / "cover.json"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasilat as ql
+from quasilat import density
 from quasilat.pointset import DEDUP_TOL
+from quasilat.scenarios import build_point_source, builtin_scenario_path
 
 
 def unit_line(radius):
@@ -163,11 +166,13 @@ def test_report_to_dict_roundtrips_to_json():
 
 def _brute_force_extremes(points, radius, scan):
     """(inf, sup) of the closed-box count, counted directly at every translate
-    whose coordinates are breakpoints p_j +- radius, the scan ends, or midpoints
-    between consecutive ones: the count is constant between breakpoints."""
+    whose coordinates are breakpoints p_j +- (radius + DEDUP_TOL), the scan
+    ends, or midpoints between consecutive ones: the count is constant between
+    breakpoints."""
     axes = []
+    reach = radius + DEDUP_TOL
     for j in range(points.shape[1]):
-        b = np.concatenate([points[:, j] - radius, points[:, j] + radius, [-scan, scan]])
+        b = np.concatenate([points[:, j] - reach, points[:, j] + reach, [-scan, scan]])
         b = np.unique(b[(b >= -scan) & (b <= scan)])
         axes.append(np.concatenate([b, (b[:-1] + b[1:]) / 2.0]))
     xs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -234,3 +239,60 @@ def test_exact_scan_at_tolerance_edges(radius):
         counts = (rep.lower_counts[0], rep.upper_counts[0])
         (lx, ux), (ly, uy) = expected(ox), expected(oy)
         assert counts == _brute_force_extremes(ps.points, radius, scan) == (lx * ly, ux * uy)
+
+
+def _axis(radius, most):
+    """Sorted distinct coordinates: free ones, or a _chain 2 radius apart up to
+    an ulp or DEDUP_TOL (offset +-1) or exactly."""
+    free = st.lists(_coord, min_size=1, max_size=most, unique=True).map(
+        lambda xs: np.unique(np.array(xs) + 0.0))
+    chain = st.tuples(st.floats(-5.0, -1.0), st.sampled_from([0.0, "+ulp", "-ulp", 1.0, -1.0]),
+                      st.integers(1, most)).map(lambda t: _chain(t[0], radius, t[1], t[2]))
+    return st.one_of(free, chain)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), data=st.data(),
+       radius=st.sampled_from([0.5, 1.0, 1.25, 2.0]),
+       change=st.sampled_from(["none", "drop", "repeat", "repeat all", "nudge"]))
+def test_product_counts_match_brute_force_and_table(dim, data, radius, change):
+    # A product X_1 x ... x X_d in lex order is counted axis by axis; a near
+    # product (one row dropped or repeated, every row repeated, one coordinate
+    # moved by less than DEDUP_TOL) must count as the d-dim table does
+    axes = [data.draw(_axis(radius, 4 if dim < 3 else 3)) for _ in range(dim)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    i = data.draw(st.integers(0, len(pts) - 1))
+    if change == "drop":
+        pts = np.delete(pts, i, axis=0)
+    elif change == "repeat":
+        pts = np.insert(pts, i, pts[i], axis=0)
+    elif change == "repeat all":
+        pts = np.repeat(pts, 2, axis=0)
+    elif change == "nudge":
+        j = data.draw(st.integers(0, dim - 1))
+        pts[i, j] += data.draw(st.sampled_from([-0.5, 0.5])) * DEDUP_TOL
+    if change == "none":
+        assert density._PrefixCounter(pts).table is None
+    if change in ("repeat", "repeat all"):
+        assert density._PrefixCounter(pts).table is not None
+    scan = 6.0 - radius
+    counts = density.extreme_counts(pts, [radius], scan)
+    with mock.patch.object(density, "_product_factors", return_value=None):
+        table = density.extreme_counts(pts, [radius], scan)
+    expected = _brute_force_extremes(pts, radius, scan) if len(pts) else (0, 0)
+    assert counts == table == [expected]
+
+
+@pytest.mark.parametrize("name, product", [
+    ("lattice-critical", True), ("lattice-frame-half", True), ("lattice-noframe-1p05", True),
+    ("lattice-riesz-2", True), ("lattice-riesz-sqrt2", True), ("fibonacci-gabor", True),
+    ("fibonacci-density", True), ("symmetrized-sparse", False)])
+def test_builtin_sets_take_the_expected_counting_path(name, product):
+    sc = ql.parse_scenario(builtin_scenario_path(name))
+    ps = ql.regenerate(build_point_source(sc.points, sc.density["truncation"]))
+    assert (density._PrefixCounter(ps.points).table is None) == product
+
+
+def test_non_diagonal_lattice_counts_by_table():
+    ps = ql.lattice_points_in_box(ql.Lattice(np.array([[0.7, 0.2], [0.2, 0.7]])), 11.0)
+    assert density._PrefixCounter(ps.points).table is not None

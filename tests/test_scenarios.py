@@ -278,6 +278,25 @@ def test_expect_pins_need_what_they_pin(tmp_path, capsys, monkeypatch):
     ql.parse_scenario(write_cfg(tmp_path, sparse))
 
 
+def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch):
+    # an [expect] k or density_rtol that does not parse is refused at
+    # validation, so no earlier target runs first
+    ran = []
+    monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
+    approx = TINY + "\n[approx]\nbase_radius = 4\nsumset_radius = 2\n"
+    for text, key in [(approx + "\n[expect]\nk = two\n", "k"),
+                      (approx + "\n[expect]\nk = 2.0\n", "k"),
+                      (TINY + "\n[expect]\ndensity_rtol = 0.02x\n", "density_rtol")]:
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ql.ScenarioValidationError, match=f"\\[expect\\] {key} = "):
+            ql.parse_scenario(path)
+        assert main(["run", "lattice-riesz-2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert f"[expect] {key} = " in captured.err
+    ql.parse_scenario(write_cfg(tmp_path, approx + "\n[expect]\nk = 2\ndensity_rtol = 1e-3\n"))
+
+
 K_FROM_COVER = """
 [scenario]
 name = k-from-cover
