@@ -7,10 +7,9 @@ verdict or expectation fails, 2 for usage and validation errors.
 """
 
 import argparse
-import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 
 from . import __version__
 from .approxcheck import COVERAGE_TOL, checked_cover, delone_report
@@ -21,12 +20,19 @@ from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import load_pointset, regenerate, save_pointset, sumset_truncated
 from .scenarios import (GABOR_CHECKS, GABOR_OPTIONS, POINT_OPTIONS,
                         builtin_scenario_names, builtin_scenario_path,
-                        build_point_source, gabor_options, parse_scenario,
-                        run_scenario, _floats, _json_default)
+                        build_point_source, json_text, parse_scenario, parse_value,
+                        run_scenario)
+
+# gabor subcommand -> {GABOR_OPTIONS key: the flag that sets it}
+GABOR_FLAGS = {"frame-bounds": {"hermite_n": "--hermite-N", "hermite_step": "--hermite-step"},
+               "riesz": {"riesz_margin": "--edge-margin"},
+               "dual": {"riesz_margin": "--edge-margin"},
+               "hap": {"hap_box": "--K", "hap_x_count": "--x-grid", "hap_x_extent": "--x-extent"},
+               "complete": {"probe_count": "--probes"}}
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=1, sort_keys=True, default=_json_default)
+    text = json_text(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -38,17 +44,19 @@ def _add_gen(sub):
     p = sub.add_parser("gen", help="generate a point set and write it to CSV")
     p.add_argument("--kind", required=True, help="a scenario [points] kind")
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--basis", help="row-major lattice basis entries, comma separated")
+    p.add_argument("--basis", type=partial(parse_value, "points", "basis"),
+                   help="row-major lattice basis entries, comma separated")
     # the flags below fill the POINT_OPTIONS keys that scenario files use
     for key, default in POINT_OPTIONS.items():
-        p.add_argument(f"--{key}", type=float, default=default)
+        p.add_argument(f"--{key}", type=partial(parse_value, "points", key), default=default)
     p.add_argument("--out", required=True)
 
 
 def _add_density(sub):
     p = sub.add_parser("density", help="Beurling density scan over box sequences")
     p.add_argument("--points", required=True, help="point CSV path")
-    p.add_argument("--radii", required=True, help="comma separated box radii")
+    p.add_argument("--radii", required=True, type=partial(parse_value, "density", "radii"),
+                   help="comma separated box radii")
     p.add_argument("--scan-region", type=float)
     p.add_argument("--out")
 
@@ -68,29 +76,14 @@ def _add_approx(sub):
 def _add_gabor(sub):
     p = sub.add_parser("gabor", help="coherent system diagnostics")
     gsub = p.add_subparsers(dest="gabor_cmd", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--points", required=True, help="time-frequency node CSV")
-    common.add_argument("--out")
-    # the flags below fill the GABOR_OPTIONS keys that scenario files use
-    common.set_defaults(**{key: row[0] for key, row in GABOR_OPTIONS.items()})
-
-    fp = gsub.add_parser("frame-bounds", parents=[common])
-    fp.add_argument("--hermite-N", type=int, dest="hermite_n")
-    fp.add_argument("--hermite-step", type=int)
-
-    rp = gsub.add_parser("riesz", parents=[common])
-    rp.add_argument("--edge-margin", type=float, dest="riesz_margin")
-
-    dp = gsub.add_parser("dual", parents=[common])
-    dp.add_argument("--edge-margin", type=float, default=0.0, dest="riesz_margin")
-
-    hp = gsub.add_parser("hap", parents=[common])
-    hp.add_argument("--K", type=float, dest="hap_box")
-    hp.add_argument("--x-grid", type=int, dest="hap_x_count")
-    hp.add_argument("--x-extent", type=float, dest="hap_x_extent")
-
-    cp = gsub.add_parser("complete", parents=[common])
-    cp.add_argument("--probes", type=int, dest="probe_count")
+    for cmd, flags in GABOR_FLAGS.items():
+        q = gsub.add_parser(cmd)
+        q.add_argument("--points", required=True, help="time-frequency node CSV")
+        q.add_argument("--out")
+        # every GABOR_OPTIONS key at its default; each flag sets one, parsed as a cfg value
+        q.set_defaults(**{key: row[0] for key, row in GABOR_OPTIONS.items()})
+        for key, flag in flags.items():
+            q.add_argument(flag, dest=key, type=partial(parse_value, "gabor", key))
 
 
 def _add_padic(sub):
@@ -123,7 +116,7 @@ def _cmd_gen(args):
 
 def _cmd_density(args):
     ps = load_pointset(args.points)
-    boxes = FolnerBoxes(ps.dim, tuple(_floats(args.radii)))
+    boxes = FolnerBoxes(ps.dim, tuple(args.radii))
     _emit(density_scan(ps, boxes, scan_region_radius=args.scan_region).to_dict(), args.out)
     return 0
 
@@ -146,7 +139,7 @@ def _cmd_approx(args):
 def _cmd_gabor(args):
     system = GaborSystem(load_pointset(args.points))
     run = GABOR_CHECKS["frame" if args.gabor_cmd == "frame-bounds" else args.gabor_cmd][0]
-    block, _ = run(system, gabor_options(vars(args)))
+    block, _ = run(system, vars(args))
     _emit(block, args.out)
     return 0
 
@@ -207,11 +200,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"gen": _cmd_gen, "density": _cmd_density, "approx": _cmd_approx,
                 "gabor": _cmd_gabor, "padic": _cmd_padic, "run": _cmd_run}
-    try:
+    try:  # a flag that sets a cfg key is refused by its SECTION_KEYS parser, exit 2
+        args = build_parser().parse_args(argv)
         return handlers[args.cmd](args)
     except (QuasilatError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

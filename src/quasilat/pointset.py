@@ -51,6 +51,7 @@ def _within(coords, bounds):
     return inside
 
 
+@np.errstate(over="ignore")  # a gap between -DBL_MAX and DBL_MAX is inf: still a split
 def _canonical(points, tol=DEDUP_TOL):
     """Lex-sorted points with sup-norm near-duplicates removed.
 
@@ -416,8 +417,21 @@ def save_pointset(ps, path):
         fh.write("\n")
 
 
+def _csv_rows(lines, dim, skiprows=0):
+    """numpy's rows of comma-separated numbers (lines: a path or a list); None unless dim wide."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=skiprows)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == dim else None
+
+
 def load_pointset(path):
-    """Read a point CSV written by save_pointset; the sidecar is optional."""
+    """Read a point CSV written by save_pointset; the sidecar is optional.
+
+    numpy's reader parses the body and skips empty lines. Only when it
+    refuses the body is the file read line by line, to name the first bad line.
+    """
     path = str(path)
     with open(path) as fh:
         header = fh.readline().strip()
@@ -427,26 +441,14 @@ def load_pointset(path):
             dim = int(header[4:])
         except ValueError as exc:
             raise ValueError(f"malformed point CSV {path}: bad dimension") from exc
-        fields, numbers = [], []  # numbers: the file line of each point
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != dim:
-                raise ValueError(f"malformed point CSV {path}: line {ln} has "
-                                 f"{len(cells)} fields, expected {dim}")
-            fields += cells
-            numbers.append(ln)
-    try:  # one conversion; numpy parses each field as float() does
-        pts = np.array(fields, dtype=float).reshape(-1, dim)
-    except ValueError:  # name the line of the first field that does not parse
-        for k, cell in enumerate(fields):
-            try:
-                float(cell)
-            except ValueError as exc:
-                raise ValueError(f"malformed point CSV {path}: line {numbers[k // dim]}") from exc
-        raise
+        empty = not any(line.strip("\r\n") for line in fh)  # loadtxt warns on one
+    pts = np.zeros((0, dim)) if empty else _csv_rows(path, dim, skiprows=1)
+    if pts is None:
+        with open(path) as fh:
+            for ln, line in enumerate(fh, start=1):
+                if ln > 1 and line.strip("\r\n") and _csv_rows([line], dim) is None:
+                    raise ValueError(f"malformed point CSV {path}: line {ln} is not "
+                                     f"{dim} comma-separated numbers")
     try:
         with open(path + ".json") as fh:
             meta = json.load(fh)

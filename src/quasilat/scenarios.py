@@ -14,7 +14,8 @@ import importlib.resources
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import NotMinimalError, ScenarioValidationError
 from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
                     completeness_residual, frame_bounds, hap_residual, reflection_angle,
                     riesz_bounds, rotation_order, solve_shapes, uniform_min_delta)
-from .padic import PAdicModelSet, padic_cover_set, padic_density
+from .padic import PAdicModelSet, padic_cover_set, padic_density, parse_window
 from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme, from_points,
                        lattice_points_in_box, load_pointset, regenerate,
                        sumset_truncated)
@@ -37,8 +38,8 @@ HAP_FLOOR = 0.05        # max local approximation residual
 DELTA_FLOOR = 1e-2      # uniform minimality gap
 DEFAULT_SLACK = 0.05
 
-# [gabor] option -> (default, least value, what a smaller one would mean); a
-# cfg key or a CLI flag overrides the default, cast to the default's type.
+# [gabor] option -> (default, least value, what a smaller one would mean); a cfg
+# key or a `quasilat gabor` flag overrides the default, parsed by _option.
 GABOR_OPTIONS = {
     "hermite_n": (40, 1, "the test basis would be empty"),
     "hermite_step": (10, 1, "the frame sweep would not advance"),
@@ -54,6 +55,8 @@ POINT_OPTIONS = {"window": 1.0, "beta": 0.5, "q": 4.0}
 
 @dataclass
 class Scenario:
+    """The parsed sections (empty where unused) and `settings`, the file as
+    written (name, slack and raw sections), which a report quotes and hashes."""
     name: str
     points: dict
     density: dict
@@ -62,49 +65,69 @@ class Scenario:
     padic: dict = field(default_factory=dict)
     expect: dict = field(default_factory=dict)
     slack: float = DEFAULT_SLACK
+    settings: dict = field(default_factory=dict)
 
 
 def _floats(text):
     return [float(x) for x in str(text).replace(";", ",").split(",") if x.strip()]
 
 
-def _get_bool(value, key="value"):
+def _basis(text):
+    """d^2 row-major entries as d rows."""
+    entries = _floats(text)
+    if (d := math.isqrt(len(entries))) ** 2 != len(entries):
+        raise ValueError("lattice basis length must be dim^2")
+    return [entries[i * d:(i + 1) * d] for i in range(d)]
+
+
+def _bool(text):
     """configparser's boolean words (1/0, yes/no, true/false, on/off, any case)."""
-    word = str(value).strip().lower()
-    if word not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ScenarioValidationError(
-            f"{key} = {value!r} is not a boolean; use 1/0, yes/no, true/false or on/off")
-    return configparser.ConfigParser.BOOLEAN_STATES[word]
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean; use 1/0, yes/no, true/false or on/off") from None
 
 
-def gabor_options(gc):
-    """The GABOR_OPTIONS defaults overridden by the keys of gc.
-
-    Raises ScenarioValidationError for a value below its least value (or NaN).
-    """
-    opt = {}
-    for key, (default, least, meaning) in GABOR_OPTIONS.items():
-        opt[key] = value = type(default)(gc.get(key, default))
-        if not value >= least:
-            raise ScenarioValidationError(
-                f"[gabor] {key} = {value} is below {least}: {meaning}")
-    return opt
+def _checks(text):
+    checks = [c.strip() for c in text.split(",") if c.strip()]
+    if unknown := [c for c in checks if c not in GABOR_CHECKS]:
+        raise ValueError(f"unknown gabor checks {unknown}; known: {', '.join(GABOR_CHECKS)}")
+    return checks
 
 
-def _gabor_checks(gc):
-    return [c.strip() for c in gc.get("checks", "").split(",") if c.strip()]
+def _option(key, text):
+    """A GABOR_OPTIONS value: its default's type, refusing NaN and values below the least."""
+    default, least, meaning = GABOR_OPTIONS[key]
+    if not (value := type(default)(text)) >= least:
+        raise ValueError(f"is below {least}: {meaning}")
+    return value
 
 
-def _pins(expect):
-    """The [expect] entries that pin something; an empty one pins nothing."""
-    return {key: value for key, value in expect.items() if str(value).strip()}
+def parse_value(section, key, text):
+    """text parsed by the SECTION_KEYS row of [section] key; a refusal names both."""
+    try:
+        return SECTION_KEYS[section][key][0](text)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"[{section}] {key} = {text!r}: {exc}") from exc
+
+
+def parse_section(section, written):
+    """Each written key parsed, each other at its default; an empty value is unwritten."""
+    values = {}
+    for key, (_, default) in SECTION_KEYS[section].items():
+        if written.get(key):
+            values[key] = parse_value(section, key, written[key])
+        elif default is REQUIRED:
+            raise ScenarioValidationError(f"[{section}] missing {key}")
+        elif default is not None:
+            values[key] = default
+    return values
 
 
 def parse_scenario(path):
-    """Read and validate a scenario cfg file."""
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cfg.read(str(path))
-    if not read:
+    """Read a scenario cfg file; every value is parsed and checked before any heavy work."""
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    if not cfg.read(str(path)):
         raise ScenarioValidationError(f"scenario file not found: {path}")
     if not cfg.has_section("scenario"):
         raise ScenarioValidationError("missing [scenario] section")
@@ -112,55 +135,46 @@ def parse_scenario(path):
         if section not in SECTION_KEYS:
             raise ScenarioValidationError(
                 f"unknown section [{section}]; known: {', '.join(SECTION_KEYS)}")
-        known = set().union(*SECTION_KEYS[section])
-        unknown = sorted(set(cfg[section]) - known)
-        if unknown:
-            raise ScenarioValidationError(
-                f"unknown keys {unknown} in [{section}]; known: {', '.join(sorted(known))}")
-    name = cfg["scenario"].get("name", "unnamed")
-    slack = float(cfg["scenario"].get("slack", DEFAULT_SLACK))
-    sc = Scenario(name, *(dict(cfg[s]) if cfg.has_section(s) else {} for s in
-                          ("points", "density", "approx", "gabor", "padic", "expect")), slack)
+        if unknown := sorted(set(cfg[section]) - set(SECTION_KEYS[section])):
+            raise ScenarioValidationError(f"unknown keys {unknown} in [{section}]; known: "
+                                          f"{', '.join(sorted(SECTION_KEYS[section]))}")
+    written = {s: dict(cfg[s]) if cfg.has_section(s) else {} for s in SECTION_KEYS}
+    extra = [s for s in ("points", "density", "approx", "gabor", "expect") if written[s]]
+    if written["padic"] and extra:
+        raise ScenarioValidationError("a [padic] scenario takes no other check sections; "
+                                      "found " + ", ".join(f"[{s}]" for s in extra))
+    needed = () if written["padic"] else ("points", "density", "expect")
+    values = {s: parse_section(s, written[s]) if written[s] or s in needed else {}
+              for s in SECTION_KEYS}
+    head = values.pop("scenario")
+    sc = Scenario(head["name"], **values, slack=head["slack"],
+                  settings={**head, **{s: written[s] for s in values}})
     validate_scenario(sc)
     return sc
 
 
 def validate_scenario(sc):
-    """Structural checks; raises ScenarioValidationError before any heavy work."""
+    """Checks of a parsed scenario's keys against each other and against its point set."""
     if sc.padic:
-        extra = [s for s in ("points", "density", "approx", "gabor", "expect")
-                 if getattr(sc, s)]
-        if extra:
-            raise ScenarioValidationError(
-                "a [padic] scenario takes no other check sections; found "
-                + ", ".join(f"[{s}]" for s in extra))
-    sections = ["padic"] if sc.padic else ["points", "density"] + [
-        s for s in ("approx", "gabor") if getattr(sc, s)]
-    for section in sections:
-        missing = [k for k in SECTION_KEYS[section][0] if k not in getattr(sc, section)]
-        if missing:
-            raise ScenarioValidationError(f"[{section}] missing {missing[0]}")
-    if sc.padic:
+        try:
+            PAdicModelSet.build(sc.padic["p"], sc.padic["w"], sc.padic["n_max"])
+        except ValueError as exc:
+            raise ScenarioValidationError(f"[padic] {exc}") from exc
         return
-    requested = [float(sc.density["truncation"])]
-    if requested[0] < max(_floats(sc.density["radii"])):
+    requested = [sc.density["truncation"]]
+    if requested[0] < max(sc.density["radii"]):
         raise ScenarioValidationError("density truncation below largest box radius")
     if sc.approx:
-        requested.append(float(sc.approx["base_radius"]))
-    checks = _gabor_checks(sc.gabor)
+        requested.append(sc.approx["base_radius"])
+    checks = sc.gabor.get("checks", ())
     if sc.gabor:
-        radius = float(sc.gabor["radius"])
+        radius = sc.gabor["radius"]
         requested.append(radius)
-        unknown = [c for c in checks if c not in GABOR_CHECKS]
-        if unknown:
-            raise ScenarioValidationError(
-                f"unknown gabor checks {unknown}; known: {', '.join(GABOR_CHECKS)}")
-        opt = gabor_options(sc.gabor)
-        need = math.sqrt(opt["hermite_n"] / math.pi) + FRAME_GUARD
+        need = math.sqrt(sc.gabor["hermite_n"] / math.pi) + FRAME_GUARD
         if "frame" in checks and radius + 1e-9 < need:
             raise ScenarioValidationError(
                 f"gabor radius below the test-basis guard margin sqrt(N/pi) + {FRAME_GUARD:g}")
-        if "hap" in checks and opt["hap_x_extent"] + opt["hap_box"] > radius + 1e-9:
+        if "hap" in checks and sc.gabor["hap_x_extent"] + sc.gabor["hap_box"] > radius + 1e-9:
             raise ScenarioValidationError("hap box leaves the gabor truncation")
     # checks the kind, its keys and, for a csv, that every radius fits the file
     source = build_point_source(sc.points, max(requested))
@@ -173,48 +187,36 @@ def validate_scenario(sc):
     for check, (_, flag, *_) in GABOR_CHECKS.items():
         pinnable[flag] = (f"the flag of the {check} check", "[gabor] checks does not list",
                           check in checks)
-    for key, value in _pins(sc.expect).items():
-        if key in EXPECT_FLAGS:
-            _get_bool(value, f"[expect] {key}")
-        elif key in PIN_TYPES:
-            try:
-                PIN_TYPES[key](value)
-            except ValueError as exc:
-                raise ScenarioValidationError(f"[expect] {key} = {value!r}: {exc}") from exc
+    for key, text in sc.settings["expect"].items():
         what, lack, has = pinnable[key]
-        if not has:
+        if text and not has:
             raise ScenarioValidationError(f"[expect] {key} pins {what}, which {lack}")
 
 
-def build_point_source(points_cfg, radius):
+def build_point_source(points, radius):
     """Recipe dict for the scenario point set at the given truncation radius.
 
-    The one place that knows the point kinds; validation and `quasilat gen`
-    both go through it. A csv set is restricted to the radius.
+    points holds parsed [points] values, as parse_section or the `quasilat
+    gen` flags give them. The one place that knows the point kinds;
+    validation and `quasilat gen` both go through it. A csv set is
+    restricted to the radius.
     """
-    kind = points_cfg.get("kind")
-    radius = float(radius)
-    opt = {k: float(points_cfg.get(k, v)) for k, v in POINT_OPTIONS.items()}
+    kind = points["kind"]
     if kind == "lattice":
-        if not points_cfg.get("basis"):
+        if not points.get("basis"):
             raise ScenarioValidationError("lattice points need a basis")
-        basis = _floats(points_cfg["basis"])
-        d = math.isqrt(len(basis))
-        if d * d != len(basis):
-            raise ScenarioValidationError("lattice basis length must be dim^2")
-        rows = [basis[i * d:(i + 1) * d] for i in range(d)]
-        return {"kind": "lattice", "basis": rows, "radius": radius}
+        return {"kind": "lattice", "basis": points["basis"], "radius": radius}
     if kind in ("fibonacci", "fibonacci_product"):
-        w = opt["window"]
+        w = points["window"]
         top, bottom = fibonacci_scheme(w).total_basis.tolist()
         if kind == "fibonacci":
             return {"kind": "cut_and_project", "total_basis": [top, bottom],
                     "d": 1, "m": 1, "window": [w], "radius": radius}
         return {"kind": "cut_and_project",
-                "total_basis": [top + [0.0], [0.0, 0.0, opt["beta"]], bottom + [0.0]],
+                "total_basis": [top + [0.0], [0.0, 0.0, points["beta"]], bottom + [0.0]],
                 "d": 2, "m": 1, "window": [w], "radius": radius}
     if kind == "symmetrized_sparse":
-        q = opt["q"]
+        q = points["q"]
         m_max = math.floor(radius + 1e-9)
         ms = np.arange(-m_max, m_max + 1, dtype=float)
         return {"kind": "symmetrize",
@@ -222,7 +224,7 @@ def build_point_source(points_cfg, radius):
                 "sublattice_basis": [[q, 0.0], [0.0, 1.0]],
                 "radius": radius}
     if kind == "csv":
-        path = points_cfg.get("path", "")
+        path = points["path"]
         try:
             return load_pointset(path).restrict(radius).source
         except (OSError, ValueError) as exc:
@@ -247,13 +249,12 @@ def _verdict(name, inequality, flagged, lhs, rhs, passed, note=""):
 
 
 def _run_padic(sc):
-    p = int(sc.padic["p"])
-    n_max = int(sc.padic["n_max"])
-    ms = PAdicModelSet.build(p, sc.padic["w"], n_max)
+    p, w, n_max = sc.padic["p"], sc.padic["w"], sc.padic["n_max"]
+    ms = PAdicModelSet.build(p, w, n_max)
     dens = padic_density(ms)
     results = {"density": dens.to_dict()}
     target = 2 * dens.w
-    c_max = float(sc.padic.get("max_deviation", 1.0))
+    c_max = sc.padic["max_deviation"]
     c = float(dens.deviation_constant())
     verdicts = [_verdict("padic_density_formula", "density == 2w (exact extrapolation)",
                          True, float(dens.density), float(target), dens.density == target),
@@ -263,10 +264,10 @@ def _run_padic(sc):
     # depth at which perfbench rechecks scenario covers; a depth-12 centre
     # such as 4097/4096 would fail that recheck.
     cover_n = min(n_max, 6)
-    cover_ms = ms if cover_n == n_max else PAdicModelSet.build(p, sc.padic["w"], cover_n)
+    cover_ms = ms if cover_n == n_max else PAdicModelSet.build(p, w, cover_n)
     cover = padic_cover_set(cover_ms)
     results["cover"] = cover.to_dict()
-    k_max = int(sc.padic.get("max_k", 3))
+    k_max = sc.padic["max_k"]
     verdicts.append(_verdict(
         "padic_cover_size", "minimal cover size k <= k_max", True,
         cover.k, k_max, cover.verified and cover.k <= k_max))
@@ -358,31 +359,25 @@ GABOR_CHECKS = {
 # Flags that an [expect] block may pin, in verdict order; each is a boolean,
 # and an empty one pins nothing.
 EXPECT_FLAGS = tuple(row[1] for row in GABOR_CHECKS.values())
-PIN_TYPES = {"k": int, "density_rtol": float}  # the other [expect] keys are flags
 
-# Each section's (required keys, optional keys); configparser lowercases keys.
+# Each section's keys: key -> (parser of the written text, default). A
+# REQUIRED key must be written; a key whose default is None is absent from
+# the parsed section unless written. configparser lowercases keys.
+REQUIRED = object()
 SECTION_KEYS = {
-    "scenario": ((), ("name", "slack")),
-    "points": (("kind",), ("basis", "path", *POINT_OPTIONS)),
-    "density": (("radii", "truncation"), ()),
-    "approx": (("base_radius", "sumset_radius"), ("coverage_tol",)),
-    "gabor": (("radius",), ("checks", *GABOR_OPTIONS)),
-    "padic": (("p", "w", "n_max"), ("max_k", "max_deviation")),
-    "expect": ((), (*PIN_TYPES, *EXPECT_FLAGS)),
+    "scenario": {"name": (str, "unnamed"), "slack": (float, DEFAULT_SLACK)},
+    "points": {"kind": (str, REQUIRED), "basis": (_basis, None), "path": (str, ""),
+               **{key: (float, default) for key, default in POINT_OPTIONS.items()}},
+    "density": {"radii": (_floats, REQUIRED), "truncation": (float, REQUIRED)},
+    "approx": {"base_radius": (float, REQUIRED), "sumset_radius": (float, REQUIRED),
+               "coverage_tol": (float, COVERAGE_TOL)},
+    "gabor": {"radius": (float, REQUIRED), "checks": (_checks, ()),
+              **{key: (partial(_option, key), row[0]) for key, row in GABOR_OPTIONS.items()}},
+    "padic": {"p": (int, REQUIRED), "w": (parse_window, REQUIRED), "n_max": (int, REQUIRED),
+              "max_k": (int, 3), "max_deviation": (float, 1.0)},
+    "expect": {"k": (int, None), "density_rtol": (float, 0.02),
+               **{flag: (_bool, None) for flag in EXPECT_FLAGS}},
 }
-
-
-def _run_gabor(sc, results, flags):
-    gc = sc.gabor
-    radius = float(gc["radius"])
-    pts = regenerate(build_point_source(sc.points, radius))
-    system = GaborSystem(pts)
-    out = {"radius": radius, "point_count": len(pts)}
-    opt = gabor_options(gc)
-    for name in _gabor_checks(gc):
-        run, flag = GABOR_CHECKS[name][:2]
-        out[name], flags[flag] = run(system, opt)
-    results["gabor"] = out
 
 
 def _run_subadditivity(sc, union, dens, results, verdicts):
@@ -434,14 +429,12 @@ def run_scenario(sc):
     results, verdicts, flags = {}, [], {}
     source = build_point_source(sc.points, sc.density["truncation"])
     ps = regenerate(source)
-    dens = density_scan(ps, FolnerBoxes(ps.dim, tuple(_floats(sc.density["radii"]))))
-    results["density"] = dens.to_dict()
-    results["density"]["point_count"] = len(ps)
+    dens = density_scan(ps, FolnerBoxes(ps.dim, tuple(sc.density["radii"])))
+    results["density"] = {**dens.to_dict(), "point_count": len(ps)}
 
-    pins = _pins(sc.expect)
     formula = _intrinsic_density(source)
     if formula is not None:
-        rtol = float(pins.get("density_rtol", 0.02))
+        rtol = sc.expect["density_rtol"]
         err = max(abs(dens.D_minus - formula), abs(dens.D_plus - formula)) / formula
         verdicts.append(_verdict(
             "density_matches_formula",
@@ -451,17 +444,21 @@ def run_scenario(sc):
 
     k = 1  # the cover's k; [expect] k only pins it
     if sc.approx:
-        base = regenerate(build_point_source(sc.points, float(sc.approx["base_radius"])))
-        sumset = sumset_truncated(base, base, float(sc.approx["sumset_radius"]))
-        results["approx"] = checked_cover(
-            sumset, base, float(sc.approx.get("coverage_tol", COVERAGE_TOL)))
+        base = regenerate(build_point_source(sc.points, sc.approx["base_radius"]))
+        sumset = sumset_truncated(base, base, sc.approx["sumset_radius"])
+        results["approx"] = checked_cover(sumset, base, sc.approx["coverage_tol"])
         k = max(results["approx"]["k"], 1)
         if not results["approx"]["reverified"]:
             verdicts.append(_verdict("cover_reverified", "independent cover check",
                                      True, 0, 1, False))
 
     if sc.gabor:
-        _run_gabor(sc, results, flags)
+        pts = regenerate(build_point_source(sc.points, sc.gabor["radius"]))
+        results["gabor"] = {"radius": sc.gabor["radius"], "point_count": len(pts)}
+        system = GaborSystem(pts)
+        for name in sc.gabor["checks"]:
+            run, flag = GABOR_CHECKS[name][:2]
+            results["gabor"][name], flags[flag] = run(system, sc.gabor)
 
     if source.get("kind") == "symmetrize":
         _run_subadditivity(sc, ps, dens, results, verdicts)
@@ -481,17 +478,14 @@ def run_scenario(sc):
         verdicts.append(_verdict(name, inequality, flags[flag], lhs, rhs,
                                  not flags[flag] or holds))
 
-    for flag in EXPECT_FLAGS:
-        if flag in pins:
-            want = _get_bool(pins[flag])
-            got = flags.get(flag)
-            verdicts.append(_verdict(f"expected_{flag}", f"{flag} flag == expectation",
-                                     True, got, want, got == want))
-    if "k" in pins:
-        want = int(pins["k"])
-        verdicts.append(_verdict("expected_k", "cover size k == expectation",
-                                 True, results["approx"]["k"], want,
-                                 results["approx"]["k"] == want))
+    # [expect] key -> (what the scenario computed, what it is); validation
+    # refused a pin on anything this scenario does not compute
+    pinned = {flag: (flags.get(flag), f"{flag} flag") for flag in EXPECT_FLAGS}
+    pinned["k"] = (results.get("approx", {}).get("k"), "cover size k")
+    for key, (got, what) in pinned.items():
+        if key in sc.expect:
+            verdicts.append(_verdict(f"expected_{key}", f"{what} == expectation", True,
+                                     got, sc.expect[key], got == sc.expect[key]))
     return _finalize(sc, results, verdicts)
 
 
@@ -507,8 +501,7 @@ class Report:
         return dict(vars(self))
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True,
-                          default=_json_default)
+        return json_text(self.to_dict())
 
     def verdict_lines(self):
         lines = []
@@ -520,14 +513,17 @@ class Report:
         return lines
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer, np.floating, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def json_text(payload):
+    """The one JSON form of reports and CLI output: indent 1, sorted keys, numpy as lists."""
+    def default(obj):
+        if isinstance(obj, (np.integer, np.floating, np.ndarray)):
+            return obj.tolist()
+        raise TypeError(f"not JSON serializable: {type(obj)}")
+    return json.dumps(payload, indent=1, sort_keys=True, default=default)
 
 
 def _finalize(sc, results, verdicts):
-    scenario = asdict(sc)
+    scenario = sc.settings
     blob = json.dumps(scenario, sort_keys=True).encode()
     provenance = {"package": "quasilat", "version": __version__,
                   "settings_hash": hashlib.sha256(blob).hexdigest(),

@@ -152,27 +152,32 @@ def test_gabor_commands(tmp_path):
 
 
 def test_gabor_commands_match_scenario_blocks(tmp_path):
-    # non-default options on both sides pin each flag to its option key
-    cfg = tmp_path / "gabor.cfg"
-    cfg.write_text("[scenario]\nname = gabor-tiny\n"
-                   "[points]\nkind = lattice\nbasis = 2, 0, 0, 1\n"
-                   "[density]\nradii = 2, 4\ntruncation = 10\n"
-                   "[gabor]\nradius = 6\nchecks = riesz, dual, hap, complete\n"
-                   "riesz_margin = 1.5\nhap_box = 3\nhap_x_extent = 0.5\n"
-                   "hap_x_count = 2\nprobe_count = 4\n")
-    report = ql.run_scenario(ql.parse_scenario(cfg))
-    blocks = json.loads(report.to_json())["results"]["gabor"]
-    pts = tmp_path / "nodes.csv"
-    assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
-                 "--radius", "6", "--out", str(pts)]) == 0
-    flags = {"riesz": ["--edge-margin", "1.5"], "dual": ["--edge-margin", "1.5"],
-             "hap": ["--K", "3", "--x-extent", "0.5", "--x-grid", "2"],
-             "complete": ["--probes", "4"]}
-    for check, extra in flags.items():
-        out = tmp_path / f"{check}.json"
-        assert main(["gabor", check, "--points", str(pts),
-                     "--out", str(out)] + extra) == 0
-        assert json.loads(out.read_text()) == blocks[check], check
+    # non-default options on both sides pin each flag to its option key; no
+    # option on either side pins each subcommand's defaults to GABOR_OPTIONS
+    set_flags = {"riesz": ["--edge-margin", "1.5"], "dual": ["--edge-margin", "1.5"],
+                 "hap": ["--K", "3", "--x-extent", "0.5", "--x-grid", "2"],
+                 "complete": ["--probes", "4"]}
+    cases = [(6, "riesz_margin = 1.5\nhap_box = 3\nhap_x_extent = 0.5\n"
+                 "hap_x_count = 2\nprobe_count = 4\n", set_flags),
+             (10, "", {"frame-bounds": [], "riesz": [], "dual": [], "hap": [], "complete": []})]
+    for radius, options, flags in cases:
+        checks = ", ".join("frame" if c == "frame-bounds" else c for c in flags)
+        cfg = tmp_path / "gabor.cfg"
+        cfg.write_text("[scenario]\nname = gabor-tiny\n"
+                       "[points]\nkind = lattice\nbasis = 2, 0, 0, 1\n"
+                       "[density]\nradii = 2, 4\ntruncation = 10\n"
+                       f"[gabor]\nradius = {radius}\nchecks = {checks}\n" + options)
+        report = ql.run_scenario(ql.parse_scenario(cfg))
+        blocks = json.loads(report.to_json())["results"]["gabor"]
+        pts = tmp_path / "nodes.csv"
+        assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
+                     "--radius", str(radius), "--out", str(pts)]) == 0
+        for check, extra in flags.items():
+            out = tmp_path / f"{check}.json"
+            assert main(["gabor", check, "--points", str(pts),
+                         "--out", str(out)] + extra) == 0
+            block = blocks["frame" if check == "frame-bounds" else check]
+            assert json.loads(out.read_text()) == block, (radius, check)
 
 
 def test_negative_edge_margin_exits_2(tmp_path, capsys):
@@ -215,21 +220,24 @@ def test_gabor_option_below_its_minimum_exits_2(tmp_path, capsys, cmd, flag, key
     assert main(["run", str(cfg)]) == 2
     assert f"[gabor] {key} = " in capsys.readouterr().err
     with pytest.raises(ql.ScenarioValidationError, match=key):
-        ql.scenarios.gabor_options({key: value})
+        ql.scenarios.parse_value("gabor", key, value)
 
 
 def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys):
-    pts = tmp_path / "z2.csv"
+    pts = tmp_path / "z2 100%.csv"  # a % in a cfg value is literal
     assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
                  "--radius", "12", "--out", str(pts)]) == 0
-    text = ("[scenario]\nname = csv-z2\n"
+    text = ("[scenario]\nname = csv-z2 5%\n"
             f"[points]\nkind = csv\npath = {pts}\n"
             "[density]\nradii = 2, 4\ntruncation = 10\n"
             "[approx]\nbase_radius = 6\nsumset_radius = 3\n"
             "[gabor]\nradius = 6\nchecks = riesz\n")
     cfg = tmp_path / "csv.cfg"
     cfg.write_text(text)
-    results = ql.run_scenario(ql.parse_scenario(cfg)).results
+    report = ql.run_scenario(ql.parse_scenario(cfg))
+    assert report.scenario["name"] == "csv-z2 5%"
+    assert report.scenario["points"]["path"] == str(pts)
+    results = report.results
     assert results["density"]["point_count"] == 21 ** 2
     assert results["density"]["scan_region_radius"] == 6.0
     assert results["gabor"]["point_count"] == 13 ** 2

@@ -399,7 +399,7 @@ def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
     monkeypatch.setattr(gabor, "_residual_norms",
                         lambda A, B: calls.append(A.shape) or solve(A, B))
     run = ql.scenarios.GABOR_CHECKS["hap"][0]
-    opt = ql.scenarios.gabor_options({"hap_box": 4.0})  # a smaller box, same grid
+    opt = ql.scenarios.parse_section("gabor", {"radius": "10.5", "hap_box": "4"})  # same grid
     for system, order, solves in [(oversampled_system, 4, 6), (rect, 2, 9),
                                   (shifted, 1, 25)]:
         calls.clear()
@@ -427,7 +427,7 @@ def test_hap_grid_orbits_under_a_diagonal_reflection(monkeypatch):
     monkeypatch.setattr(gabor, "_residual_norms",
                         lambda A, B: dtypes.append(A.dtype) or solve(A, B))
     run = ql.scenarios.GABOR_CHECKS["hap"][0]
-    opt = ql.scenarios.gabor_options({"hap_box": 4.0})
+    opt = ql.scenarios.parse_section("gabor", {"radius": "10.5", "hap_box": "4"})
     block, _ = run(system, opt)
     # centre, two orbits on each diagonal, four of the sixteen other points
     assert (block["rotation_order"], block["reflection_axis"], block["solves"]) == (2, 0.25, 9)

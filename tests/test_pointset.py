@@ -1,9 +1,12 @@
 import math
+import os
 import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quasilat as ql
@@ -88,7 +91,7 @@ def test_fiber_enumeration_on_schemes_and_large_boxes():
     tol = DEDUP_TOL
     chain = ql.fibonacci_scheme(1.0).total_basis
     product = np.array(ql.scenarios.build_point_source(
-        {"kind": "fibonacci_product", "window": "1.0", "beta": "0.5"}, 1.0)["total_basis"])
+        {"kind": "fibonacci_product", "window": 1.0, "beta": 0.5}, 1.0)["total_basis"])
     skew = np.array([[1.0, 0.3, 0.0], [0.0, 0.7, 0.2], [0.1, 0.0, 1.1]])
     for transform, bounds, d in [
             (chain, [500 + tol, 1.0], 1), (chain, [2000 + tol, 0.4], 1),
@@ -302,6 +305,68 @@ def test_load_rejects_malformed_csv(tmp_path):
     bad.write_text("dim=zz\n")
     with pytest.raises(ValueError, match="bad dimension"):
         ql.load_pointset(bad)
+
+
+_EXTREMES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308]
+_COORD = st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _csv_files(draw):
+    """(dim, points, rows with a blank line before them, a corruption or None, its row)."""
+    d = draw(st.integers(1, 3))
+    pts = np.array(draw(st.lists(st.tuples(*[_COORD] * d), max_size=12)), dtype=float)
+    blanks = draw(st.lists(st.integers(0, len(pts)), max_size=4))  # len(pts): at the end
+    bad = draw(st.sampled_from([None, "extra field", "junk", "trailing comma", "1#2", "1_000"]))
+    row = draw(st.integers(0, len(pts) - 1)) if len(pts) and bad else None
+    return d, pts.reshape(-1, d), blanks, bad, row
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_csv_files(), sidecar=st.booleans())
+@example(case=(1, np.array([[-_EXTREMES[-2]], [_EXTREMES[-2]]]), [], None, None),
+         sidecar=False)  # their gap overflows to inf in _canonical
+def test_csv_reader_round_trips_and_names_the_bad_line(case, sidecar):
+    # save_pointset writes %.17g, which numpy reads back bit for bit; blank
+    # lines anywhere are skipped, an empty body is an empty set without a
+    # warning, and one corrupted line is refused by its file line number
+    d, pts, blanks, bad, row = case
+    source = {"kind": "explicit", "dim": d}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pts.csv")
+        ql.save_pointset(ql.PointSet(d, pts, math.inf, source), path)
+        if not sidecar:
+            os.remove(path + ".json")
+        with open(path) as fh:
+            header, *rows = fh.read().splitlines()
+        if row is not None:
+            cells = rows[row].split(",")
+            cells[-1] = {"extra field": cells[-1] + ",0", "junk": "x1",
+                         "trailing comma": cells[-1] + ",", "1#2": "1#2",
+                         "1_000": "1_000"}[bad]
+            rows[row] = ",".join(cells)
+        lines = [header]
+        for i, text in enumerate(rows + [None]):
+            lines += [""] * blanks.count(i)
+            if i == row:
+                bad_line = len(lines) + 1
+            if text is not None:
+                lines.append(text)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        if row is not None:
+            with pytest.raises(ValueError, match=f"line {bad_line} is not {d} "):
+                ql.load_pointset(path)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            back = ql.load_pointset(path)
+            raw = pointset._csv_rows(path, d, skiprows=1) if len(pts) else pts
+    assert raw.view(np.int64).tolist() == pts.view(np.int64).tolist()  # -0.0 included
+    assert back.dim == d
+    assert back.points.view(np.int64).tolist() == _canonical(pts).view(np.int64).tolist()
+    assert back.source == source if sidecar else back.source["kind"] == "explicit"
 
 
 def test_regenerate_every_recipe_kind():

@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 import math
 import re
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 import quasilat as ql
 from quasilat.cli import main
 from quasilat.pointset import DEDUP_TOL
-from quasilat.scenarios import (SECTION_KEYS, _run_subadditivity, build_point_source,
-                                validate_scenario)
+from quasilat.scenarios import (REQUIRED, SECTION_KEYS, _run_subadditivity,
+                                build_point_source, parse_section)
 
 TINY = """
 [scenario]
@@ -116,8 +118,8 @@ def test_each_required_key_is_checked(tmp_path, capsys):
     for base in (FULL, PADIC):
         ql.parse_scenario(write_cfg(tmp_path, base))
     checked = 0
-    for section, (required, _) in SECTION_KEYS.items():
-        for key in required:
+    for section, rows in SECTION_KEYS.items():
+        for key in [k for k, (_, default) in rows.items() if default is REQUIRED]:
             base = PADIC if section == "padic" else FULL
             lines = base.splitlines()
             kept = [ln for ln in lines if ln.partition("=")[0].strip() != key]
@@ -150,7 +152,7 @@ def test_parse_rejects_inconsistent_gabor(tmp_path):
 
 def test_parse_rejects_unknown_sections_and_keys(tmp_path):
     gabor = "\n[gabor]\nradius = 8\nchecks = riesz\n"
-    assert ql.parse_scenario(write_cfg(tmp_path, TINY + gabor)).gabor["radius"] == "8"
+    assert ql.parse_scenario(write_cfg(tmp_path, TINY + gabor)).gabor["radius"] == 8.0
     cases = [(TINY + gabor + "riesz_margn = 5\n", "riesz_margn.*\\[gabor\\]"),
              (TINY + gabor + "[expect]\nfram = true\n", "fram.*\\[expect\\]"),
              (TINY + gabor + "grid_t = 16\n", "grid_t.*\\[gabor\\]"),  # stale
@@ -163,10 +165,10 @@ def test_parse_rejects_unknown_sections_and_keys(tmp_path):
             ql.parse_scenario(write_cfg(tmp_path, text))
 
 
-def test_validate_padic_requirements():
-    sc = ql.Scenario("x", {}, {}, padic={"p": "2", "w": "1"})
+def test_validate_padic_requirements(tmp_path):
+    path = write_cfg(tmp_path, PADIC.replace("n_max = 3\n", ""))
     with pytest.raises(ql.ScenarioValidationError, match="n_max"):
-        validate_scenario(sc)
+        ql.parse_scenario(path)
 
 
 def test_booleans_take_configparser_words_only(tmp_path, capsys):
@@ -181,7 +183,7 @@ def test_booleans_take_configparser_words_only(tmp_path, capsys):
             with pytest.raises(ql.ScenarioValidationError, match=re.escape(key)):
                 ql.parse_scenario(path)
             assert main(["run", str(path)]) == 2
-            assert f"{key} = {word!r} is not a boolean" in capsys.readouterr().err
+            assert f"{key} = {word!r}: not a boolean" in capsys.readouterr().err
         for word in ("1", "0", "yes", "No", "TRUE", "false", "On", "oFF"):
             ql.parse_scenario(write_cfg(tmp_path, cfg(word)))
 
@@ -207,22 +209,24 @@ def test_padic_scenario_refuses_other_sections(tmp_path, capsys):
 
 
 def test_point_source_recipes():
-    lat = build_point_source({"kind": "lattice", "basis": "2, 0, 0, 1"}, 5.0)
+    def points(**written):
+        return parse_section("points", written)
+    lat = build_point_source(points(kind="lattice", basis="2, 0, 0, 1"), 5.0)
     assert lat["basis"] == [[2.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ql.ScenarioValidationError, match="dim"):
-        build_point_source({"kind": "lattice", "basis": "1, 2, 3"}, 5.0)
+        points(kind="lattice", basis="1, 2, 3")  # the basis parser refuses it
 
-    fib = build_point_source({"kind": "fibonacci", "window": "1.0"}, 20.0)
+    fib = build_point_source(points(kind="fibonacci", window="1.0"), 20.0)
     ps = ql.regenerate(fib)
     assert ps.dim == 1 and len(ps) > 0
 
-    sym = build_point_source({"kind": "symmetrized_sparse", "q": "4"}, 12.0)
+    sym = build_point_source(points(kind="symmetrized_sparse", q="4"), 12.0)
     base_pts = np.array(sym["base"]["points"])
     np.testing.assert_allclose(base_pts[:, 0] * 4.0, base_pts[:, 1])
     assert sym["sublattice_basis"] == [[4.0, 0.0], [0.0, 1.0]]
 
     with pytest.raises(ql.ScenarioValidationError):
-        build_point_source({"kind": "hexagon"}, 5.0)
+        build_point_source(points(kind="hexagon"), 5.0)
 
 
 def test_expected_flag_mismatch_fails(tmp_path):
@@ -278,22 +282,48 @@ def test_expect_pins_need_what_they_pin(tmp_path, capsys, monkeypatch):
     ql.parse_scenario(write_cfg(tmp_path, sparse))
 
 
+def _with_value(text, section, key, value):
+    """The cfg text with [section] key set to value; the section is added if absent."""
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.read_string(text)
+    if not cfg.has_section(section):
+        cfg.add_section(section)
+    cfg[section][key] = value
+    out = io.StringIO()
+    cfg.write(out)
+    return out.getvalue()
+
+
 def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch):
-    # an [expect] k or density_rtol that does not parse is refused at
-    # validation, so no earlier target runs first
+    # a value that does not parse is refused at parse time, so no earlier
+    # target runs first: [expect] k and density_rtol, a junk value for every
+    # key whose parser can refuse one, the [padic] prime and depth checks, and
+    # a % (cfgs are read without interpolation, so it is the parser that refuses)
     ran = []
     monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
     approx = TINY + "\n[approx]\nbase_radius = 4\nsumset_radius = 2\n"
-    for text, key in [(approx + "\n[expect]\nk = two\n", "k"),
-                      (approx + "\n[expect]\nk = 2.0\n", "k"),
-                      (TINY + "\n[expect]\ndensity_rtol = 0.02x\n", "density_rtol")]:
+    cases = [(approx + "\n[expect]\nk = two\n", "[expect] k = "),
+             (approx + "\n[expect]\nk = 2.0\n", "[expect] k = "),
+             (TINY + "\n[expect]\ndensity_rtol = 0.02x\n", "[expect] density_rtol = "),
+             (PADIC.replace("p = 2", "p = 4"), "[padic] p = 4 is not prime"),
+             (PADIC.replace("n_max = 3", "n_max = -1"), "[padic] n_max must be nonnegative"),
+             (TINY.replace("truncation = 10", "truncation = 10 %"),
+              "[density] truncation = '10 %': ")]
+    for section, rows in SECTION_KEYS.items():
+        for key, (parse, _) in rows.items():
+            if parse is not str:  # a str value is never refused
+                base = PADIC if section == "padic" else FULL
+                cases.append((_with_value(base, section, key, "junk"),
+                              f"[{section}] {key} = 'junk': "))
+    assert len(cases) == 6 + 31
+    for text, message in cases:
         path = write_cfg(tmp_path, text)
-        with pytest.raises(ql.ScenarioValidationError, match=f"\\[expect\\] {key} = "):
+        with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
             ql.parse_scenario(path)
         assert main(["run", "lattice-riesz-2", str(path)]) == 2
         captured = capsys.readouterr()
         assert ran == [] and captured.out == ""
-        assert f"[expect] {key} = " in captured.err
+        assert message in captured.err
     ql.parse_scenario(write_cfg(tmp_path, approx + "\n[expect]\nk = 2\ndensity_rtol = 1e-3\n"))
 
 
