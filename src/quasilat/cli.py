@@ -17,11 +17,10 @@ from .density import FolnerBoxes, density_scan
 from .errors import QuasilatError, ScenarioValidationError
 from .gabor import GaborSystem
 from .padic import PAdicModelSet, padic_cover_set, padic_density
-from .pointset import load_pointset, regenerate, save_pointset, sumset_truncated
+from .pointset import load_pointset, save_pointset, sumset_truncated
 from .scenarios import (GABOR_CHECKS, GABOR_OPTIONS, POINT_OPTIONS,
                         builtin_scenario_names, builtin_scenario_path,
-                        build_point_source, json_text, parse_scenario, parse_value,
-                        run_scenario)
+                        json_text, parse_scenario, parse_value, point_kind, run_scenario)
 
 # gabor subcommand -> {GABOR_OPTIONS key: the flag that sets it}
 GABOR_FLAGS = {"frame-bounds": {"hermite_n": "--hermite-N", "hermite_step": "--hermite-step"},
@@ -108,7 +107,7 @@ def _add_run(sub):
 
 
 def _cmd_gen(args):
-    ps = regenerate(build_point_source(vars(args), args.radius))
+    ps = point_kind(vars(args))[0](args.radius)
     save_pointset(ps, args.out)
     print(f"wrote {len(ps)} points to {args.out}")
     return 0
@@ -116,7 +115,7 @@ def _cmd_gen(args):
 
 def _cmd_density(args):
     ps = load_pointset(args.points)
-    boxes = FolnerBoxes(ps.dim, tuple(args.radii))
+    boxes = FolnerBoxes(ps.dim, args.radii)
     _emit(density_scan(ps, boxes, scan_region_radius=args.scan_region).to_dict(), args.out)
     return 0
 

@@ -32,8 +32,10 @@ class FolnerBoxes:
 
     def __post_init__(self):
         r = tuple(float(x) for x in self.radii)
-        if not r or any(x <= 0 for x in r):
-            raise ValueError("box radii must be positive")
+        if not r:
+            raise ValueError("no box radii")
+        if not all(0 < x < math.inf for x in r):
+            raise ValueError("box radii must be positive and finite")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("box radii must be strictly increasing")
         object.__setattr__(self, "radii", r)

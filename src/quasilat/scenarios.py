@@ -1,4 +1,4 @@
-"""Scenario harness: run a point-set recipe through density and spectral checks.
+"""Scenario harness: run a point set through density and spectral checks.
 
 A scenario is an INI file (key=value with sections) describing a point set,
 a density scan, optional covering and Gabor checks, and expected outcomes.
@@ -27,9 +27,9 @@ from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
                     completeness_residual, frame_bounds, hap_residual, reflection_angle,
                     riesz_bounds, rotation_order, solve_shapes, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density, parse_window
-from .pointset import (CutAndProjectScheme, Lattice, Window, fibonacci_scheme, from_points,
-                       lattice_points_in_box, load_pointset, regenerate,
-                       sumset_truncated)
+from .pointset import (DEDUP_TOL, CutAndProjectScheme, Lattice, fibonacci_scheme, from_points,
+                       lattice_points_in_box, load_pointset, model_set_generate,
+                       sumset_truncated, symmetrize)
 
 # Decision thresholds for the spectral flags.
 A_FLOOR = 1e-2          # frame / Riesz lower bounds below this do not count
@@ -70,6 +70,17 @@ class Scenario:
 
 def _floats(text):
     return [float(x) for x in str(text).replace(";", ",").split(",") if x.strip()]
+
+
+def _radius(text):
+    if not 0 < (value := float(text)) < math.inf:
+        raise ValueError("a radius must be positive and finite")
+    return value
+
+
+def _radii(text):
+    """Box radii under FolnerBoxes's own rule."""
+    return FolnerBoxes(1, _floats(text)).radii
 
 
 def _basis(text):
@@ -161,29 +172,28 @@ def validate_scenario(sc):
         except ValueError as exc:
             raise ScenarioValidationError(f"[padic] {exc}") from exc
         return
-    requested = [sc.density["truncation"]]
-    if requested[0] < max(sc.density["radii"]):
+    if sc.density["truncation"] < max(sc.density["radii"]):
         raise ScenarioValidationError("density truncation below largest box radius")
-    if sc.approx:
-        requested.append(sc.approx["base_radius"])
     checks = sc.gabor.get("checks", ())
     if sc.gabor:
         radius = sc.gabor["radius"]
-        requested.append(radius)
         need = math.sqrt(sc.gabor["hermite_n"] / math.pi) + FRAME_GUARD
         if "frame" in checks and radius + 1e-9 < need:
             raise ScenarioValidationError(
                 f"gabor radius below the test-basis guard margin sqrt(N/pi) + {FRAME_GUARD:g}")
         if "hap" in checks and sc.gabor["hap_x_extent"] + sc.gabor["hap_box"] > radius + 1e-9:
             raise ScenarioValidationError("hap box leaves the gabor truncation")
-    # checks the kind, its keys and, for a csv, that every radius fits the file
-    source = build_point_source(sc.points, max(requested))
+    _, density, reach = point_kind(sc.points)  # checks the kind, its keys and a csv path
+    widest = max(sc.density["truncation"], sc.approx.get("base_radius", 0),
+                 sc.gabor.get("radius", 0))
+    if widest > reach + DEDUP_TOL:
+        raise ScenarioValidationError(
+            f"points csv {sc.points['path']!r} is truncated at {reach}, below radius {widest}")
     # [expect] key -> (what it pins, why this scenario lacks it, whether it has it)
     pinnable = {"k": ("the cover size k", "needs an [approx] block", bool(sc.approx)),
                 "density_rtol": ("the tolerance of density_matches_formula",
                                  f"does not run on {sc.points['kind']} points "
-                                 "(no closed-form density)",
-                                 _intrinsic_density(source) is not None)}
+                                 "(no closed-form density)", density is not None)}
     for check, (_, flag, *_) in GABOR_CHECKS.items():
         pinnable[flag] = (f"the flag of the {check} check", "[gabor] checks does not list",
                           check in checks)
@@ -193,54 +203,43 @@ def validate_scenario(sc):
             raise ScenarioValidationError(f"[expect] {key} pins {what}, which {lack}")
 
 
-def build_point_source(points, radius):
-    """Recipe dict for the scenario point set at the given truncation radius.
+def _sparse_parts(q, radius):
+    """The symmetrized_sparse base {(m/q, m) : |m| <= radius} and its sublattice diag(q, 1)."""
+    m_max = math.floor(radius + 1e-9)
+    ms = np.arange(-m_max, m_max + 1, dtype=float)
+    return from_points(np.stack([ms / q, ms], axis=1), 2, radius), Lattice(np.diag([q, 1.0]))
 
-    points holds parsed [points] values, as parse_section or the `quasilat
-    gen` flags give them. The one place that knows the point kinds;
-    validation and `quasilat gen` both go through it. A csv set is
-    restricted to the radius.
-    """
+
+def point_kind(points):
+    """(generate, density, reach) of parsed [points] values, as parse_section or
+    the `quasilat gen` flags give them; the one place that knows the point kinds.
+    generate(radius) truncates the set, density is its closed form or None, and
+    reach is a csv file's truncation radius (the file is read here, once), else inf."""
     kind = points["kind"]
     if kind == "lattice":
         if not points.get("basis"):
             raise ScenarioValidationError("lattice points need a basis")
-        return {"kind": "lattice", "basis": points["basis"], "radius": radius}
+        lattice = Lattice(points["basis"])
+        return partial(lattice_points_in_box, lattice), 1.0 / lattice.covolume, math.inf
     if kind in ("fibonacci", "fibonacci_product"):
-        w = points["window"]
-        top, bottom = fibonacci_scheme(w).total_basis.tolist()
-        if kind == "fibonacci":
-            return {"kind": "cut_and_project", "total_basis": [top, bottom],
-                    "d": 1, "m": 1, "window": [w], "radius": radius}
-        return {"kind": "cut_and_project",
-                "total_basis": [top + [0.0], [0.0, 0.0, points["beta"]], bottom + [0.0]],
-                "d": 2, "m": 1, "window": [w], "radius": radius}
+        scheme = fibonacci_scheme(points["window"])
+        if kind == "fibonacci_product":  # the chain times beta Z
+            total = np.zeros((3, 3))
+            total[[0, 2], :2], total[1, 2] = scheme.total_basis, points["beta"]
+            scheme = CutAndProjectScheme(total, 2, 1, scheme.window)
+        return partial(model_set_generate, scheme), scheme.density(), math.inf
     if kind == "symmetrized_sparse":
         q = points["q"]
-        m_max = math.floor(radius + 1e-9)
-        ms = np.arange(-m_max, m_max + 1, dtype=float)
-        return {"kind": "symmetrize",
-                "base": from_points(np.stack([ms / q, ms], axis=1), 2, radius).source,
-                "sublattice_basis": [[q, 0.0], [0.0, 1.0]],
-                "radius": radius}
+        return lambda radius: symmetrize(*_sparse_parts(q, radius), radius), None, math.inf
     if kind == "csv":
-        path = points["path"]
+        if not (path := points.get("path")):
+            raise ScenarioValidationError("csv points need a path")
         try:
-            return load_pointset(path).restrict(radius).source
+            ps = load_pointset(path)
         except (OSError, ValueError) as exc:
-            raise ScenarioValidationError(
-                f"points csv {path!r} at radius {radius}: {exc}") from exc
+            raise ScenarioValidationError(f"points csv {path!r}: {exc}") from exc
+        return ps.restrict, None, ps.truncation_radius
     raise ScenarioValidationError(f"unknown points kind: {kind!r}")
-
-
-def _intrinsic_density(source):
-    """Exact density of a lattice or model-set recipe, None otherwise."""
-    if source.get("kind") == "lattice":
-        return 1.0 / Lattice(np.array(source["basis"])).covolume
-    if source.get("kind") == "cut_and_project":
-        return CutAndProjectScheme(np.array(source["total_basis"]), source["d"],
-                                   source["m"], Window(tuple(source["window"]))).density()
-    return None
 
 
 def _verdict(name, inequality, flagged, lhs, rhs, passed, note=""):
@@ -292,10 +291,8 @@ def _check_dual(system, opt):
     try:
         dual = biorthogonal_dual(interior)
     except NotMinimalError:
-        return ({"B_sup": None, "biorth_residual": None, "delta": delta,
-                 "delta_times_max_dual_norm": None}, False)
-    return ({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual,
-             "delta": delta, "delta_times_max_dual_norm": delta * math.sqrt(dual.B_sup)},
+        return {"B_sup": None, "biorth_residual": None, "delta": delta}, False
+    return ({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual, "delta": delta},
             delta > DELTA_FLOOR)
 
 
@@ -368,10 +365,10 @@ SECTION_KEYS = {
     "scenario": {"name": (str, "unnamed"), "slack": (float, DEFAULT_SLACK)},
     "points": {"kind": (str, REQUIRED), "basis": (_basis, None), "path": (str, ""),
                **{key: (float, default) for key, default in POINT_OPTIONS.items()}},
-    "density": {"radii": (_floats, REQUIRED), "truncation": (float, REQUIRED)},
-    "approx": {"base_radius": (float, REQUIRED), "sumset_radius": (float, REQUIRED),
+    "density": {"radii": (_radii, REQUIRED), "truncation": (_radius, REQUIRED)},
+    "approx": {"base_radius": (_radius, REQUIRED), "sumset_radius": (_radius, REQUIRED),
                "coverage_tol": (float, COVERAGE_TOL)},
-    "gabor": {"radius": (float, REQUIRED), "checks": (_checks, ()),
+    "gabor": {"radius": (_radius, REQUIRED), "checks": (_checks, ()),
               **{key: (partial(_option, key), row[0]) for key, row in GABOR_OPTIONS.items()}},
     "padic": {"p": (int, REQUIRED), "w": (parse_window, REQUIRED), "n_max": (int, REQUIRED),
               "max_k": (int, 3), "max_deviation": (float, 1.0)},
@@ -380,7 +377,7 @@ SECTION_KEYS = {
 }
 
 
-def _run_subadditivity(sc, union, dens, results, verdicts):
+def _run_subadditivity(sc, union, base, sublattice, dens, results, verdicts):
     """Count subadditivity of a symmetrized union, exact over all translates.
 
     symmetrize keeps the lex-first of each group of rows within DEDUP_TOL,
@@ -390,10 +387,7 @@ def _run_subadditivity(sc, union, dens, results, verdicts):
     minus the exact inf of that count. The union's D_plus is the density
     stage's own.
     """
-    source = union.source
-    base = regenerate(source["base"])
-    lat = lattice_points_in_box(Lattice(np.array(source["sublattice_basis"])),
-                                source["radius"])
+    lat = lattice_points_in_box(sublattice, union.truncation_radius)
     rows, copies = np.unique(np.vstack([base.points, -base.points, lat.points]) + 0.0,
                              axis=0, return_counts=True)
     both, at = np.unique(np.vstack([rows, union.points]), axis=0, return_inverse=True)
@@ -427,24 +421,22 @@ def run_scenario(sc):
         return _finalize(sc, *_run_padic(sc))
 
     results, verdicts, flags = {}, [], {}
-    source = build_point_source(sc.points, sc.density["truncation"])
-    ps = regenerate(source)
-    dens = density_scan(ps, FolnerBoxes(ps.dim, tuple(sc.density["radii"])))
+    generate, formula, _ = point_kind(sc.points)
+    ps = generate(sc.density["truncation"])
+    dens = density_scan(ps, FolnerBoxes(ps.dim, sc.density["radii"]))
     results["density"] = {**dens.to_dict(), "point_count": len(ps)}
 
-    formula = _intrinsic_density(source)
     if formula is not None:
         rtol = sc.expect["density_rtol"]
         err = max(abs(dens.D_minus - formula), abs(dens.D_plus - formula)) / formula
         verdicts.append(_verdict(
             "density_matches_formula",
             "max(|D- - rho|, |D+ - rho|) / rho <= rtol, rho = window measure / covolume",
-            True, err, rtol, err <= rtol,
-            note=f"rho = {formula!r}"))
+            True, err, rtol, err <= rtol, note=f"rho = {formula!r}"))
 
     k = 1  # the cover's k; [expect] k only pins it
     if sc.approx:
-        base = regenerate(build_point_source(sc.points, sc.approx["base_radius"]))
+        base = generate(sc.approx["base_radius"])
         sumset = sumset_truncated(base, base, sc.approx["sumset_radius"])
         results["approx"] = checked_cover(sumset, base, sc.approx["coverage_tol"])
         k = max(results["approx"]["k"], 1)
@@ -453,15 +445,15 @@ def run_scenario(sc):
                                      True, 0, 1, False))
 
     if sc.gabor:
-        pts = regenerate(build_point_source(sc.points, sc.gabor["radius"]))
-        results["gabor"] = {"radius": sc.gabor["radius"], "point_count": len(pts)}
-        system = GaborSystem(pts)
+        system = GaborSystem(generate(sc.gabor["radius"]))
+        results["gabor"] = {"radius": sc.gabor["radius"], "point_count": len(system.points)}
         for name in sc.gabor["checks"]:
             run, flag = GABOR_CHECKS[name][:2]
             results["gabor"][name], flags[flag] = run(system, sc.gabor)
 
-    if source.get("kind") == "symmetrize":
-        _run_subadditivity(sc, ps, dens, results, verdicts)
+    if sc.points["kind"] == "symmetrized_sparse":
+        parts = _sparse_parts(sc.points["q"], ps.truncation_radius)
+        _run_subadditivity(sc, ps, *parts, dens, results, verdicts)
 
     for _, flag, name, side, per_k in GABOR_CHECKS.values():
         if flag not in flags:

@@ -223,7 +223,7 @@ def test_gabor_option_below_its_minimum_exits_2(tmp_path, capsys, cmd, flag, key
         ql.scenarios.parse_value("gabor", key, value)
 
 
-def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys):
+def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys, monkeypatch):
     pts = tmp_path / "z2 100%.csv"  # a % in a cfg value is literal
     assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
                  "--radius", "12", "--out", str(pts)]) == 0
@@ -234,7 +234,11 @@ def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys):
             "[gabor]\nradius = 6\nchecks = riesz\n")
     cfg = tmp_path / "csv.cfg"
     cfg.write_text(text)
+    loads = []
+    monkeypatch.setattr(ql.scenarios, "load_pointset",
+                        lambda path: loads.append(path) or ql.load_pointset(path))
     report = ql.run_scenario(ql.parse_scenario(cfg))
+    assert loads == [str(pts)] * 2  # once to validate, once to run, at any radius
     assert report.scenario["name"] == "csv-z2 5%"
     assert report.scenario["points"]["path"] == str(pts)
     results = report.results
@@ -256,11 +260,14 @@ def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys):
 
 
 def test_gen_unknown_kind_exits_2(tmp_path, capsys):
-    rc = main(["gen", "--kind", "hexagon", "--radius", "3",
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    assert "unknown points kind" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    # gen has no --path flag, so a csv kind has no file to read
+    for kind, message in (("hexagon", "unknown points kind"), ("csv", "csv points need a path")):
+        rc = main(["gen", "--kind", kind, "--radius", "3",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_gabor_guard_exits_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import quasilat as ql
 from quasilat import density
 from quasilat.pointset import DEDUP_TOL
-from quasilat.scenarios import build_point_source, builtin_scenario_path
+from quasilat.scenarios import builtin_scenario_path, point_kind
 
 
 def unit_line(radius):
@@ -289,7 +289,7 @@ def test_product_counts_match_brute_force_and_table(dim, data, radius, change):
     ("fibonacci-density", True), ("symmetrized-sparse", False)])
 def test_builtin_sets_take_the_expected_counting_path(name, product):
     sc = ql.parse_scenario(builtin_scenario_path(name))
-    ps = ql.regenerate(build_point_source(sc.points, sc.density["truncation"]))
+    ps = point_kind(sc.points)[0](sc.density["truncation"])
     assert (density._PrefixCounter(ps.points).table is None) == product
 
 

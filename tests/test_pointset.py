@@ -90,8 +90,8 @@ def test_fiber_enumeration_is_bit_identical(box):
 def test_fiber_enumeration_on_schemes_and_large_boxes():
     tol = DEDUP_TOL
     chain = ql.fibonacci_scheme(1.0).total_basis
-    product = np.array(ql.scenarios.build_point_source(
-        {"kind": "fibonacci_product", "window": 1.0, "beta": 0.5}, 1.0)["total_basis"])
+    product = np.array(ql.scenarios.point_kind(
+        {"kind": "fibonacci_product", "window": 1.0, "beta": 0.5})[0](1.0).source["total_basis"])
     skew = np.array([[1.0, 0.3, 0.0], [0.0, 0.7, 0.2], [0.1, 0.0, 1.1]])
     for transform, bounds, d in [
             (chain, [500 + tol, 1.0], 1), (chain, [2000 + tol, 0.4], 1),
@@ -378,6 +378,21 @@ def test_regenerate_every_recipe_kind():
         regen = ql.regenerate(ps.source)
         np.testing.assert_array_equal(regen.points, ps.points)
         assert regen.truncation_radius == ps.truncation_radius
+    # every builtin [points] set at its density truncation, as the scenario
+    # generators make it, among them the 3-d Fibonacci product scheme and the
+    # q = 4 symmetrized union, regenerates bit for bit from its recipe
+    kinds = set()
+    for name in ql.builtin_scenario_names():
+        sc = ql.parse_scenario(ql.builtin_scenario_path(name))
+        if sc.padic:
+            continue
+        kinds.add(sc.points["kind"])
+        ps = ql.scenarios.point_kind(sc.points)[0](sc.density["truncation"])
+        regen = ql.regenerate(ps.source)
+        assert regen.points.tobytes() == ps.points.tobytes()
+        assert regen.truncation_radius == ps.truncation_radius
+        assert regen.source == ps.source
+    assert kinds == {"lattice", "fibonacci", "fibonacci_product", "symmetrized_sparse"}
     with pytest.raises(ValueError, match="unknown point set recipe"):
         ql.regenerate({"kind": "mystery"})
 

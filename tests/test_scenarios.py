@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import quasilat as ql
 from quasilat.cli import main
 from quasilat.pointset import DEDUP_TOL
-from quasilat.scenarios import (REQUIRED, SECTION_KEYS, _run_subadditivity,
-                                build_point_source, parse_section)
+from quasilat.scenarios import (REQUIRED, SECTION_KEYS, _run_subadditivity, parse_section,
+                                point_kind)
 
 TINY = """
 [scenario]
@@ -211,22 +211,21 @@ def test_padic_scenario_refuses_other_sections(tmp_path, capsys):
 def test_point_source_recipes():
     def points(**written):
         return parse_section("points", written)
-    lat = build_point_source(points(kind="lattice", basis="2, 0, 0, 1"), 5.0)
-    assert lat["basis"] == [[2.0, 0.0], [0.0, 1.0]]
+    lat = point_kind(points(kind="lattice", basis="2, 0, 0, 1"))[0](5.0)
+    assert lat.source["basis"] == [[2.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ql.ScenarioValidationError, match="dim"):
         points(kind="lattice", basis="1, 2, 3")  # the basis parser refuses it
 
-    fib = build_point_source(points(kind="fibonacci", window="1.0"), 20.0)
-    ps = ql.regenerate(fib)
+    ps = point_kind(points(kind="fibonacci", window="1.0"))[0](20.0)
     assert ps.dim == 1 and len(ps) > 0
 
-    sym = build_point_source(points(kind="symmetrized_sparse", q="4"), 12.0)
-    base_pts = np.array(sym["base"]["points"])
+    sym = point_kind(points(kind="symmetrized_sparse", q="4"))[0](12.0)
+    base_pts = np.array(sym.source["base"]["points"])
     np.testing.assert_allclose(base_pts[:, 0] * 4.0, base_pts[:, 1])
-    assert sym["sublattice_basis"] == [[4.0, 0.0], [0.0, 1.0]]
+    assert sym.source["sublattice_basis"] == [[4.0, 0.0], [0.0, 1.0]]
 
     with pytest.raises(ql.ScenarioValidationError):
-        build_point_source(points(kind="hexagon"), 5.0)
+        point_kind(points(kind="hexagon"))
 
 
 def test_expected_flag_mismatch_fails(tmp_path):
@@ -297,8 +296,9 @@ def _with_value(text, section, key, value):
 def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch):
     # a value that does not parse is refused at parse time, so no earlier
     # target runs first: [expect] k and density_rtol, a junk value for every
-    # key whose parser can refuse one, the [padic] prime and depth checks, and
-    # a % (cfgs are read without interpolation, so it is the parser that refuses)
+    # key whose parser can refuse one, the [padic] prime and depth checks, a %
+    # (cfgs are read without interpolation, so it is the parser that refuses),
+    # box radii that FolnerBoxes refuses and radii that are not positive and finite
     ran = []
     monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
     approx = TINY + "\n[approx]\nbase_radius = 4\nsumset_radius = 2\n"
@@ -309,13 +309,24 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
              (PADIC.replace("n_max = 3", "n_max = -1"), "[padic] n_max must be nonnegative"),
              (TINY.replace("truncation = 10", "truncation = 10 %"),
               "[density] truncation = '10 %': ")]
+    for radii in ("5, 3", "-1, 2", ",", "nan"):
+        cases.append((TINY.replace("radii = 2, 4", f"radii = {radii}"),
+                      f"[density] radii = '{radii}': "))
+    for truncation in ("inf", "nan"):
+        cases.append((TINY.replace("truncation = 10", f"truncation = {truncation}"),
+                      f"[density] truncation = '{truncation}': "))
+    cases += [(approx.replace("base_radius = 4", "base_radius = nan"),
+               "[approx] base_radius = 'nan': "),
+              (approx.replace("sumset_radius = 2", "sumset_radius = 0"),
+               "[approx] sumset_radius = '0': "),
+              (TINY + "\n[gabor]\nradius = -2\nchecks = riesz\n", "[gabor] radius = '-2': ")]
     for section, rows in SECTION_KEYS.items():
         for key, (parse, _) in rows.items():
             if parse is not str:  # a str value is never refused
                 base = PADIC if section == "padic" else FULL
                 cases.append((_with_value(base, section, key, "junk"),
                               f"[{section}] {key} = 'junk': "))
-    assert len(cases) == 6 + 31
+    assert len(cases) == 15 + 31
     for text, message in cases:
         path = write_cfg(tmp_path, text)
         with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
@@ -396,7 +407,8 @@ density_rtol = 0.05
     assert report.passed
     block = report.results["gabor"]["dual"]
     assert block["delta"] <= 1e-2
-    assert block["B_sup"] is block["biorth_residual"] is block["delta_times_max_dual_norm"] is None
+    assert block["B_sup"] is block["biorth_residual"] is None
+    assert "delta_times_max_dual_norm" not in block  # delta sqrt(B_sup) is 1 by definition
     verdict = {v["name"]: v for v in report.verdicts}["minimal_upper_density"]
     assert not verdict["flagged"] and verdict["passed"]
     assert main(["run", str(write_cfg(tmp_path, text))]) == 0
@@ -429,7 +441,7 @@ def test_subadditivity_excess_is_exact(q, halves, on_lattice, mirrored):
     union = ql.symmetrize(base, sub, trunc)
     dens = ql.density_scan(union, ql.FolnerBoxes(2, radii))
     results, verdicts = {}, []
-    _run_subadditivity(ql.Scenario("x", {}, {}), union, dens, results, verdicts)
+    _run_subadditivity(ql.Scenario("x", {}, {}), union, base, sub, dens, results, verdicts)
     excess = results["subadditivity"]["max_excess_per_n"]
     assert results["subadditivity"]["D_plus_union"] == dens.D_plus
 
