@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .errors import (CoverError, DegenerateLatticeError, EnumerationBoundError,
                      InsufficientTruncationError, NotMinimalError,
-                     QuasilatError, ScenarioValidationError, ShiftRangeError,
-                     TruncationTooSmallError)
+                     QuasilatError, ScenarioValidationError, ShiftRangeError)
 from .pointset import (CutAndProjectScheme, Lattice, PointSet, Window,
                        fibonacci_scheme, from_points, lattice_points_in_box,
                        load_pointset, min_separation, model_set_generate,

@@ -177,23 +177,18 @@ def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radi
     Greedy finds a 1-cover whenever one exists; when it needs three or more
     translates, the first candidate pair in that order that covers every
     target replaces its answer, so k <= 3 is minimal over the candidates.
-    The default verified region is the whole sumset truncation; generating
-    the base out to at least twice the sumset radius guarantees every
-    coverage witness s - f lies inside the base truncation, so truncation
-    effects cannot inflate the returned k.
+    The default verified region is the whole sumset truncation, and a wider
+    one is refused; generating the base out to at least twice the sumset
+    radius guarantees every coverage witness s - f lies inside the base
+    truncation, so truncation effects cannot inflate the returned k.
     """
     if sumset.dim != base.dim:
         raise ValueError("sumset and base dimensions differ")
     if verified_region_radius is None:
         verified_region_radius = sumset.truncation_radius
-    if len(sumset) == 0:
-        return CoverResult(np.zeros((0, sumset.dim)), 0, coverage_tol,
-                           float(verified_region_radius))
-    if len(base) == 0:
+    targets = sumset.restrict(verified_region_radius).points
+    if len(base) == 0 and len(sumset):
         raise CoverError("not approximately closed at this truncation: empty base")
-
-    targets = sumset.points[
-        np.max(np.abs(sumset.points), axis=1) <= verified_region_radius + DEDUP_TOL]
     if len(targets) == 0:
         return CoverResult(np.zeros((0, sumset.dim)), 0, coverage_tol,
                            float(verified_region_radius))
@@ -239,8 +234,7 @@ def verify_cover(sumset, base, defect_set, coverage_tol=COVERAGE_TOL,
     """Independent re-check that every sumset point in the region lies in defect_set + base."""
     if verified_region_radius is None:
         verified_region_radius = sumset.truncation_radius
-    targets = sumset.points[
-        np.max(np.abs(sumset.points), axis=1) <= verified_region_radius + DEDUP_TOL]
+    targets = sumset.restrict(verified_region_radius).points
     if len(targets) == 0:
         return True
     defect = np.asarray(defect_set, dtype=float).reshape(-1, sumset.dim)

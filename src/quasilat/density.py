@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientTruncationError
-from .pointset import DEDUP_TOL
+from .pointset import DEDUP_TOL, positive_finite, require_reach
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,9 @@ class FolnerBoxes:
     radii: tuple
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.radii)
+        r = tuple(positive_finite(x, "box radius") for x in self.radii)
         if not r:
             raise ValueError("no box radii")
-        if not all(0 < x < math.inf for x in r):
-            raise ValueError("box radii must be positive and finite")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("box radii must be strictly increasing")
         object.__setattr__(self, "radii", r)
@@ -89,9 +86,7 @@ def count_in_translate(ps, x, radius):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (ps.dim,):
         raise ValueError("translate must have the point set's dimension")
-    if np.max(np.abs(x)) + radius > ps.truncation_radius + DEDUP_TOL:
-        raise InsufficientTruncationError(
-            "translated box leaves the truncation region")
+    require_reach(np.max(np.abs(x)) + radius, ps.truncation_radius, "translated box reach")
     if len(ps) == 0:
         return 0
     inside = np.all(np.abs(ps.points - x) <= radius + DEDUP_TOL, axis=1)
@@ -176,8 +171,7 @@ def translate_count_grid(ps, radius, step, scan_radius):
     Returns (centers_1d, counts) with counts indexed by the per-axis grid,
     the full count field rather than only its extrema.
     """
-    if scan_radius + radius > ps.truncation_radius + DEDUP_TOL:
-        raise InsufficientTruncationError("scan region plus box leaves the truncation")
+    require_reach(scan_radius + radius, ps.truncation_radius, "scan region plus box")
     centers = _translate_centers(step, scan_radius)
     if len(ps) == 0:
         shape = tuple([len(centers)] * ps.dim)
@@ -259,18 +253,11 @@ def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
         raise ValueError("box dimension must match point set dimension")
     r_max = boxes.radii[-1]
     if scan_region_radius is None:
-        scan = ps.truncation_radius - r_max
-        if scan < -DEDUP_TOL:
-            raise InsufficientTruncationError(
-                "largest box exceeds the truncation region")
-        scan = max(scan, 0.0)
-    else:
-        scan = float(scan_region_radius)
-        if scan + r_max > ps.truncation_radius + DEDUP_TOL:
-            raise InsufficientTruncationError(
-                "scan region plus largest box exceeds the truncation region")
-    if translate_step is not None and translate_step <= 0:
-        raise ValueError("translate_step must be positive")
+        scan_region_radius = max(ps.truncation_radius - r_max, 0.0)
+    scan = float(scan_region_radius)
+    require_reach(scan + r_max, ps.truncation_radius, "scan region plus largest box")
+    if translate_step is not None:
+        positive_finite(translate_step, "translate_step")
 
     extremes = extreme_counts(ps.points, boxes.radii, scan, translate_step)
     lower_counts = [lo for lo, _ in extremes]

@@ -14,15 +14,11 @@ class EnumerationBoundError(QuasilatError):
 
 
 class InsufficientTruncationError(QuasilatError):
-    """A translated box or scan region does not fit inside the truncation."""
+    """A box, scan region or guard radius does not fit inside the truncation."""
 
 
 class ShiftRangeError(QuasilatError):
     """Requested time or frequency shift exceeds the safe grid range."""
-
-
-class TruncationTooSmallError(QuasilatError):
-    """Point-set truncation does not cover the test basis plus guard margin."""
 
 
 class NotMinimalError(QuasilatError):

@@ -21,12 +21,12 @@ pi(lambda) g times i^n (rotation) or (-1)^n (parity), up to a unimodular
 phase. If R preserves the set, the span of the atoms is the orthogonal sum
 over the classes n mod order(R) of the spans of one representative per
 orbit, restricted to that class, and a probe h_k is solved in class k mod
-order alone. rotation_order detects the symmetry by exact comparison only:
+order alone. symmetry detects it by exact comparison only:
 a set that is symmetric up to rounding takes the plain (order 1) solve.
 On the critical lattice Z^2 the largest probe residual, ~0.114 at h_9,
 sits in class 1 mod 4 with the next largest, h_1 and h_5.
 
-A reflection S z = exp(2 i theta) conj(z) of the set (reflection_angle,
+A reflection S z = exp(2 i theta) conj(z) of the set (symmetry's theta,
 exact) makes every class solve real: g is real, so S acts anti-unitarily.
 The coordinates u_n(z) = exp(-i n theta) exp(-pi |z|^2 / 2) (sqrt(pi) z)^n /
 sqrt(n!) differ from C by row and column phases, which keep each probe's
@@ -44,9 +44,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (InsufficientTruncationError, NotMinimalError,
-                     ShiftRangeError, TruncationTooSmallError)
-from .pointset import DEDUP_TOL, PointSet, lexsorted
+from .errors import NotMinimalError, ShiftRangeError
+from .pointset import DEDUP_TOL, PointSet, lexsorted, require_reach
 
 # Formal degree of the representation under Lebesgue normalization.
 D_PI = 1.0
@@ -301,11 +300,8 @@ def frame_bounds(sys, test_basis_size, n_step=10):
     the guard margin.
     """
     N = int(test_basis_size)
-    need = math.sqrt(N / math.pi) + FRAME_GUARD
-    if sys.points.truncation_radius + 1e-9 < need:
-        raise TruncationTooSmallError(
-            f"truncation {sys.points.truncation_radius} below guard radius "
-            f"{need:.3f} for a {N}-function test basis")
+    require_reach(math.sqrt(N / math.pi) + FRAME_GUARD, sys.points.truncation_radius,
+                  f"guard radius (sqrt(N / pi) + {FRAME_GUARD:g}, N = {N})")
     C = atom_coordinates(sys.points.points, N)
     M = C @ C.conj().T
     M = 0.5 * (M + M.conj().T)
@@ -389,29 +385,25 @@ def _residual_norms(A, B):
     return np.linalg.norm(B - A @ X, axis=0)
 
 
-def rotation_order(points):
-    """Order of the exact rotation symmetry of a 2-d point set: 4, 2 or 1.
+def symmetry(points):
+    """(order, theta): the exact rotation and reflection symmetry of a 2-d point set.
 
-    4 if the set equals its image under (x, xi) -> (-xi, x), else 2 if it equals
-    its negation, else 1; the lexsorted sets are compared with no tolerance.
+    order is 4 if the set equals its image under (x, xi) -> (-xi, x), else 2 if
+    it equals its negation, else 1; theta is the first of 0, pi/4, pi/2, 3 pi/4
+    with exp(2 i theta) conj(set) == set, or None. The lexsorted images are
+    compared with no tolerance. Under the negation the reflections at theta and
+    theta + pi/2 are one another's images, so order >= 2 needs only the first two.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    base = lexsorted(pts)
-    if np.array_equal(base, lexsorted(np.column_stack([-pts[:, 1], pts[:, 0]]))):
-        return 4
-    if np.array_equal(base, lexsorted(-pts)):
-        return 2
-    return 1
-
-
-def reflection_angle(points):
-    """First theta of 0, pi/4, pi/2, 3 pi/4 with exp(2 i theta) conj(set) == set, or None."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     base, (x, xi) = lexsorted(pts), pts.T
-    for k, image in enumerate([(x, -xi), (xi, x), (-x, xi), (-xi, -x)]):
-        if np.array_equal(base, lexsorted(np.column_stack(image))):
-            return k * math.pi / 4
-    return None
+
+    def fixes(*image):
+        return np.array_equal(base, lexsorted(np.column_stack(image)))
+
+    order = 4 if fixes(-xi, x) else 2 if fixes(-x, -xi) else 1
+    axes = [(x, -xi), (xi, x), (-x, xi), (-xi, -x)][:4 if order == 1 else 2]
+    theta = next((k * math.pi / 4 for k, image in enumerate(axes) if fixes(*image)), None)
+    return order, theta
 
 
 def _orbit_representatives(points, order, theta):
@@ -442,7 +434,7 @@ def _orbit_representatives(points, order, theta):
 def _split_problems(points, probe_count):
     """Symmetry, representatives, N and the (rows, columns, probes) of each class with a probe."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    order, theta = rotation_order(pts), reflection_angle(pts)
+    order, theta = symmetry(pts)
     reps, inside = _orbit_representatives(pts, order, theta)
     N = max(hermite_cutoff(pts), probe_count)
     shapes = [(len(range(r, N, order)), len(reps) + inside, len(range(r, probe_count, order)))
@@ -489,8 +481,7 @@ def hap_residual(sys, x, box_radius):
     centred at x.
     """
     x = np.asarray(x, dtype=float).reshape(2)
-    if np.max(np.abs(x)) + box_radius > sys.points.truncation_radius + DEDUP_TOL:
-        raise InsufficientTruncationError("local box leaves the point truncation")
+    require_reach(np.max(np.abs(x)) + box_radius, sys.points.truncation_radius, "local box reach")
     local = sys.points.points - x
     local = local[np.all(np.abs(local) <= box_radius + DEDUP_TOL, axis=1)]
     return float(_probe_residual_norms(local, 1)[0])

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLatticeError, EnumerationBoundError
+from .errors import DegenerateLatticeError, EnumerationBoundError, InsufficientTruncationError
 
 # Sup-norm tolerance for deduplication and boundary-inclusive membership.
 # Assumed far below the minimum gap of every set handled here.
@@ -19,6 +19,25 @@ DEDUP_TOL = 1e-9
 
 # Cap on the integer box of one enumeration and on sumset pair counts.
 MAX_CANDIDATES = 20_000_000
+
+
+def positive_finite(value, what="radius"):
+    """value as a float; ValueError unless positive and finite, the rule of every radius."""
+    if not 0 < (value := float(value)) < math.inf:
+        raise ValueError(f"{what} must be positive and finite")
+    return value
+
+
+def require_reach(needed, truncation, what):
+    """Refuse a centred box of sup-radius needed that leaves a truncation of this radius.
+
+    The one rule behind every count and solve on a truncation: the box fits
+    when needed <= truncation + DEDUP_TOL, else the truncation would cut the
+    box and bias the result, and InsufficientTruncationError is raised.
+    """
+    if not needed <= truncation + DEDUP_TOL:
+        raise InsufficientTruncationError(
+            f"{what} {float(needed)} exceeds the truncation radius {float(truncation)}")
 
 
 def _as_points(points, dim):
@@ -133,9 +152,7 @@ class PointSet:
 
     def restrict(self, radius):
         """Sub-truncation: points with sup-norm <= radius (boundary inclusive)."""
-        if radius > self.truncation_radius + DEDUP_TOL:
-            raise ValueError(f"restriction radius {radius} exceeds the truncation "
-                             f"radius {self.truncation_radius}")
+        require_reach(radius, self.truncation_radius, "restriction radius")
         pts = self.points[_within(self.points, [radius + DEDUP_TOL] * self.dim)]
         return from_points(pts, self.dim, radius)
 
@@ -163,6 +180,15 @@ def from_points(points, dim=None, truncation_radius=None):
     return PointSet(dim, pts, radius, src)
 
 
+def _covolume(basis):
+    """|det basis|; DegenerateLatticeError unless it is finite and at least 1e-12."""
+    with np.errstate(invalid="ignore"):  # an infinite or NaN entry fails the test below
+        d = abs(float(np.linalg.det(basis)))
+    if not np.isfinite(d) or d < 1e-12:
+        raise DegenerateLatticeError(f"degenerate lattice: |det| = {d}, not in [1e-12, inf)")
+    return d
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice B Z^d given by the columns of ``basis`` acting on Z^d rows."""
@@ -182,10 +208,7 @@ class Lattice:
     @property
     def covolume(self):
         """Volume of a fundamental domain, |det basis|."""
-        d = abs(float(np.linalg.det(self.basis)))
-        if not np.isfinite(d) or d < 1e-12:
-            raise DegenerateLatticeError("degenerate lattice: |det| below 1e-12")
-        return d
+        return _covolume(self.basis)
 
 
 @dataclass(frozen=True)
@@ -195,9 +218,9 @@ class Window:
     half_widths: tuple
 
     def __post_init__(self):
-        hw = tuple(float(h) for h in self.half_widths)
-        if not hw or any(h <= 0 for h in hw):
-            raise ValueError("window half-widths must be positive")
+        hw = tuple(positive_finite(h, "window half-width") for h in self.half_widths)
+        if not hw:
+            raise ValueError("no window half-widths")
         object.__setattr__(self, "half_widths", hw)
 
     @property
@@ -235,10 +258,7 @@ class CutAndProjectScheme:
 
     @property
     def covolume(self):
-        d = abs(float(np.linalg.det(self.total_basis)))
-        if not np.isfinite(d) or d < 1e-12:
-            raise DegenerateLatticeError("degenerate cut-and-project lattice")
-        return d
+        return _covolume(self.total_basis)
 
     def density(self):
         """Density of the model set: window measure / covolume."""
@@ -298,13 +318,12 @@ def _projected_points(transform, bounds, d):
 
 def lattice_points_in_box(lattice, radius):
     """All lattice points in the closed box [-radius, radius]^d, canonically ordered."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = positive_finite(radius)
     lattice.covolume  # raises DegenerateLatticeError on singular bases
     d = lattice.dim
     pts = _canonical(_projected_points(lattice.basis, [radius + DEDUP_TOL] * d, d))
-    src = {"kind": "lattice", "basis": lattice.basis.tolist(), "radius": float(radius)}
-    return PointSet(d, pts, float(radius), src)
+    src = {"kind": "lattice", "basis": lattice.basis.tolist(), "radius": radius}
+    return PointSet(d, pts, radius, src)
 
 
 def model_set_generate(scheme, radius):
@@ -313,8 +332,7 @@ def model_set_generate(scheme, radius):
     Internal parts are recomputed from the integer coordinates, never from the
     floating physical parts, so exact schemes stay exact at the window boundary.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = positive_finite(radius)
     bounds = [radius + DEDUP_TOL] * scheme.d + list(scheme.window.half_widths)
     phys = lexsorted(_projected_points(scheme.total_basis, bounds, scheme.d))
     # injectivity of the physical projection on the truncation
@@ -322,8 +340,8 @@ def model_set_generate(scheme, radius):
         raise ValueError("physical projection not injective on this truncation")
     src = {"kind": "cut_and_project", "total_basis": scheme.total_basis.tolist(),
            "d": scheme.d, "m": scheme.m,
-           "window": list(scheme.window.half_widths), "radius": float(radius)}
-    return PointSet(scheme.d, phys + 0.0, float(radius), src)
+           "window": list(scheme.window.half_widths), "radius": radius}
+    return PointSet(scheme.d, phys + 0.0, radius, src)
 
 
 def symmetrize(ps, sublattice, radius):
@@ -348,8 +366,7 @@ def sumset_truncated(a, b, radius):
     """
     if a.dim != b.dim:
         raise ValueError("sumset operands must share a dimension")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = positive_finite(radius)
     if len(a) * len(b) > MAX_CANDIDATES:
         raise EnumerationBoundError("enumeration bound exceeded: sumset pair count too large")
     if len(a) == 0 or len(b) == 0:
@@ -360,8 +377,8 @@ def sumset_truncated(a, b, radius):
     safe = (a.truncation_radius >= radius + b.truncation_radius - 1e-12
             or b.truncation_radius >= radius + a.truncation_radius - 1e-12)
     src = {"kind": "sumset", "a": a.source, "b": b.source,
-           "radius": float(radius), "boundary_safe": bool(safe)}
-    return PointSet(a.dim, pts, float(radius), src)
+           "radius": radius, "boundary_safe": bool(safe)}
+    return PointSet(a.dim, pts, radius, src)
 
 
 def min_separation(points, tree=None):

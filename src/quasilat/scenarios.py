@@ -22,14 +22,15 @@ import numpy as np
 from . import __version__
 from .approxcheck import COVERAGE_TOL, checked_cover
 from .density import FolnerBoxes, density_scan, extreme_counts
-from .errors import NotMinimalError, ScenarioValidationError
+from .errors import (DegenerateLatticeError, InsufficientTruncationError, NotMinimalError,
+                     ScenarioValidationError)
 from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
-                    completeness_residual, frame_bounds, hap_residual, reflection_angle,
-                    riesz_bounds, rotation_order, solve_shapes, uniform_min_delta)
+                    completeness_residual, frame_bounds, hap_residual, riesz_bounds,
+                    solve_shapes, symmetry, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density, parse_window
-from .pointset import (DEDUP_TOL, CutAndProjectScheme, Lattice, fibonacci_scheme, from_points,
+from .pointset import (CutAndProjectScheme, Lattice, fibonacci_scheme, from_points,
                        lattice_points_in_box, load_pointset, model_set_generate,
-                       sumset_truncated, symmetrize)
+                       positive_finite, require_reach, sumset_truncated, symmetrize)
 
 # Decision thresholds for the spectral flags.
 A_FLOOR = 1e-2          # frame / Riesz lower bounds below this do not count
@@ -70,12 +71,6 @@ class Scenario:
 
 def _floats(text):
     return [float(x) for x in str(text).replace(";", ",").split(",") if x.strip()]
-
-
-def _radius(text):
-    if not 0 < (value := float(text)) < math.inf:
-        raise ValueError("a radius must be positive and finite")
-    return value
 
 
 def _radii(text):
@@ -172,23 +167,28 @@ def validate_scenario(sc):
         except ValueError as exc:
             raise ScenarioValidationError(f"[padic] {exc}") from exc
         return
-    if sc.density["truncation"] < max(sc.density["radii"]):
-        raise ScenarioValidationError("density truncation below largest box radius")
-    checks = sc.gabor.get("checks", ())
-    if sc.gabor:
-        radius = sc.gabor["radius"]
-        need = math.sqrt(sc.gabor["hermite_n"] / math.pi) + FRAME_GUARD
-        if "frame" in checks and radius + 1e-9 < need:
-            raise ScenarioValidationError(
-                f"gabor radius below the test-basis guard margin sqrt(N/pi) + {FRAME_GUARD:g}")
-        if "hap" in checks and sc.gabor["hap_x_extent"] + sc.gabor["hap_box"] > radius + 1e-9:
-            raise ScenarioValidationError("hap box leaves the gabor truncation")
-    _, density, reach = point_kind(sc.points)  # checks the kind, its keys and a csv path
-    widest = max(sc.density["truncation"], sc.approx.get("base_radius", 0),
-                 sc.gabor.get("radius", 0))
-    if widest > reach + DEDUP_TOL:
-        raise ScenarioValidationError(
-            f"points csv {sc.points['path']!r} is truncated at {reach}, below radius {widest}")
+    try:  # checks the kind, its keys and a csv path; a window or q its construction refuses
+        _, density, reach = point_kind(sc.points)
+    except (ValueError, DegenerateLatticeError) as exc:
+        raise ScenarioValidationError(f"[points] {exc}") from exc
+    g = sc.gabor
+    checks = g.get("checks", ())
+    widest = max(sc.density["truncation"], sc.approx.get("base_radius", 0), g.get("radius", 0))
+    # (needed, truncation, what): every box that the run counts or solves on
+    reaches = [(max(sc.density["radii"]), sc.density["truncation"], "[density] largest box"),
+               (widest, reach, f"points csv {sc.points['path']!r}: the widest radius")]
+    if g:
+        guard = math.sqrt(g["hermite_n"] / math.pi) + FRAME_GUARD
+        reaches += [(needed, g["radius"], f"[gabor] {what}") for users, needed, what in (
+            ({"frame"}, guard, f"guard radius sqrt(hermite_n / pi) + {FRAME_GUARD:g}"),
+            ({"hap"}, g["hap_x_extent"] + g["hap_box"], "hap box reach"),
+            ({"riesz", "dual"}, g["riesz_margin"], "riesz_margin"))
+            if not users.isdisjoint(checks)]
+    for needed, truncation, what in reaches:
+        try:
+            require_reach(needed, truncation, what)
+        except InsufficientTruncationError as exc:
+            raise ScenarioValidationError(str(exc)) from exc
     # [expect] key -> (what it pins, why this scenario lacks it, whether it has it)
     pinnable = {"k": ("the cover size k", "needs an [approx] block", bool(sc.approx)),
                 "density_rtol": ("the tolerance of density_matches_formula",
@@ -205,7 +205,7 @@ def validate_scenario(sc):
 
 def _sparse_parts(q, radius):
     """The symmetrized_sparse base {(m/q, m) : |m| <= radius} and its sublattice diag(q, 1)."""
-    m_max = math.floor(radius + 1e-9)
+    m_max = math.floor(positive_finite(radius) + 1e-9)
     ms = np.arange(-m_max, m_max + 1, dtype=float)
     return from_points(np.stack([ms / q, ms], axis=1), 2, radius), Lattice(np.diag([q, 1.0]))
 
@@ -230,6 +230,7 @@ def point_kind(points):
         return partial(model_set_generate, scheme), scheme.density(), math.inf
     if kind == "symmetrized_sparse":
         q = points["q"]
+        Lattice(np.diag([q, 1.0])).covolume  # the sublattice refuses q = 0, NaN and +-inf
         return lambda radius: symmetrize(*_sparse_parts(q, radius), radius), None, math.inf
     if kind == "csv":
         if not (path := points.get("path")):
@@ -308,7 +309,7 @@ def _check_hap(system, opt):
     axis = np.linspace(-opt["hap_x_extent"], opt["hap_x_extent"], opt["hap_x_count"])
     n = len(axis)
     pts = system.points.points
-    order, theta = rotation_order(pts), reflection_angle(pts)
+    order, theta = symmetry(pts)
     residuals = [[None] * n for _ in range(n)]
     solves = 0
     for i in range(n):
@@ -365,10 +366,10 @@ SECTION_KEYS = {
     "scenario": {"name": (str, "unnamed"), "slack": (float, DEFAULT_SLACK)},
     "points": {"kind": (str, REQUIRED), "basis": (_basis, None), "path": (str, ""),
                **{key: (float, default) for key, default in POINT_OPTIONS.items()}},
-    "density": {"radii": (_radii, REQUIRED), "truncation": (_radius, REQUIRED)},
-    "approx": {"base_radius": (_radius, REQUIRED), "sumset_radius": (_radius, REQUIRED),
-               "coverage_tol": (float, COVERAGE_TOL)},
-    "gabor": {"radius": (_radius, REQUIRED), "checks": (_checks, ()),
+    "density": {"radii": (_radii, REQUIRED), "truncation": (positive_finite, REQUIRED)},
+    "approx": {"base_radius": (positive_finite, REQUIRED),
+               "sumset_radius": (positive_finite, REQUIRED), "coverage_tol": (float, COVERAGE_TOL)},
+    "gabor": {"radius": (positive_finite, REQUIRED), "checks": (_checks, ()),
               **{key: (partial(_option, key), row[0]) for key, row in GABOR_OPTIONS.items()}},
     "padic": {"p": (int, REQUIRED), "w": (parse_window, REQUIRED), "n_max": (int, REQUIRED),
               "max_k": (int, 3), "max_deviation": (float, 1.0)},

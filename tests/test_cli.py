@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -130,6 +131,12 @@ def test_approx_command(tmp_path):
     assert blob["k"] == 1
     assert blob["reverified"] is True
     assert blob["delone"]["min_separation"] == 1.0
+    # a verified region wider than the sumset truncation would claim unseen points
+    assert main(["approx", "--base", str(base), "--sumset-radius", "10",
+                 "--region", "1000"]) == 2
+    assert main(["approx", "--base", str(base), "--sumset-radius", "10",
+                 "--region", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["verified_region_radius"] == 5.0
 
 
 def test_gabor_commands(tmp_path):
@@ -268,6 +275,18 @@ def test_gen_unknown_kind_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+    # a radius that is not positive and finite is refused before any enumeration
+    for kind, extra in (("lattice", ["--basis", "1,0,0,1"]), ("fibonacci", []),
+                        ("symmetrized_sparse", [])):
+        for radius in ("nan", "inf", "0"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+                rc = main(["gen", "--kind", kind, *extra, "--radius", radius,
+                           "--out", str(tmp_path / "x.csv")])
+            assert rc == 2, (kind, radius)
+            err = capsys.readouterr().err
+            assert "radius must be positive and finite" in err and "Traceback" not in err
+            assert not (tmp_path / "x.csv").exists()
 
 
 def test_gabor_guard_exits_2(tmp_path, capsys):

@@ -197,7 +197,7 @@ def test_frame_bounds_monotone_sweeps():
 
 def test_frame_bounds_guard():
     sys = sparse_system()  # truncation 4 < sqrt(60/pi) + 6
-    with pytest.raises(ql.TruncationTooSmallError):
+    with pytest.raises(ql.InsufficientTruncationError, match="guard radius"):
         ql.frame_bounds(sys, 60)
 
 
@@ -315,7 +315,7 @@ def test_rotation_class_solves_match_full_svd(want, scale, ks, probes):
     turned = np.column_stack([-pts[:, 1], pts[:, 0]])
     pts = np.vstack([pts, -pts, turned, -turned][:want])
     system = ql.GaborSystem(ql.from_points(pts, truncation_radius=6.0))
-    assert gabor.rotation_order(system.points.points) % want == 0
+    assert gabor.symmetry(system.points.points)[0] % want == 0
     N = max(ql.hermite_cutoff(system.points.points), probes)
     C = ql.atom_coordinates(system.points.points, N)
     full = _lstsq_residual_norms(C, np.eye(N, probes))
@@ -330,22 +330,22 @@ def test_rotation_class_solves_match_full_svd(want, scale, ks, probes):
 
 def test_rotation_order_is_exact(oversampled_system):
     pts = oversampled_system.points.points
-    assert gabor.rotation_order(pts) == 4
+    assert gabor.symmetry(pts)[0] == 4
     rect = ql.lattice_points_in_box(ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 11.0)
-    assert gabor.rotation_order(rect.points) == 2
+    assert gabor.symmetry(rect.points)[0] == 2
     for base in (pts, rect.points):
         moved = base.copy()
         moved[0, 0] += DEDUP_TOL / 2.0
-        assert gabor.rotation_order(moved) == 1
-    assert gabor.rotation_order(np.zeros((0, 2))) == 4  # the empty set
+        assert gabor.symmetry(moved)[0] == 1
+    assert gabor.symmetry(np.zeros((0, 2)))[0] == 4  # the empty set
 
 
 @settings(max_examples=60, deadline=None)
 @given(want=st.sampled_from([1, 2, 4]), axis=st.integers(0, 3), scale=st.floats(0.3, 1.0),
        ks=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1,
                    max_size=7),
-       probes=st.integers(1, 12))
-def test_reflection_class_solves_match_full_svd(want, axis, scale, ks, probes):
+       probes=st.integers(1, 12), data=st.data())
+def test_reflection_class_solves_match_full_svd(want, axis, scale, ks, probes, data):
     # a set made exactly D1, D2 or D4 by adding its rotated and reflected images
     pts = scale * np.array(ks, dtype=float)
     turned = np.column_stack([-pts[:, 1], pts[:, 0]])
@@ -353,9 +353,17 @@ def test_reflection_class_solves_match_full_svd(want, axis, scale, ks, probes):
     x, xi = pts.T   # the image under z -> exp(2 i theta) conj(z), theta = axis pi/4
     pts = np.vstack([pts, np.column_stack([(x, -xi), (xi, x), (-x, xi), (-xi, -x)][axis])])
     system = ql.GaborSystem(ql.from_points(pts, truncation_radius=6.0))
-    assert gabor.reflection_angle(system.points.points) is not None
+    order, theta = gabor.symmetry(system.points.points)
+    assert theta is not None
     if want == 4:   # D4 holds every reflection, the first found is theta = 0
-        assert gabor.reflection_angle(system.points.points) == 0.0
+        assert theta == 0.0
+    # the exact turn (x, xi) -> (-xi, x) keeps the order and has a reflection
+    # exactly when the set has one; the row order of the set changes nothing
+    x, xi = system.points.points.T
+    turned_order, turned_theta = gabor.symmetry(np.column_stack([-xi, x]))
+    assert turned_order == order and (turned_theta is None) == (theta is None)
+    perm = data.draw(st.permutations(range(len(x))))
+    assert gabor.symmetry(system.points.points[perm]) == (order, theta)
     # each real class solve has the column count of the complex one
     order, _, shapes = gabor.solve_shapes(system.points.points, probes)
     reps, _ = gabor._orbit_representatives(system.points.points, order, None)
@@ -374,18 +382,18 @@ def test_reflection_class_solves_match_full_svd(want, axis, scale, ks, probes):
 
 def test_reflection_angle_is_exact(oversampled_system):
     pts = oversampled_system.points.points
-    assert gabor.reflection_angle(pts) == 0.0
+    assert gabor.symmetry(pts)[1] == 0.0
     rect = ql.lattice_points_in_box(ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 11.0)
-    assert gabor.reflection_angle(rect.points) == 0.0
+    assert gabor.symmetry(rect.points)[1] == 0.0
     # a linear shear keeps the negation but no reflection
     sheared = np.column_stack([pts[:, 0] + pts[:, 1], pts[:, 1]])
-    assert gabor.rotation_order(sheared) == 2
-    assert gabor.reflection_angle(sheared) is None
+    assert gabor.symmetry(sheared)[0] == 2
+    assert gabor.symmetry(sheared)[1] is None
     for base in (pts, rect.points):
         moved = base.copy()
         moved[0, 0] += DEDUP_TOL / 2.0
-        assert gabor.reflection_angle(moved) is None
-    assert gabor.reflection_angle(np.zeros((0, 2))) == 0.0  # the empty set
+        assert gabor.symmetry(moved)[1] is None
+    assert gabor.symmetry(np.zeros((0, 2)))[1] == 0.0  # the empty set
 
 
 def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
@@ -420,8 +428,8 @@ def test_hap_grid_orbits_under_a_diagonal_reflection(monkeypatch):
     pts = np.column_stack([m * 1.4 + n * 0.4, m * 0.4 + n * 1.4])
     system = ql.GaborSystem(ql.from_points(pts[np.all(np.abs(pts) <= 10.5, axis=1)],
                                            truncation_radius=10.5))
-    assert gabor.rotation_order(system.points.points) == 2
-    assert gabor.reflection_angle(system.points.points) == math.pi / 4
+    assert gabor.symmetry(system.points.points)[0] == 2
+    assert gabor.symmetry(system.points.points)[1] == math.pi / 4
     solve = gabor._residual_norms
     dtypes = []
     monkeypatch.setattr(gabor, "_residual_norms",

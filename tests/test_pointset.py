@@ -228,7 +228,7 @@ def test_restrict_and_translate():
 def test_restrict_refuses_radius_beyond_truncation():
     # a larger label would let density_scan's guard pass on a set with holes
     ps = ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 3.0)
-    with pytest.raises(ValueError, match="exceeds the truncation radius"):
+    with pytest.raises(ql.InsufficientTruncationError, match="exceeds the truncation radius"):
         ps.restrict(10.0)
     assert len(ps.restrict(3.0)) == 49
 

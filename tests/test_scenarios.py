@@ -298,7 +298,9 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
     # target runs first: [expect] k and density_rtol, a junk value for every
     # key whose parser can refuse one, the [padic] prime and depth checks, a %
     # (cfgs are read without interpolation, so it is the parser that refuses),
-    # box radii that FolnerBoxes refuses and radii that are not positive and finite
+    # box radii that FolnerBoxes refuses and radii that are not positive and finite;
+    # a Fibonacci window that is not positive and finite, a q whose sublattice
+    # diag(q, 1) is degenerate, and a Riesz margin beyond the [gabor] radius
     ran = []
     monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
     approx = TINY + "\n[approx]\nbase_radius = 4\nsumset_radius = 2\n"
@@ -320,13 +322,23 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
               (approx.replace("sumset_radius = 2", "sumset_radius = 0"),
                "[approx] sumset_radius = '0': "),
               (TINY + "\n[gabor]\nradius = -2\nchecks = riesz\n", "[gabor] radius = '-2': ")]
+    fibonacci = TINY.replace("kind = lattice", "kind = fibonacci")
+    for window in ("nan", "inf"):
+        cases.append((fibonacci.replace("basis = 1", f"window = {window}"),
+                      "[points] window half-width must be positive and finite"))
+    sparse = TINY.replace("kind = lattice", "kind = symmetrized_sparse")
+    for q in ("0", "nan", "inf", "-inf"):
+        cases.append((sparse.replace("basis = 1", f"q = {q}"), "[points] degenerate lattice"))
+    for check in ("riesz", "dual"):
+        cases.append((TINY + f"\n[gabor]\nradius = 6\nchecks = {check}\nriesz_margin = 7\n",
+                      "[gabor] riesz_margin 7.0 exceeds the truncation radius 6.0"))
     for section, rows in SECTION_KEYS.items():
         for key, (parse, _) in rows.items():
             if parse is not str:  # a str value is never refused
                 base = PADIC if section == "padic" else FULL
                 cases.append((_with_value(base, section, key, "junk"),
                               f"[{section}] {key} = 'junk': "))
-    assert len(cases) == 15 + 31
+    assert len(cases) == 23 + 31
     for text, message in cases:
         path = write_cfg(tmp_path, text)
         with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
