@@ -15,9 +15,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CoverError
-from .pointset import DEDUP_TOL, lexsorted, min_separation
+from .pointset import DEDUP_TOL, lexsorted, min_separation, require_reach
 
 COVERAGE_TOL = 1e-6      # sup-norm slack of a coverage witness: dist(s - f, base) <= this
+BASE_REACH = 2           # cover base radius / sumset radius: every witness s - f lies in the base
 RASTER_STRIDE = 4        # candidate covering radius from every 4th probe per axis
 EXACT_QUERY_MAX = 4096   # probes beyond the candidate queried outright up to this many
 
@@ -178,9 +179,9 @@ def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radi
     translates, the first candidate pair in that order that covers every
     target replaces its answer, so k <= 3 is minimal over the candidates.
     The default verified region is the whole sumset truncation, and a wider
-    one is refused; generating the base out to at least twice the sumset
-    radius guarantees every coverage witness s - f lies inside the base
-    truncation, so truncation effects cannot inflate the returned k.
+    one is refused. A base truncated at BASE_REACH times the sumset radius
+    holds every coverage witness s - f, so truncation effects cannot inflate
+    the returned k; checked_cover refuses a shallower one.
     """
     if sumset.dim != base.dim:
         raise ValueError("sumset and base dimensions differ")
@@ -249,11 +250,12 @@ def verify_cover(sumset, base, defect_set, coverage_tol=COVERAGE_TOL,
     return bool(covered.all())
 
 
-def checked_cover(sumset, base, coverage_tol, verified_region_radius=None):
+def checked_cover(sumset, base, verified_region_radius=None):
     """find_cover_set re-checked by verify_cover: the cover's dict plus ``reverified``."""
-    cover = find_cover_set(sumset, base, coverage_tol=coverage_tol,
-                           verified_region_radius=verified_region_radius)
+    require_reach(BASE_REACH * sumset.truncation_radius, base.truncation_radius,
+                  f"cover base reach ({BASE_REACH} x the sumset radius)")
+    cover = find_cover_set(sumset, base, verified_region_radius=verified_region_radius)
     out = cover.to_dict()
-    out["reverified"] = verify_cover(sumset, base, cover.defect_set, coverage_tol,
+    out["reverified"] = verify_cover(sumset, base, cover.defect_set, COVERAGE_TOL,
                                      cover.verified_region_radius)
     return out

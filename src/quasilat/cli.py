@@ -12,7 +12,7 @@ import sys
 from functools import cache, partial
 
 from . import __version__
-from .approxcheck import COVERAGE_TOL, checked_cover, delone_report
+from .approxcheck import BASE_REACH, checked_cover, delone_report
 from .density import FolnerBoxes, density_scan
 from .errors import QuasilatError, ScenarioValidationError
 from .gabor import GaborSystem
@@ -23,7 +23,7 @@ from .scenarios import (GABOR_CHECKS, GABOR_OPTIONS, POINT_OPTIONS,
                         json_text, parse_scenario, parse_value, point_kind, run_scenario)
 
 # gabor subcommand -> {GABOR_OPTIONS key: the flag that sets it}
-GABOR_FLAGS = {"frame-bounds": {"hermite_n": "--hermite-N", "hermite_step": "--hermite-step"},
+GABOR_FLAGS = {"frame-bounds": {"hermite_n": "--hermite-N"},
                "riesz": {"riesz_margin": "--edge-margin"},
                "dual": {"riesz_margin": "--edge-margin"},
                "hap": {"hap_box": "--K", "hap_x_count": "--x-grid", "hap_x_extent": "--x-extent"},
@@ -56,19 +56,16 @@ def _add_density(sub):
     p.add_argument("--points", required=True, help="point CSV path")
     p.add_argument("--radii", required=True, type=partial(parse_value, "density", "radii"),
                    help="comma separated box radii")
-    p.add_argument("--scan-region", type=float)
     p.add_argument("--out")
 
 
 def _add_approx(sub):
     p = sub.add_parser("approx", help="Delone stats and finite-cover search")
     p.add_argument("--base", required=True, help="point CSV for the base set")
-    p.add_argument("--sumset", help="point CSV for the sumset; default: base+base")
     p.add_argument("--sumset-radius", type=float,
-                   help="truncation for the internally built base+base sumset")
-    p.add_argument("--coverage-tol", type=float, default=COVERAGE_TOL)
+                   help=f"truncation of the base+base sumset; at most 1/{BASE_REACH} "
+                   "of the base's, which is the default")
     p.add_argument("--region", type=float, help="verified region radius override")
-    p.add_argument("--delone-margin", type=float, default=2.0)
     p.add_argument("--out")
 
 
@@ -116,21 +113,17 @@ def _cmd_gen(args):
 def _cmd_density(args):
     ps = load_pointset(args.points)
     boxes = FolnerBoxes(ps.dim, args.radii)
-    _emit(density_scan(ps, boxes, scan_region_radius=args.scan_region).to_dict(), args.out)
+    _emit(density_scan(ps, boxes).to_dict(), args.out)
     return 0
 
 
 def _cmd_approx(args):
     base = load_pointset(args.base)
-    if args.sumset:
-        sumset = load_pointset(args.sumset)
-    else:
-        radius = args.sumset_radius
-        if radius is None:
-            radius = base.truncation_radius / 2.0
-        sumset = sumset_truncated(base, base, radius)
-    payload = checked_cover(sumset, base, args.coverage_tol, args.region)
-    payload["delone"] = delone_report(base, args.delone_margin).to_dict()
+    radius = args.sumset_radius
+    if radius is None:
+        radius = base.truncation_radius / BASE_REACH
+    payload = checked_cover(sumset_truncated(base, base, radius), base, args.region)
+    payload["delone"] = delone_report(base, interior_margin=2.0).to_dict()
     _emit(payload, args.out)
     return 0 if payload["reverified"] else 1
 

@@ -254,7 +254,8 @@ def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
     r_max = boxes.radii[-1]
     if scan_region_radius is None:
         scan_region_radius = max(ps.truncation_radius - r_max, 0.0)
-    scan = float(scan_region_radius)
+    if not (scan := float(scan_region_radius)) >= 0:  # NaN too; 0 scans the centre alone
+        raise ValueError("scan_region_radius must be nonnegative")
     require_reach(scan + r_max, ps.truncation_radius, "scan region plus largest box")
     if translate_step is not None:
         positive_finite(translate_step, "translate_step")

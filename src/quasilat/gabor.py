@@ -290,6 +290,11 @@ def gram_matrix(sys, max_points=6000):
                   + 1j * math.pi * dxi * (x[None, :] + x[:, None]))
 
 
+def frame_guard(test_basis_size):
+    """sqrt(N / pi) + FRAME_GUARD: the truncation radius frame_bounds needs for N."""
+    return math.sqrt(test_basis_size / math.pi) + FRAME_GUARD
+
+
 def frame_bounds(sys, test_basis_size, n_step=10):
     """Finite-section frame bound estimates on the span of Hermite functions.
 
@@ -300,7 +305,7 @@ def frame_bounds(sys, test_basis_size, n_step=10):
     the guard margin.
     """
     N = int(test_basis_size)
-    require_reach(math.sqrt(N / math.pi) + FRAME_GUARD, sys.points.truncation_radius,
+    require_reach(frame_guard(N), sys.points.truncation_radius,
                   f"guard radius (sqrt(N / pi) + {FRAME_GUARD:g}, N = {N})")
     C = atom_coordinates(sys.points.points, N)
     M = C @ C.conj().T
@@ -356,22 +361,16 @@ def biorthogonal_dual(sys):
     return DualFamily(sys, Ginv, float(np.max(np.real(np.diag(Ginv)))), residual)
 
 
-def uniform_min_delta(sys, interior_margin=0.0):
-    """Min distance from pi(lambda) g to the span of the other atoms.
-
-    That distance is 1 / sqrt(Ginv[lambda, lambda]). The minimum runs over
-    points with sup-norm <= truncation - interior_margin; the spanning family
-    always includes every point. A singular Gram gives 0.
+def uniform_min_delta(sys):
+    """Min over the points of the distance from pi(lambda) g to the span of
+    the other atoms, 1 / sqrt(Ginv[lambda, lambda]). A singular Gram gives 0.
     """
+    if len(sys.points) == 0:
+        raise ValueError("empty point set")
     eigs, U = np.linalg.eigh(gram_matrix(sys))
-    pts = sys.points.points
-    interior = (np.max(np.abs(pts), axis=1)
-                <= sys.points.truncation_radius - interior_margin + DEDUP_TOL)
-    if not interior.any():
-        raise ValueError("no interior points at this margin")
     if eigs[0] <= 0.0:
         return 0.0
-    return float(1.0 / math.sqrt(np.max(np.sum(np.abs(U[interior]) ** 2 / eigs, axis=1))))
+    return float(1.0 / math.sqrt(np.max(np.sum(np.abs(U) ** 2 / eigs, axis=1))))
 
 
 def _residual_norms(A, B):

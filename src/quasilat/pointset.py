@@ -71,18 +71,18 @@ def _within(coords, bounds):
 
 
 @np.errstate(over="ignore")  # a gap between -DBL_MAX and DBL_MAX is inf: still a split
-def _canonical(points, tol=DEDUP_TOL):
+def _canonical(points):
     """Lex-sorted points with sup-norm near-duplicates removed.
 
     Rule: in lexicographic order, a point is dropped exactly when it lies
-    within ``tol`` (sup norm) of an earlier point that was kept. The result
+    within DEDUP_TOL (sup norm) of an earlier point that was kept. The result
     depends only on the input set, not on its order.
 
     Method: sort-and-chain grouping. For each coordinate in turn, points are
     sorted by (group, coordinate) and a new group starts wherever the group
-    changes or the coordinate gap exceeds ``tol``; any two points within
-    ``tol`` therefore share a final group. A group whose spread is at most
-    ``tol`` in every coordinate keeps its lex-first member; only a wider
+    changes or the coordinate gap exceeds DEDUP_TOL; any two points within
+    DEDUP_TOL therefore share a final group. A group whose spread is at most
+    DEDUP_TOL in every coordinate keeps its lex-first member; only a wider
     group (a chain) applies the rule above member by member.
     """
     n = len(points)
@@ -100,9 +100,9 @@ def _canonical(points, tol=DEDUP_TOL):
             sub = np.lexsort((x, np.cumsum(np.r_[0, split])))
             order, x = sub if order is None else order[sub], x[sub]
             gaps = np.diff(x)
-        split |= gaps > tol
+        split |= gaps > DEDUP_TOL
     first = np.flatnonzero(np.r_[True, split])
-    if len(first) == n:  # no two points within tol
+    if len(first) == n:  # no two points within DEDUP_TOL
         return pts
     order = np.arange(n) if order is None else order
     members = pts[order]
@@ -111,11 +111,11 @@ def _canonical(points, tol=DEDUP_TOL):
     keep = np.zeros(n, dtype=bool)
     keep[np.minimum.reduceat(order, first)] = True  # lex-first member of each group
     bounds = np.r_[first, n]
-    for g in np.flatnonzero(np.any(spread > tol, axis=1)):
+    for g in np.flatnonzero(np.any(spread > DEDUP_TOL, axis=1)):
         lex = np.sort(order[bounds[g]:bounds[g + 1]])
         kept = [lex[0]]
         for i in lex[1:]:
-            if np.min(np.max(np.abs(pts[kept] - pts[i]), axis=1)) > tol:
+            if np.min(np.max(np.abs(pts[kept] - pts[i]), axis=1)) > DEDUP_TOL:
                 kept.append(i)
         keep[kept] = True
     return pts[keep]

@@ -20,13 +20,13 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .approxcheck import COVERAGE_TOL, checked_cover
+from .approxcheck import BASE_REACH, checked_cover
 from .density import FolnerBoxes, density_scan, extreme_counts
 from .errors import (DegenerateLatticeError, InsufficientTruncationError, NotMinimalError,
                      ScenarioValidationError)
 from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
-                    completeness_residual, frame_bounds, hap_residual, riesz_bounds,
-                    solve_shapes, symmetry, uniform_min_delta)
+                    completeness_residual, frame_bounds, frame_guard, hap_residual,
+                    riesz_bounds, solve_shapes, symmetry, uniform_min_delta)
 from .padic import PAdicModelSet, padic_cover_set, padic_density, parse_window
 from .pointset import (CutAndProjectScheme, Lattice, fibonacci_scheme, from_points,
                        lattice_points_in_box, load_pointset, model_set_generate,
@@ -37,13 +37,13 @@ A_FLOOR = 1e-2          # frame / Riesz lower bounds below this do not count
 COMPLETE_FLOOR = 1e-3   # max probe residual for the completeness proxy
 HAP_FLOOR = 0.05        # max local approximation residual
 DELTA_FLOOR = 1e-2      # uniform minimality gap
+PADIC_MAX_K = 3         # largest p-adic cover size a [padic] scenario accepts
 DEFAULT_SLACK = 0.05
 
 # [gabor] option -> (default, least value, what a smaller one would mean); a cfg
 # key or a `quasilat gabor` flag overrides the default, parsed by _option.
 GABOR_OPTIONS = {
     "hermite_n": (40, 1, "the test basis would be empty"),
-    "hermite_step": (10, 1, "the frame sweep would not advance"),
     "riesz_margin": (2.0, 0, "the interior radius exceeds the truncation radius"),
     "hap_box": (6.0, 0, "the local box would be empty"),
     "hap_x_extent": (1.0, 0, "the x-grid would be reversed"),
@@ -145,12 +145,13 @@ def parse_scenario(path):
             raise ScenarioValidationError(f"unknown keys {unknown} in [{section}]; known: "
                                           f"{', '.join(sorted(SECTION_KEYS[section]))}")
     written = {s: dict(cfg[s]) if cfg.has_section(s) else {} for s in SECTION_KEYS}
-    extra = [s for s in ("points", "density", "approx", "gabor", "expect") if written[s]]
-    if written["padic"] and extra:
+    # a section counts from its header on, so an empty one misses its required keys
+    extra = [s for s in ("points", "density", "approx", "gabor", "expect") if cfg.has_section(s)]
+    if cfg.has_section("padic") and extra:
         raise ScenarioValidationError("a [padic] scenario takes no other check sections; "
                                       "found " + ", ".join(f"[{s}]" for s in extra))
-    needed = () if written["padic"] else ("points", "density", "expect")
-    values = {s: parse_section(s, written[s]) if written[s] or s in needed else {}
+    needed = () if cfg.has_section("padic") else ("points", "density", "expect")
+    values = {s: parse_section(s, written[s]) if cfg.has_section(s) or s in needed else {}
               for s in SECTION_KEYS}
     head = values.pop("scenario")
     sc = Scenario(head["name"], **values, slack=head["slack"],
@@ -173,14 +174,15 @@ def validate_scenario(sc):
         raise ScenarioValidationError(f"[points] {exc}") from exc
     g = sc.gabor
     checks = g.get("checks", ())
-    widest = max(sc.density["truncation"], sc.approx.get("base_radius", 0), g.get("radius", 0))
+    widest = max(sc.density["truncation"], BASE_REACH * sc.approx.get("sumset_radius", 0),
+                 g.get("radius", 0))
     # (needed, truncation, what): every box that the run counts or solves on
     reaches = [(max(sc.density["radii"]), sc.density["truncation"], "[density] largest box"),
                (widest, reach, f"points csv {sc.points['path']!r}: the widest radius")]
     if g:
-        guard = math.sqrt(g["hermite_n"] / math.pi) + FRAME_GUARD
         reaches += [(needed, g["radius"], f"[gabor] {what}") for users, needed, what in (
-            ({"frame"}, guard, f"guard radius sqrt(hermite_n / pi) + {FRAME_GUARD:g}"),
+            ({"frame"}, frame_guard(g["hermite_n"]),
+             f"guard radius sqrt(hermite_n / pi) + {FRAME_GUARD:g}"),
             ({"hap"}, g["hap_x_extent"] + g["hap_box"], "hap box reach"),
             ({"riesz", "dual"}, g["riesz_margin"], "riesz_margin"))
             if not users.isdisjoint(checks)]
@@ -267,15 +269,14 @@ def _run_padic(sc):
     cover_ms = ms if cover_n == n_max else PAdicModelSet.build(p, w, cover_n)
     cover = padic_cover_set(cover_ms)
     results["cover"] = cover.to_dict()
-    k_max = sc.padic["max_k"]
     verdicts.append(_verdict(
         "padic_cover_size", "minimal cover size k <= k_max", True,
-        cover.k, k_max, cover.verified and cover.k <= k_max))
+        cover.k, PADIC_MAX_K, cover.verified and cover.k <= PADIC_MAX_K))
     return results, verdicts
 
 
 def _check_frame(system, opt):
-    fb = frame_bounds(system, opt["hermite_n"], n_step=opt["hermite_step"])
+    fb = frame_bounds(system, opt["hermite_n"])
     return fb.to_dict(), fb.converged and fb.A_est > A_FLOOR
 
 
@@ -367,12 +368,11 @@ SECTION_KEYS = {
     "points": {"kind": (str, REQUIRED), "basis": (_basis, None), "path": (str, ""),
                **{key: (float, default) for key, default in POINT_OPTIONS.items()}},
     "density": {"radii": (_radii, REQUIRED), "truncation": (positive_finite, REQUIRED)},
-    "approx": {"base_radius": (positive_finite, REQUIRED),
-               "sumset_radius": (positive_finite, REQUIRED), "coverage_tol": (float, COVERAGE_TOL)},
+    "approx": {"sumset_radius": (positive_finite, REQUIRED)},
     "gabor": {"radius": (positive_finite, REQUIRED), "checks": (_checks, ()),
               **{key: (partial(_option, key), row[0]) for key, row in GABOR_OPTIONS.items()}},
     "padic": {"p": (int, REQUIRED), "w": (parse_window, REQUIRED), "n_max": (int, REQUIRED),
-              "max_k": (int, 3), "max_deviation": (float, 1.0)},
+              "max_deviation": (float, 1.0)},
     "expect": {"k": (int, None), "density_rtol": (float, 0.02),
                **{flag: (_bool, None) for flag in EXPECT_FLAGS}},
 }
@@ -437,9 +437,9 @@ def run_scenario(sc):
 
     k = 1  # the cover's k; [expect] k only pins it
     if sc.approx:
-        base = generate(sc.approx["base_radius"])
-        sumset = sumset_truncated(base, base, sc.approx["sumset_radius"])
-        results["approx"] = checked_cover(sumset, base, sc.approx["coverage_tol"])
+        radius = sc.approx["sumset_radius"]
+        base = generate(BASE_REACH * radius)
+        results["approx"] = checked_cover(sumset_truncated(base, base, radius), base)
         k = max(results["approx"]["k"], 1)
         if not results["approx"]["reverified"]:
             verdicts.append(_verdict("cover_reverified", "independent cover check",

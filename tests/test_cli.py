@@ -139,13 +139,43 @@ def test_approx_command(tmp_path):
     assert json.loads(out.read_text())["verified_region_radius"] == 5.0
 
 
+def test_approx_refuses_a_sumset_beyond_half_the_base(tmp_path, capsys):
+    # above half the base truncation a coverage witness s - f can fall outside
+    # the base, so k could be inflated and still be reported as minimal
+    base = gen_line(tmp_path, radius=20.0)
+    assert main(["approx", "--base", str(base), "--sumset-radius", "10"]) == 0
+    capsys.readouterr()
+    assert main(["approx", "--base", str(base), "--sumset-radius", "10.5"]) == 2
+    err = capsys.readouterr().err
+    assert ("cover base reach (2 x the sumset radius) 21.0 exceeds the truncation radius 20.0"
+            in err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--radii", "2", "--scan-region", "1"], "unrecognized arguments: --scan-region"),
+    # argparse reads a flag's unique prefix as the flag, so --sumset is --sumset-radius
+    (["approx", "--sumset", "line.csv"], "--sumset-radius: invalid float value: 'line.csv'"),
+    (["approx", "--coverage-tol", "1e-6"], "unrecognized arguments: --coverage-tol"),
+    (["approx", "--delone-margin", "2"], "unrecognized arguments: --delone-margin"),
+    (["gabor", "frame-bounds", "--hermite-step", "10"], "unrecognized arguments: --hermite-step"),
+], ids=["scan-region", "sumset", "coverage-tol", "delone-margin", "hermite-step"])
+def test_retired_flags_exit_2(tmp_path, capsys, argv, message):
+    # each flag was only ever given one value; the value is now a constant
+    points = str(gen_line(tmp_path))
+    flag = "--base" if argv[0] == "approx" else "--points"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv[:-2], flag, points, *argv[-2:]])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_gabor_commands(tmp_path):
     pts = tmp_path / "nodes.csv"
     assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
                  "--radius", "9", "--out", str(pts)]) == 0
     out = tmp_path / "frame.json"
     rc = main(["gabor", "frame-bounds", "--points", str(pts),
-               "--hermite-N", "20", "--hermite-step", "10", "--out", str(out)])
+               "--hermite-N", "20", "--out", str(out)])
     assert rc == 0
     blob = json.loads(out.read_text())
     assert blob["A_est"] >= 0.0
@@ -203,8 +233,6 @@ def test_negative_edge_margin_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd, flag, key, value", [
     ("frame-bounds", "--hermite-N", "hermite_n", "0"),
-    ("frame-bounds", "--hermite-step", "hermite_step", "0"),
-    ("frame-bounds", "--hermite-step", "hermite_step", "-5"),
     ("riesz", "--edge-margin", "riesz_margin", "-0.5"),
     ("hap", "--K", "hap_box", "-1"),
     ("hap", "--K", "hap_box", "nan"),
@@ -237,7 +265,7 @@ def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys, monkeypatch):
     text = ("[scenario]\nname = csv-z2 5%\n"
             f"[points]\nkind = csv\npath = {pts}\n"
             "[density]\nradii = 2, 4\ntruncation = 10\n"
-            "[approx]\nbase_radius = 6\nsumset_radius = 3\n"
+            "[approx]\nsumset_radius = 3\n"
             "[gabor]\nradius = 6\nchecks = riesz\n")
     cfg = tmp_path / "csv.cfg"
     cfg.write_text(text)
@@ -257,7 +285,7 @@ def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys, monkeypatch):
     # a radius beyond the file's truncation, or no file at all, is refused
     for old, new in (("truncation = 10", "truncation = 13"),
                      ("radius = 6", "radius = 13"),
-                     ("base_radius = 6", "base_radius = 13"),
+                     ("sumset_radius = 3", "sumset_radius = 6.5"),  # base radius 13
                      (f"path = {pts}", f"path = {tmp_path / 'absent.csv'}")):
         cfg.write_text(text.replace(old, new))
         with pytest.raises(ql.ScenarioValidationError, match="points csv"):
@@ -330,7 +358,7 @@ def test_run_scenario_file_and_out_dir(tmp_path, capsys):
 def test_run_failing_scenario_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_SCENARIO +
-                   "\n[approx]\nbase_radius = 8\nsumset_radius = 4\n"
+                   "\n[approx]\nsumset_radius = 4\n"
                    "[expect]\nk = 2\n")
     rc = main(["run", str(cfg)])
     assert rc == 1
@@ -349,7 +377,7 @@ def test_lattice_without_basis_exits_2(tmp_path, capsys):
 
 
 def test_incomplete_scenario_blocks_exit_2(tmp_path, capsys):
-    for block, missing in (("[approx]\nbase_radius = 8\n", "sumset_radius"),
+    for block, missing in (("[approx]\n", "[approx] missing sumset_radius"),
                            ("[gabor]\nchecks = riesz\n", "missing radius"),
                            ("[gabor]\nradius = 8\nchecks = riesz\nriesz_margn = 5\n",
                             "riesz_margn")):

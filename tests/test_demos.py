@@ -1,17 +1,19 @@
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import quasilat as ql
+from quasilat.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
-                           re.S | re.M)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
 
 
 def run_python(args):
@@ -43,3 +45,18 @@ def test_readme_block_runs(block):
     out = run_python(["-c", block])
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every quasilat line of the sh block under "Command line", in order, so a
+    # removed flag cannot survive in the docs
+    section = README[README.index("## Command line"):]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("quasilat ")]
+    assert len(lines) == 15
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my-scenario.cfg").write_text(
+        "[scenario]\nname = my-scenario\n[points]\nkind = lattice\nbasis = 1\n"
+        "[density]\nradii = 2, 4\ntruncation = 10\n")
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

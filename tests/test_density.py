@@ -150,6 +150,12 @@ def test_density_scan_guards():
         ql.density_scan(ps, ql.FolnerBoxes(1, (5.0,)), scan_region_radius=6.0)
     with pytest.raises(ValueError):
         ql.density_scan(ps, ql.FolnerBoxes(1, (5.0,)), translate_step=0.0)
+    # a scan radius may be 0 (the centred box alone), but not negative or NaN
+    for scan in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="scan_region_radius must be nonnegative"):
+            ql.density_scan(ps, ql.FolnerBoxes(1, (5.0,)), scan_region_radius=scan)
+    centred = ql.density_scan(ps, ql.FolnerBoxes(1, (5.0,)), scan_region_radius=0)
+    assert centred.lower_counts == centred.upper_counts == [11]
     with pytest.raises(ValueError):
         ql.density_scan(ps, ql.FolnerBoxes(2, (5.0,)))
 

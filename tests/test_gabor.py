@@ -239,8 +239,6 @@ def test_uniform_min_delta():
     assert delta == pytest.approx(1.0, abs=0.01)
     single = ql.GaborSystem(ql.from_points([[0.0, 0.0]], truncation_radius=1.0))
     assert ql.uniform_min_delta(single) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        ql.uniform_min_delta(sys, interior_margin=100.0)
 
 
 def test_hap_residual_behaviour():

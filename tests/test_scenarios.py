@@ -59,6 +59,9 @@ def test_parse_and_run_tiny_scenario(tmp_path):
     blob = json.loads(report.to_json())
     assert blob["provenance"]["package"] == "quasilat"
     assert all(line.startswith(("PASS", "FAIL")) for line in report.verdict_lines())
+    # a [scenario] header with no keys takes the defaults
+    unnamed = write_cfg(tmp_path, TINY.replace("name = tiny-line", ""))
+    assert ql.parse_scenario(unnamed).name == "unnamed"
 
 
 def test_settings_hash_deterministic(tmp_path):
@@ -88,14 +91,10 @@ def test_parse_rejects_missing_pieces(tmp_path):
     no_basis = TINY.replace("basis = 1\n", "")
     with pytest.raises(ql.ScenarioValidationError, match="basis"):
         ql.parse_scenario(write_cfg(tmp_path, no_basis))
-    no_base_radius = TINY + "\n[approx]\nsumset_radius = 2\n"
-    with pytest.raises(ql.ScenarioValidationError, match="base_radius"):
-        ql.parse_scenario(write_cfg(tmp_path, no_base_radius))
 
 
 FULL = TINY + """
 [approx]
-base_radius = 8
 sumset_radius = 4
 
 [gabor]
@@ -131,7 +130,7 @@ def test_each_required_key_is_checked(tmp_path, capsys):
             assert main(["run", str(path)]) == 2
             assert f"[{section}] missing {key}" in capsys.readouterr().err
             checked += 1
-    assert checked == 9
+    assert checked == 8
 
 
 def test_parse_rejects_inconsistent_gabor(tmp_path):
@@ -165,6 +164,26 @@ def test_parse_rejects_unknown_sections_and_keys(tmp_path):
             ql.parse_scenario(write_cfg(tmp_path, text))
 
 
+def test_retired_keys_are_unknown(tmp_path, capsys):
+    # each key was only ever set to one value: the cover base is twice
+    # sumset_radius, coverage_tol is COVERAGE_TOL, the frame sweep steps by 10
+    # and a p-adic cover may have at most 3 translates
+    cases = [(FULL.replace("sumset_radius = 4", "sumset_radius = 4\nbase_radius = 8"),
+              "approx", "base_radius"),
+             (FULL.replace("sumset_radius = 4", "sumset_radius = 4\ncoverage_tol = 1e-6"),
+              "approx", "coverage_tol"),
+             (FULL.replace("checks = riesz", "checks = riesz\nhermite_step = 10"),
+              "gabor", "hermite_step"),
+             (PADIC + "max_k = 3\n", "padic", "max_k")]
+    for text, section, key in cases:
+        path = write_cfg(tmp_path, text)
+        message = f"unknown keys ['{key}'] in [{section}]"
+        with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
+            ql.parse_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_validate_padic_requirements(tmp_path):
     path = write_cfg(tmp_path, PADIC.replace("n_max = 3\n", ""))
     with pytest.raises(ql.ScenarioValidationError, match="n_max"):
@@ -191,7 +210,7 @@ def test_booleans_take_configparser_words_only(tmp_path, capsys):
 def test_padic_scenario_refuses_other_sections(tmp_path, capsys):
     blocks = {"points": "kind = lattice\nbasis = 1\n",
               "density": "radii = 2, 4\ntruncation = 10\n",
-              "approx": "base_radius = 8\nsumset_radius = 4\n",
+              "approx": "sumset_radius = 4\n",
               "gabor": "radius = 6\nchecks = riesz\n",
               "expect": "k = 1\n"}
     for section, body in blocks.items():
@@ -230,7 +249,7 @@ def test_point_source_recipes():
 
 def test_expected_flag_mismatch_fails(tmp_path):
     # pin an expectation that cannot hold: a 1d lattice cover has k = 1
-    text = TINY + "\n[approx]\nbase_radius = 8\nsumset_radius = 4\n[expect]\nk = 2\n"
+    text = TINY + "\n[approx]\nsumset_radius = 4\n[expect]\nk = 2\n"
     report = ql.run_scenario(ql.parse_scenario(write_cfg(tmp_path, text)))
     assert not report.passed
     failed = [v for v in report.verdicts if not v["passed"]]
@@ -303,7 +322,7 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
     # diag(q, 1) is degenerate, and a Riesz margin beyond the [gabor] radius
     ran = []
     monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
-    approx = TINY + "\n[approx]\nbase_radius = 4\nsumset_radius = 2\n"
+    approx = TINY + "\n[approx]\nsumset_radius = 2\n"
     cases = [(approx + "\n[expect]\nk = two\n", "[expect] k = "),
              (approx + "\n[expect]\nk = 2.0\n", "[expect] k = "),
              (TINY + "\n[expect]\ndensity_rtol = 0.02x\n", "[expect] density_rtol = "),
@@ -317,9 +336,7 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
     for truncation in ("inf", "nan"):
         cases.append((TINY.replace("truncation = 10", f"truncation = {truncation}"),
                       f"[density] truncation = '{truncation}': "))
-    cases += [(approx.replace("base_radius = 4", "base_radius = nan"),
-               "[approx] base_radius = 'nan': "),
-              (approx.replace("sumset_radius = 2", "sumset_radius = 0"),
+    cases += [(approx.replace("sumset_radius = 2", "sumset_radius = 0"),
                "[approx] sumset_radius = '0': "),
               (TINY + "\n[gabor]\nradius = -2\nchecks = riesz\n", "[gabor] radius = '-2': ")]
     fibonacci = TINY.replace("kind = lattice", "kind = fibonacci")
@@ -338,7 +355,7 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
                 base = PADIC if section == "padic" else FULL
                 cases.append((_with_value(base, section, key, "junk"),
                               f"[{section}] {key} = 'junk': "))
-    assert len(cases) == 23 + 31
+    assert len(cases) == 22 + 27
     for text, message in cases:
         path = write_cfg(tmp_path, text)
         with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
@@ -364,7 +381,6 @@ radii = 10, 20
 truncation = 30
 
 [approx]
-base_radius = 8
 sumset_radius = 4
 
 [gabor]
