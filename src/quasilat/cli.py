@@ -18,16 +18,9 @@ from .errors import QuasilatError, ScenarioValidationError
 from .gabor import GaborSystem
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import load_pointset, save_pointset, sumset_truncated
-from .scenarios import (GABOR_CHECKS, GABOR_OPTIONS, POINT_OPTIONS,
-                        builtin_scenario_names, builtin_scenario_path,
-                        json_text, parse_scenario, parse_value, point_kind, run_scenario)
-
-# gabor subcommand -> {GABOR_OPTIONS key: the flag that sets it}
-GABOR_FLAGS = {"frame-bounds": {"hermite_n": "--hermite-N"},
-               "riesz": {"riesz_margin": "--edge-margin"},
-               "dual": {"riesz_margin": "--edge-margin"},
-               "hap": {"hap_box": "--K", "hap_x_count": "--x-grid", "hap_x_extent": "--x-extent"},
-               "complete": {"probe_count": "--probes"}}
+from .scenarios import (GABOR_CHECKS, POINT_OPTIONS, SECTION_KEYS, builtin_scenario_names,
+                        builtin_scenario_path, json_text, parse_scenario, parse_value,
+                        point_kind, run_scenario)
 
 
 def _emit(payload, out_path):
@@ -40,7 +33,7 @@ def _emit(payload, out_path):
 
 
 def _add_gen(sub):
-    p = sub.add_parser("gen", help="generate a point set and write it to CSV")
+    p = sub.add_parser("gen", help="generate a point set and write it to CSV", allow_abbrev=False)
     p.add_argument("--kind", required=True, help="a scenario [points] kind")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--basis", type=partial(parse_value, "points", "basis"),
@@ -52,7 +45,8 @@ def _add_gen(sub):
 
 
 def _add_density(sub):
-    p = sub.add_parser("density", help="Beurling density scan over box sequences")
+    p = sub.add_parser("density", help="Beurling density scan over box sequences",
+                       allow_abbrev=False)
     p.add_argument("--points", required=True, help="point CSV path")
     p.add_argument("--radii", required=True, type=partial(parse_value, "density", "radii"),
                    help="comma separated box radii")
@@ -60,7 +54,7 @@ def _add_density(sub):
 
 
 def _add_approx(sub):
-    p = sub.add_parser("approx", help="Delone stats and finite-cover search")
+    p = sub.add_parser("approx", help="Delone stats and finite-cover search", allow_abbrev=False)
     p.add_argument("--base", required=True, help="point CSV for the base set")
     p.add_argument("--sumset-radius", type=float,
                    help=f"truncation of the base+base sumset; at most 1/{BASE_REACH} "
@@ -70,23 +64,23 @@ def _add_approx(sub):
 
 
 def _add_gabor(sub):
-    p = sub.add_parser("gabor", help="coherent system diagnostics")
+    p = sub.add_parser("gabor", help="coherent system diagnostics", allow_abbrev=False)
     gsub = p.add_subparsers(dest="gabor_cmd", required=True)
-    for cmd, flags in GABOR_FLAGS.items():
-        q = gsub.add_parser(cmd)
+    for check in GABOR_CHECKS:
+        q = gsub.add_parser("frame-bounds" if check == "frame" else check, allow_abbrev=False)
         q.add_argument("--points", required=True, help="time-frequency node CSV")
         q.add_argument("--out")
-        # every GABOR_OPTIONS key at its default; each flag sets one, parsed as a cfg value
-        q.set_defaults(**{key: row[0] for key, row in GABOR_OPTIONS.items()})
-        for key, flag in flags.items():
-            q.add_argument(flag, dest=key, type=partial(parse_value, "gabor", key))
+        if check == "frame":  # the [gabor] hermite_n key; the other check sizes are constants
+            q.add_argument("--hermite-N", dest="hermite_n",
+                           type=partial(parse_value, "gabor", "hermite_n"),
+                           default=SECTION_KEYS["gabor"]["hermite_n"][1])
 
 
 def _add_padic(sub):
-    p = sub.add_parser("padic", help="p-adic model set density and covers")
+    p = sub.add_parser("padic", help="p-adic model set density and covers", allow_abbrev=False)
     psub = p.add_subparsers(dest="padic_cmd", required=True)
     for name in ("density", "cover"):
-        q = psub.add_parser(name)
+        q = psub.add_parser(name, allow_abbrev=False)
         q.add_argument("-p", type=int, required=True)
         q.add_argument("-w", required=True, help="window radius, e.g. 1 or 1/2")
         q.add_argument("-n", type=int, required=True, help="max denominator exponent")
@@ -96,7 +90,7 @@ def _add_padic(sub):
 
 
 def _add_run(sub):
-    p = sub.add_parser("run", help="run scenario files or builtin presets")
+    p = sub.add_parser("run", help="run scenario files or builtin presets", allow_abbrev=False)
     p.add_argument("targets", nargs="*",
                    help="scenario cfg paths or builtin names; 'all' for every builtin")
     p.add_argument("--list", action="store_true", help="list builtin scenarios")
@@ -177,7 +171,7 @@ def _cmd_run(args):
 def build_parser():
     """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
-        prog="quasilat",
+        prog="quasilat", allow_abbrev=False,
         description="approximate lattices, Beurling densities, Gabor diagnostics")
     parser.add_argument("--version", action="version",
                         version=f"quasilat {__version__}")

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .pointset import DEDUP_TOL, positive_finite, require_reach
+from .pointset import DEDUP_TOL, _within, positive_finite, require_reach
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def count_in_translate(ps, x, radius):
     require_reach(np.max(np.abs(x)) + radius, ps.truncation_radius, "translated box reach")
     if len(ps) == 0:
         return 0
-    inside = np.all(np.abs(ps.points - x) <= radius + DEDUP_TOL, axis=1)
-    return int(np.count_nonzero(inside))
+    return int(np.count_nonzero(_within(ps.points - x, [radius + DEDUP_TOL] * ps.dim)))
 
 
 def _product_factors(points):

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NotMinimalError, ShiftRangeError
-from .pointset import DEDUP_TOL, PointSet, lexsorted, require_reach
+from .pointset import DEDUP_TOL, PointSet, _within, lexsorted, require_reach
 
 # Formal degree of the representation under Lebesgue normalization.
 D_PI = 1.0
@@ -482,7 +482,7 @@ def hap_residual(sys, x, box_radius):
     x = np.asarray(x, dtype=float).reshape(2)
     require_reach(np.max(np.abs(x)) + box_radius, sys.points.truncation_radius, "local box reach")
     local = sys.points.points - x
-    local = local[np.all(np.abs(local) <= box_radius + DEDUP_TOL, axis=1)]
+    local = local[_within(local, [box_radius + DEDUP_TOL] * 2)]
     return float(_probe_residual_norms(local, 1)[0])
 
 

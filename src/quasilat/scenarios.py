@@ -40,15 +40,14 @@ DELTA_FLOOR = 1e-2      # uniform minimality gap
 PADIC_MAX_K = 3         # largest p-adic cover size a [padic] scenario accepts
 DEFAULT_SLACK = 0.05
 
-# [gabor] option -> (default, least value, what a smaller one would mean); a cfg
-# key or a `quasilat gabor` flag overrides the default, parsed by _option.
-GABOR_OPTIONS = {
-    "hermite_n": (40, 1, "the test basis would be empty"),
-    "riesz_margin": (2.0, 0, "the interior radius exceeds the truncation radius"),
-    "hap_box": (6.0, 0, "the local box would be empty"),
-    "hap_x_extent": (1.0, 0, "the x-grid would be reversed"),
-    "hap_x_count": (5, 1, "the x-grid would be empty"),
-    "probe_count": (10, 1, "there would be no probe")}
+# Sizes of the truncated Gabor checks, the same in every builtin. Any Riesz
+# margin is valid: a sub-family's Gram is a principal submatrix, so its
+# spectrum interlaces into [A, B].
+RIESZ_MARGIN = 2.0      # riesz/dual drop the points this close to the truncation edge
+HAP_BOX = 6.0           # half-width of the local box around each HAP x-grid point
+HAP_X_EXTENT = 1.0      # the HAP x-grid spans [-extent, extent] on both axes
+HAP_X_COUNT = 5         # HAP x-grid points per axis
+PROBE_COUNT = 10        # completeness probes h_0 .. h_9
 
 # Defaults of the [points] options; a cfg key or a gen flag overrides each one.
 POINT_OPTIONS = {"window": 1.0, "beta": 0.5, "q": 4.0}
@@ -101,12 +100,10 @@ def _checks(text):
     return checks
 
 
-def _option(key, text):
-    """A GABOR_OPTIONS value: its default's type, refusing NaN and values below the least."""
-    default, least, meaning = GABOR_OPTIONS[key]
-    if not (value := type(default)(text)) >= least:
-        raise ValueError(f"is below {least}: {meaning}")
-    return value
+def _hermite_n(text):
+    if (n := int(text)) < 1:
+        raise ValueError("is below 1: the test basis would be empty")
+    return n
 
 
 def parse_value(section, key, text):
@@ -183,8 +180,8 @@ def validate_scenario(sc):
         reaches += [(needed, g["radius"], f"[gabor] {what}") for users, needed, what in (
             ({"frame"}, frame_guard(g["hermite_n"]),
              f"guard radius sqrt(hermite_n / pi) + {FRAME_GUARD:g}"),
-            ({"hap"}, g["hap_x_extent"] + g["hap_box"], "hap box reach"),
-            ({"riesz", "dual"}, g["riesz_margin"], "riesz_margin"))
+            ({"hap"}, HAP_X_EXTENT + HAP_BOX, "hap box reach"),
+            ({"riesz", "dual"}, RIESZ_MARGIN, "riesz margin"))
             if not users.isdisjoint(checks)]
     for needed, truncation, what in reaches:
         try:
@@ -281,14 +278,14 @@ def _check_frame(system, opt):
 
 
 def _check_riesz(system, opt):
-    rb = riesz_bounds(system, edge_margin=opt["riesz_margin"])
+    rb = riesz_bounds(system, edge_margin=RIESZ_MARGIN)
     return rb.to_dict(), rb.A_est > A_FLOOR
 
 
 def _check_dual(system, opt):
     """Minimality gap of the interior family; a singular Gram has no dual and no flag."""
     pts = system.points
-    interior = GaborSystem(pts.restrict(pts.truncation_radius - opt["riesz_margin"]))
+    interior = GaborSystem(pts.restrict(pts.truncation_radius - RIESZ_MARGIN))
     delta = uniform_min_delta(interior)
     try:
         dual = biorthogonal_dual(interior)
@@ -306,8 +303,7 @@ def _check_hap(system, opt):
     axis is symmetric, so S acts on the doubled index offsets
     w = (2 i - n + 1) + i (2 j - n + 1) from the grid centre as on z = x + i xi.
     """
-    box = opt["hap_box"]
-    axis = np.linspace(-opt["hap_x_extent"], opt["hap_x_extent"], opt["hap_x_count"])
+    axis = np.linspace(-HAP_X_EXTENT, HAP_X_EXTENT, HAP_X_COUNT)
     n = len(axis)
     pts = system.points.points
     order, theta = symmetry(pts)
@@ -317,7 +313,7 @@ def _check_hap(system, opt):
         for j in range(n):
             if residuals[i][j] is not None:
                 continue
-            value = hap_residual(system, (axis[i], axis[j]), box)
+            value = hap_residual(system, (axis[i], axis[j]), HAP_BOX)
             solves += 1
             w = complex(2 * i - n + 1, 2 * j - n + 1)
             orbit = [w * 1j ** (4 // order * k) for k in range(order)]
@@ -326,22 +322,21 @@ def _check_hap(system, opt):
             for v in orbit:
                 residuals[round(v.real + n - 1) // 2][round(v.imag + n - 1) // 2] = value
     worst = float(np.max(residuals))
-    return ({"box_radius": box, "x_axis": [float(v) for v in axis],
+    return ({"box_radius": HAP_BOX, "x_axis": [float(v) for v in axis],
              "residuals": residuals, "max_residual": worst, "rotation_order": order,
              "reflection_axis": None if theta is None else theta / math.pi,
              "solves": solves}, worst < HAP_FLOOR)
 
 
 def _check_complete(system, opt):
-    count = opt["probe_count"]
-    res = completeness_residual(system, count)
-    order, theta, shapes = solve_shapes(system.points.points, count)
-    return ({"probe_count": count, "max_residual": res, "rotation_order": order,
+    res = completeness_residual(system, PROBE_COUNT)
+    order, theta, shapes = solve_shapes(system.points.points, PROBE_COUNT)
+    return ({"probe_count": PROBE_COUNT, "max_residual": res, "rotation_order": order,
              "reflection_axis": None if theta is None else theta / math.pi,
              "solve_shapes": [list(s) for s in shapes]}, res < COMPLETE_FLOOR)
 
 
-# check -> (runner(system, options) -> (report block, flag value), flag name,
+# check -> (runner(system, [gabor] values) -> (report block, flag value), flag name,
 # verdict, density the flag bounds, whether the bound is divided by k), in
 # verdict order. A flag bounding D_minus implies D_minus >= d_pi (1 - slack)
 # [/ k]; one bounding D_plus implies D_plus <= d_pi (1 + slack). Only the
@@ -370,7 +365,7 @@ SECTION_KEYS = {
     "density": {"radii": (_radii, REQUIRED), "truncation": (positive_finite, REQUIRED)},
     "approx": {"sumset_radius": (positive_finite, REQUIRED)},
     "gabor": {"radius": (positive_finite, REQUIRED), "checks": (_checks, ()),
-              **{key: (partial(_option, key), row[0]) for key, row in GABOR_OPTIONS.items()}},
+              "hermite_n": (_hermite_n, 40)},
     "padic": {"p": (int, REQUIRED), "w": (parse_window, REQUIRED), "n_max": (int, REQUIRED),
               "max_deviation": (float, 1.0)},
     "expect": {"k": (int, None), "density_rtol": (float, 0.02),

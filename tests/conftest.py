@@ -1,5 +1,11 @@
 import json
+import os
 import pathlib
+
+# one BLAS thread, as CI and perfbench run, unless the caller sets otherwise;
+# it must be set before numpy loads its BLAS
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
 import numpy as np
 import pytest

@@ -153,14 +153,23 @@ def test_approx_refuses_a_sumset_beyond_half_the_base(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["density", "--radii", "2", "--scan-region", "1"], "unrecognized arguments: --scan-region"),
-    # argparse reads a flag's unique prefix as the flag, so --sumset is --sumset-radius
-    (["approx", "--sumset", "line.csv"], "--sumset-radius: invalid float value: 'line.csv'"),
+    (["approx", "--sumset", "5"], "unrecognized arguments: --sumset"),
     (["approx", "--coverage-tol", "1e-6"], "unrecognized arguments: --coverage-tol"),
     (["approx", "--delone-margin", "2"], "unrecognized arguments: --delone-margin"),
     (["gabor", "frame-bounds", "--hermite-step", "10"], "unrecognized arguments: --hermite-step"),
-], ids=["scan-region", "sumset", "coverage-tol", "delone-margin", "hermite-step"])
+    (["gabor", "frame-bounds", "--hermite", "60"], "unrecognized arguments: --hermite"),
+    (["gabor", "riesz", "--edge-margin", "2"], "unrecognized arguments: --edge-margin"),
+    (["gabor", "dual", "--edge-margin", "2"], "unrecognized arguments: --edge-margin"),
+    (["gabor", "hap", "--K", "6"], "unrecognized arguments: --K"),
+    (["gabor", "hap", "--x-grid", "5"], "unrecognized arguments: --x-grid"),
+    (["gabor", "hap", "--x-extent", "1"], "unrecognized arguments: --x-extent"),
+    (["gabor", "complete", "--probes", "10"], "unrecognized arguments: --probes"),
+], ids=["scan-region", "sumset", "coverage-tol", "delone-margin", "hermite-step", "hermite",
+        "edge-margin-riesz", "edge-margin-dual", "K", "x-grid", "x-extent", "probes"])
 def test_retired_flags_exit_2(tmp_path, capsys, argv, message):
-    # each flag was only ever given one value; the value is now a constant
+    # each flag was only ever given one value; the value is now a constant. No
+    # flag takes a prefix, so --sumset and --hermite are not --sumset-radius
+    # and --hermite-N
     points = str(gen_line(tmp_path))
     flag = "--base" if argv[0] == "approx" else "--points"
     with pytest.raises(SystemExit) as exit_info:
@@ -182,20 +191,15 @@ def test_gabor_commands(tmp_path):
     assert blob["B_est"] >= blob["A_est"]
 
     out2 = tmp_path / "riesz.json"
-    rc = main(["gabor", "riesz", "--points", str(pts),
-               "--edge-margin", "5", "--out", str(out2)])
+    rc = main(["gabor", "riesz", "--points", str(pts), "--out", str(out2)])
     assert rc == 0
     assert json.loads(out2.read_text())["subspace_dim"] > 0
 
 
 def test_gabor_commands_match_scenario_blocks(tmp_path):
-    # non-default options on both sides pin each flag to its option key; no
-    # option on either side pins each subcommand's defaults to GABOR_OPTIONS
-    set_flags = {"riesz": ["--edge-margin", "1.5"], "dual": ["--edge-margin", "1.5"],
-                 "hap": ["--K", "3", "--x-extent", "0.5", "--x-grid", "2"],
-                 "complete": ["--probes", "4"]}
-    cases = [(6, "riesz_margin = 1.5\nhap_box = 3\nhap_x_extent = 0.5\n"
-                 "hap_x_count = 2\nprobe_count = 4\n", set_flags),
+    # hermite_n on both sides pins --hermite-N to its key; no option on either
+    # side pins each subcommand to the scenario's defaults and constants
+    cases = [(10, "hermite_n = 20\n", {"frame-bounds": ["--hermite-N", "20"]}),
              (10, "", {"frame-bounds": [], "riesz": [], "dual": [], "hap": [], "complete": []})]
     for radius, options, flags in cases:
         checks = ", ".join("frame" if c == "frame-bounds" else c for c in flags)
@@ -217,28 +221,8 @@ def test_gabor_commands_match_scenario_blocks(tmp_path):
             assert json.loads(out.read_text()) == block, (radius, check)
 
 
-def test_negative_edge_margin_exits_2(tmp_path, capsys):
-    pts = tmp_path / "nodes.csv"
-    assert main(["gen", "--kind", "lattice", "--basis", "2,0,0,1",
-                 "--radius", "6", "--out", str(pts)]) == 0
-    for check in ("riesz", "dual"):
-        assert main(["gabor", check, "--points", str(pts), "--edge-margin", "-1"]) == 2
-        assert "exceeds the truncation radius" in capsys.readouterr().err
-    cfg = tmp_path / "margin.cfg"
-    cfg.write_text(TINY_SCENARIO.replace("basis = 1\n", "basis = 2, 0, 0, 1\n")
-                   + "\n[gabor]\nradius = 8\nchecks = riesz\nriesz_margin = -1\n")
-    assert main(["run", str(cfg)]) == 2
-    assert "exceeds the truncation radius" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("cmd, flag, key, value", [
     ("frame-bounds", "--hermite-N", "hermite_n", "0"),
-    ("riesz", "--edge-margin", "riesz_margin", "-0.5"),
-    ("hap", "--K", "hap_box", "-1"),
-    ("hap", "--K", "hap_box", "nan"),
-    ("hap", "--x-extent", "hap_x_extent", "-1"),
-    ("hap", "--x-grid", "hap_x_count", "0"),
-    ("complete", "--probes", "probe_count", "0"),
 ])
 def test_gabor_option_below_its_minimum_exits_2(tmp_path, capsys, cmd, flag, key, value):
     pts = tmp_path / "z2.csv"
@@ -421,17 +405,15 @@ def test_gabor_checks_never_sample(tmp_path, monkeypatch):
                    "[points]\nkind = lattice\nbasis = 1, 0, 0, 1\n"
                    "[density]\nradii = 2, 4\ntruncation = 10\n"
                    "[gabor]\nradius = 9\nchecks = frame, riesz, dual, hap, complete\n"
-                   "hermite_n = 20\nhap_box = 3\nhap_x_extent = 0.5\n"
-                   "hap_x_count = 2\nprobe_count = 4\n")
+                   "hermite_n = 20\n")
     report = ql.run_scenario(ql.parse_scenario(cfg))
     assert set(report.results["gabor"]) >= {"frame", "riesz", "dual", "hap", "complete"}
 
     pts = tmp_path / "nodes.csv"
     assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
                  "--radius", "9", "--out", str(pts)]) == 0
-    flags = {"frame-bounds": ["--hermite-N", "20"], "riesz": [], "dual": [],
-             "hap": ["--K", "3", "--x-extent", "0.5", "--x-grid", "2"],
-             "complete": ["--probes", "4"]}
+    flags = {"frame-bounds": ["--hermite-N", "20"], "riesz": [], "dual": [], "hap": [],
+             "complete": []}
     for check, extra in flags.items():
         assert main(["gabor", check, "--points", str(pts)] + extra) == 0, check
 

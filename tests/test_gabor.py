@@ -404,18 +404,17 @@ def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):
     calls = []
     monkeypatch.setattr(gabor, "_residual_norms",
                         lambda A, B: calls.append(A.shape) or solve(A, B))
+    monkeypatch.setattr(ql.scenarios, "HAP_BOX", 4.0)  # the same grid, smaller solves
     run = ql.scenarios.GABOR_CHECKS["hap"][0]
-    opt = ql.scenarios.parse_section("gabor", {"radius": "10.5", "hap_box": "4"})  # same grid
     for system, order, solves in [(oversampled_system, 4, 6), (rect, 2, 9),
                                   (shifted, 1, 25)]:
         calls.clear()
-        block, _ = run(system, opt)
+        block, _ = run(system, {})
         assert len(calls) == solves
         assert (block["rotation_order"], block["solves"]) == (order, solves)
         if order > 1:
             axis = block["x_axis"]
-            direct = [[ql.hap_residual(system, (a, b), opt["hap_box"]) for b in axis]
-                      for a in axis]
+            direct = [[ql.hap_residual(system, (a, b), 4.0) for b in axis] for a in axis]
             assert np.max(np.abs(np.subtract(block["residuals"], direct))) <= 1e-12
 
 
@@ -432,14 +431,13 @@ def test_hap_grid_orbits_under_a_diagonal_reflection(monkeypatch):
     dtypes = []
     monkeypatch.setattr(gabor, "_residual_norms",
                         lambda A, B: dtypes.append(A.dtype) or solve(A, B))
-    run = ql.scenarios.GABOR_CHECKS["hap"][0]
-    opt = ql.scenarios.parse_section("gabor", {"radius": "10.5", "hap_box": "4"})
-    block, _ = run(system, opt)
+    monkeypatch.setattr(ql.scenarios, "HAP_BOX", 4.0)
+    block, _ = ql.scenarios.GABOR_CHECKS["hap"][0](system, {})
     # centre, two orbits on each diagonal, four of the sixteen other points
     assert (block["rotation_order"], block["reflection_axis"], block["solves"]) == (2, 0.25, 9)
     assert len(dtypes) == 9 and dtypes[0] == np.float64  # the centred set keeps the reflection
     axis = block["x_axis"]
-    direct = [[ql.hap_residual(system, (a, b), opt["hap_box"]) for b in axis] for a in axis]
+    direct = [[ql.hap_residual(system, (a, b), 4.0) for b in axis] for a in axis]
     assert np.max(np.abs(np.subtract(block["residuals"], direct))) <= 1e-12
     assert np.ptp(direct) > 0.1  # a residual map that varies over the grid
 

@@ -137,8 +137,7 @@ def test_parse_rejects_inconsistent_gabor(tmp_path):
     guard = TINY + "\n[gabor]\nradius = 8\nchecks = frame\nhermite_N = 60\n"
     with pytest.raises(ql.ScenarioValidationError, match="guard"):
         ql.parse_scenario(write_cfg(tmp_path, guard))
-    hap_box = TINY + ("\n[gabor]\nradius = 8\nchecks = hap\n"
-                      "hap_box = 7.5\nhap_x_extent = 1\n")
+    hap_box = TINY + "\n[gabor]\nradius = 6.5\nchecks = hap\n"  # the box reaches 7
     with pytest.raises(ql.ScenarioValidationError, match="hap box"):
         ql.parse_scenario(write_cfg(tmp_path, hap_box))
     misspelled = TINY + "\n[gabor]\nradius = 8\nchecks = riesz, reisz\n"
@@ -166,15 +165,18 @@ def test_parse_rejects_unknown_sections_and_keys(tmp_path):
 
 def test_retired_keys_are_unknown(tmp_path, capsys):
     # each key was only ever set to one value: the cover base is twice
-    # sumset_radius, coverage_tol is COVERAGE_TOL, the frame sweep steps by 10
-    # and a p-adic cover may have at most 3 translates
+    # sumset_radius, coverage_tol is COVERAGE_TOL, the frame sweep steps by 10,
+    # a p-adic cover may have at most 3 translates, and the Riesz margin, HAP
+    # grid and probe count are the scenarios module's constants
     cases = [(FULL.replace("sumset_radius = 4", "sumset_radius = 4\nbase_radius = 8"),
               "approx", "base_radius"),
              (FULL.replace("sumset_radius = 4", "sumset_radius = 4\ncoverage_tol = 1e-6"),
               "approx", "coverage_tol"),
-             (FULL.replace("checks = riesz", "checks = riesz\nhermite_step = 10"),
-              "gabor", "hermite_step"),
              (PADIC + "max_k = 3\n", "padic", "max_k")]
+    for key, value in (("hermite_step", 10), ("riesz_margin", 2), ("hap_box", 6),
+                       ("hap_x_extent", 1.0), ("hap_x_count", 5), ("probe_count", 10)):
+        cases.append((FULL.replace("checks = riesz", f"checks = riesz\n{key} = {value}"),
+                      "gabor", key))
     for text, section, key in cases:
         path = write_cfg(tmp_path, text)
         message = f"unknown keys ['{key}'] in [{section}]"
@@ -347,15 +349,15 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
     for q in ("0", "nan", "inf", "-inf"):
         cases.append((sparse.replace("basis = 1", f"q = {q}"), "[points] degenerate lattice"))
     for check in ("riesz", "dual"):
-        cases.append((TINY + f"\n[gabor]\nradius = 6\nchecks = {check}\nriesz_margin = 7\n",
-                      "[gabor] riesz_margin 7.0 exceeds the truncation radius 6.0"))
+        cases.append((TINY + f"\n[gabor]\nradius = 1.5\nchecks = {check}\n",
+                      "[gabor] riesz margin 2.0 exceeds the truncation radius 1.5"))
     for section, rows in SECTION_KEYS.items():
         for key, (parse, _) in rows.items():
             if parse is not str:  # a str value is never refused
                 base = PADIC if section == "padic" else FULL
                 cases.append((_with_value(base, section, key, "junk"),
                               f"[{section}] {key} = 'junk': "))
-    assert len(cases) == 22 + 27
+    assert len(cases) == 22 + 22
     for text, message in cases:
         path = write_cfg(tmp_path, text)
         with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
@@ -386,7 +388,6 @@ sumset_radius = 4
 [gabor]
 radius = 8
 checks = complete
-probe_count = 4
 """
 
 
