@@ -8,9 +8,10 @@ finite grids: per axis the count is a sum of closed-interval indicators, so
 its sup is attained at a left endpoint (boxes with a face on a point) and its
 inf inside a cell between a right and the next left endpoint (boxes centred
 at the cell midpoints). Each axis's sorted distinct coordinates are built
-once per scan and shared by every radius. On a product set X_1 x ... x X_d
-(lex-sorted rows, no repeats) a box count is the product of per-axis counts:
-the same integers, with no d-dim prefix table. D_minus/D_plus extrapolate the
+once per scan; equal axes share their boxes. On a product X_1 x ... x X_d
+a box count is the product of per-axis counts, with no d-dim prefix table.
+A Product hands its sorted factors X_j straight to the scan; lex-sorted
+rows without repeats are recognised as one. D_minus/D_plus extrapolate the
 per-box estimates linearly in 1/radius (each has an O(1/radius) boundary term).
 """
 
@@ -77,6 +78,21 @@ class DensityReport:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class Product:
+    """X_1 x ... x X_d truncated at truncation_radius, held as its sorted factors X_j."""
+
+    factors: list
+    truncation_radius: float
+
+    @property
+    def dim(self):
+        return len(self.factors)
+
+    def __len__(self):  # the row count
+        return math.prod(len(f) for f in self.factors)
+
+
 def count_in_translate(ps, x, radius):
     """Exact count of points in the closed box x + [-radius, radius]^dim.
 
@@ -112,13 +128,12 @@ class _PrefixCounter:
     """Exact box counts via per-axis coordinate compression: per-axis counts multiply
     on a product set, else a prefix-sum table (int32: holds any count, halves lookups)."""
 
-    def __init__(self, points):
-        self.dim = points.shape[1]
-        self.axes, self.table = _product_factors(points), None
+    def __init__(self, points):  # rows, or a Product
+        self.axes, self.table = getattr(points, "factors", None) or _product_factors(points), None
         if self.axes is not None:
             return
         self.axes, cell = [], 0  # cell: raveled table index of each point
-        for j in range(self.dim):
+        for j in range(points.shape[1]):
             col = points[:, j]
             if np.all(col[1:] >= col[:-1]):  # sorted, as lex order's first column
                 new = np.r_[True, col[1:] != col[:-1]]
@@ -132,7 +147,7 @@ class _PrefixCounter:
         if math.prod(shape) > 200_000_000:
             raise MemoryError("coordinate grid too large for prefix counting")
         table = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
-        for axis in range(self.dim):
+        for axis in range(table.ndim):
             np.cumsum(table, axis=axis, out=table)
         self.table = table.astype(np.int32)
 
@@ -143,17 +158,17 @@ class _PrefixCounter:
         interval on the axes 0..j the prefix counts along the later axes.
         """
         out = np.int32(1) if self.table is None else self.table
-        for j in range(self.dim):
-            lo = np.searchsorted(self.axes[j], lows[j], side="left")
-            hi = np.searchsorted(self.axes[j], highs[j], side="right")
+        for j, axis in enumerate(self.axes):
+            lo = np.searchsorted(axis, lows[j], side="left")
+            hi = np.searchsorted(axis, highs[j], side="right")
             out = (np.multiply.outer(out, (hi - lo).astype(np.int32)) if self.table is None
                    else np.take(out, hi, axis=j) - np.take(out, lo, axis=j))
         return out
 
     def translate_counts(self, centers, radius):
         """Counts in x + [-radius, radius]^dim for x over the product grid centers^dim."""
-        return self.counts_grid([centers - radius - DEDUP_TOL] * self.dim,
-                                [centers + radius + DEDUP_TOL] * self.dim)
+        return self.counts_grid([centers - radius - DEDUP_TOL] * len(self.axes),
+                                [centers + radius + DEDUP_TOL] * len(self.axes))
 
 
 def _translate_centers(step, scan_radius):
@@ -206,7 +221,10 @@ def _extreme_counts(counter, radius, scan):
     _axis_extreme_boxes holds on each axis whatever the other coordinates
     are, so products of the per-axis boxes attain both extrema.
     """
-    axes = [_axis_extreme_boxes(coords, radius + DEDUP_TOL, scan) for coords in counter.axes]
+    axes = []  # an axis equal to an earlier one reuses its boxes
+    for coords in counter.axes:
+        same = [b for c, b in zip(counter.axes, axes) if np.array_equal(c, coords)]
+        axes.append(same[0] if same else _axis_extreme_boxes(coords, radius + DEDUP_TOL, scan))
     sup = counter.counts_grid(*zip(*[a[0] for a in axes]))
     inf = counter.counts_grid(*zip(*[a[1] for a in axes]))
     return int(inf.min()), int(sup.max())
@@ -215,8 +233,8 @@ def _extreme_counts(counter, radius, scan):
 def extreme_counts(points, radii, scan, step=None):
     """Per radius, (inf, sup) of the box count over translates in [-scan, scan]^d.
 
-    Rows may repeat; each copy counts. With step=None the extrema are exact
-    over all translates, else over the grid step*Z^d.
+    points are rows, which may repeat (each copy counts), or a Product. With
+    step=None the extrema are exact over all translates, else over step*Z^d.
     """
     if len(points) == 0:
         return [(0, 0)] * len(radii)
@@ -241,7 +259,7 @@ def _extrapolate(radii, values):
 
 
 def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
-    """Lower/upper Beurling density estimates of ps over the given box sequence.
+    """Lower/upper Beurling density estimates of a PointSet or Product over the boxes.
 
     With translate_step=None (default) each per-box count is the exact
     inf/sup over every translate in the scan region. With an explicit step
@@ -259,7 +277,8 @@ def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
     if translate_step is not None:
         positive_finite(translate_step, "translate_step")
 
-    extremes = extreme_counts(ps.points, boxes.radii, scan, translate_step)
+    extremes = extreme_counts(ps if isinstance(ps, Product) else ps.points, boxes.radii,
+                              scan, translate_step)
     lower_counts = [lo for lo, _ in extremes]
     upper_counts = [hi for _, hi in extremes]
     lower_est = [c / boxes.measure(n) for n, c in enumerate(lower_counts)]

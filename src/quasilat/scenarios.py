@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .approxcheck import BASE_REACH, checked_cover
-from .density import FolnerBoxes, density_scan, extreme_counts
+from .density import FolnerBoxes, Product, density_scan, extreme_counts
 from .errors import (DegenerateLatticeError, InsufficientTruncationError, NotMinimalError,
                      ScenarioValidationError)
 from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
@@ -166,7 +166,7 @@ def validate_scenario(sc):
             raise ScenarioValidationError(f"[padic] {exc}") from exc
         return
     try:  # checks the kind, its keys and a csv path; a window or q its construction refuses
-        _, density, reach = point_kind(sc.points)
+        _, density, reach, _ = point_kind(sc.points)
     except (ValueError, DegenerateLatticeError) as exc:
         raise ScenarioValidationError(f"[points] {exc}") from exc
     g = sc.gabor
@@ -209,28 +209,39 @@ def _sparse_parts(q, radius):
     return from_points(np.stack([ms / q, ms], axis=1), 2, radius), Lattice(np.diag([q, 1.0]))
 
 
+def _product(*lines):
+    """factors(radius): the Product of the 1-d kinds that lines generate, at radius."""
+    return lambda radius: Product([line(radius).points[:, 0] for line in lines], radius)
+
+
 def point_kind(points):
-    """(generate, density, reach) of parsed [points] values, as parse_section or
-    the `quasilat gen` flags give them; the one place that knows the point kinds.
-    generate(radius) truncates the set, density is its closed form or None, and
-    reach is a csv file's truncation radius (the file is read here, once), else inf."""
+    """(generate, density, reach, factors) of parsed [points] values, as parse_section
+    or the `quasilat gen` flags give them; the one place that knows the point kinds.
+    generate(radius) truncates the set, density is its closed form or None, reach
+    is a csv file's truncation radius (the file is read here, once), else inf, and
+    factors(radius), None unless the kind is a product, is the truncation's Product."""
     kind = points["kind"]
     if kind == "lattice":
         if not points.get("basis"):
             raise ScenarioValidationError("lattice points need a basis")
         lattice = Lattice(points["basis"])
-        return partial(lattice_points_in_box, lattice), 1.0 / lattice.covolume, math.inf
+        diag = np.diag(lattice.basis)
+        factors = (_product(*(partial(lattice_points_in_box, Lattice([[b]])) for b in diag))
+                   if np.array_equal(lattice.basis, np.diag(diag)) else None)
+        return partial(lattice_points_in_box, lattice), 1.0 / lattice.covolume, math.inf, factors
     if kind in ("fibonacci", "fibonacci_product"):
         scheme = fibonacci_scheme(points["window"])
+        lines = [partial(model_set_generate, scheme)]
         if kind == "fibonacci_product":  # the chain times beta Z
             total = np.zeros((3, 3))
             total[[0, 2], :2], total[1, 2] = scheme.total_basis, points["beta"]
             scheme = CutAndProjectScheme(total, 2, 1, scheme.window)
-        return partial(model_set_generate, scheme), scheme.density(), math.inf
+            lines.append(partial(lattice_points_in_box, Lattice([[points["beta"]]])))
+        return partial(model_set_generate, scheme), scheme.density(), math.inf, _product(*lines)
     if kind == "symmetrized_sparse":
         q = points["q"]
         Lattice(np.diag([q, 1.0])).covolume  # the sublattice refuses q = 0, NaN and +-inf
-        return lambda radius: symmetrize(*_sparse_parts(q, radius), radius), None, math.inf
+        return lambda radius: symmetrize(*_sparse_parts(q, radius), radius), None, math.inf, None
     if kind == "csv":
         if not (path := points.get("path")):
             raise ScenarioValidationError("csv points need a path")
@@ -238,7 +249,7 @@ def point_kind(points):
             ps = load_pointset(path)
         except (OSError, ValueError) as exc:
             raise ScenarioValidationError(f"points csv {path!r}: {exc}") from exc
-        return ps.restrict, None, ps.truncation_radius
+        return ps.restrict, None, ps.truncation_radius, None
     raise ScenarioValidationError(f"unknown points kind: {kind!r}")
 
 
@@ -278,6 +289,7 @@ def _check_frame(system, opt):
 
 
 def _check_riesz(system, opt):
+    require_reach(RIESZ_MARGIN, system.points.truncation_radius, "riesz margin")
     rb = riesz_bounds(system, edge_margin=RIESZ_MARGIN)
     return rb.to_dict(), rb.A_est > A_FLOOR
 
@@ -285,6 +297,7 @@ def _check_riesz(system, opt):
 def _check_dual(system, opt):
     """Minimality gap of the interior family; a singular Gram has no dual and no flag."""
     pts = system.points
+    require_reach(RIESZ_MARGIN, pts.truncation_radius, "riesz margin")
     interior = GaborSystem(pts.restrict(pts.truncation_radius - RIESZ_MARGIN))
     delta = uniform_min_delta(interior)
     try:
@@ -417,8 +430,8 @@ def run_scenario(sc):
         return _finalize(sc, *_run_padic(sc))
 
     results, verdicts, flags = {}, [], {}
-    generate, formula, _ = point_kind(sc.points)
-    ps = generate(sc.density["truncation"])
+    generate, formula, _, factors = point_kind(sc.points)
+    ps = (factors or generate)(sc.density["truncation"])  # rows only where rows are read
     dens = density_scan(ps, FolnerBoxes(ps.dim, sc.density["radii"]))
     results["density"] = {**dens.to_dict(), "point_count": len(ps)}
 

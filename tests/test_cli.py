@@ -310,6 +310,15 @@ def test_gabor_guard_exits_2(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_gabor_riesz_and_dual_refuse_a_truncation_inside_the_margin(tmp_path, capsys):
+    pts = tmp_path / "nodes.csv"
+    assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
+                 "--radius", "1.5", "--out", str(pts)]) == 0
+    for cmd in ("riesz", "dual"):
+        assert main(["gabor", cmd, "--points", str(pts)]) == 2
+        assert "riesz margin 2.0 exceeds the truncation radius 1.5" in capsys.readouterr().err
+
+
 def test_padic_commands(tmp_path, capsys):
     out = tmp_path / "padic.json"
     rc = main(["padic", "density", "-p", "2", "-w", "1", "-n", "6",

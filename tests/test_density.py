@@ -294,9 +294,55 @@ def test_product_counts_match_brute_force_and_table(dim, data, radius, change):
     ("lattice-riesz-2", True), ("lattice-riesz-sqrt2", True), ("fibonacci-gabor", True),
     ("fibonacci-density", True), ("symmetrized-sparse", False)])
 def test_builtin_sets_take_the_expected_counting_path(name, product):
+    # a product kind hands the scan the factors of its rows, bit for bit, and
+    # the factored scan reports what the scan of the rows reports
     sc = ql.parse_scenario(builtin_scenario_path(name))
-    ps = point_kind(sc.points)[0](sc.density["truncation"])
+    generate, _, _, factors = point_kind(sc.points)
+    radius = sc.density["truncation"]
+    ps = generate(radius)
     assert (density._PrefixCounter(ps.points).table is None) == product
+    assert (factors is not None) == product
+    if product:
+        factored, rows = factors(radius), density._product_factors(ps.points)
+        assert [f.tobytes() for f in factored.factors] == [f.tobytes() for f in rows]
+        assert factored.truncation_radius == ps.truncation_radius
+        assert len(factored) == len(ps) and factored.dim == ps.dim
+        boxes = ql.FolnerBoxes(ps.dim, sc.density["radii"])
+        assert (density.density_scan(factored, boxes).to_dict()
+                == density.density_scan(ps, boxes).to_dict())
+
+
+def _assert_factored_scan_matches_rows(generate, factors, radius, radii):
+    ps, factored = generate(radius), factors(radius)
+    assert [f.tobytes() for f in factored.factors] == [
+        f.tobytes() for f in density._product_factors(ps.points)]
+    assert len(factored) == len(ps)
+    boxes = ql.FolnerBoxes(ps.dim, radii)
+    assert (density.density_scan(factored, boxes).to_dict()
+            == density.density_scan(ps, boxes).to_dict())
+    assert (density.density_scan(factored, boxes, translate_step=0.25).to_dict()
+            == density.density_scan(ps, boxes, translate_step=0.25).to_dict())
+
+
+_spacing = st.floats(0.6, 3.0).flatmap(lambda b: st.sampled_from([b, -b]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal=st.lists(_spacing, min_size=1, max_size=3), same=st.booleans())
+def test_factored_scan_of_diagonal_lattices_matches_rows(diagonal, same):
+    # equal axes (same spacing up to sign) share their extreme boxes
+    if same:
+        diagonal = [diagonal[0] * (-1) ** j for j in range(len(diagonal))]
+    generate, _, _, factors = point_kind({"kind": "lattice", "basis": np.diag(diagonal).tolist()})
+    _assert_factored_scan_matches_rows(generate, factors, 5.0, (1.0, 1.5, 2.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(window=st.floats(0.3, 2.0), beta=_spacing)
+def test_factored_scan_of_fibonacci_products_matches_rows(window, beta):
+    generate, _, _, factors = point_kind({"kind": "fibonacci_product", "window": window,
+                                          "beta": beta})
+    _assert_factored_scan_matches_rows(generate, factors, 9.0, (1.0, 2.0, 4.0))
 
 
 def test_non_diagonal_lattice_counts_by_table():

@@ -229,11 +229,16 @@ def test_padic_scenario_refuses_other_sections(tmp_path, capsys):
         assert ql.parse_scenario(ql.builtin_scenario_path(name)).padic
 
 
-def test_point_source_recipes():
+def test_point_source_recipes(tmp_path):
     def points(**written):
         return parse_section("points", written)
     lat = point_kind(points(kind="lattice", basis="2, 0, 0, 1"))[0](5.0)
     assert lat.source["basis"] == [[2.0, 0.0], [0.0, 1.0]]
+    # only product kinds have factors: a swap-symmetric basis is not diagonal
+    assert point_kind(points(kind="lattice", basis="0.7, 0.2, 0.2, 0.7"))[3] is None
+    assert point_kind(points(kind="symmetrized_sparse", q="4"))[3] is None
+    ql.save_pointset(lat, tmp_path / "lat.csv")
+    assert point_kind(points(kind="csv", path=str(tmp_path / "lat.csv")))[3] is None
     with pytest.raises(ql.ScenarioValidationError, match="dim"):
         points(kind="lattice", basis="1, 2, 3")  # the basis parser refuses it
 
