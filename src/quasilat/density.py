@@ -208,9 +208,15 @@ def _axis_extreme_boxes(coords, reach, scan):
     tops = coords[(coords - reach >= -scan) & (coords - reach <= scan)]
     sup_high = np.append(-scan + reach, tops)
     lefts = np.append(np.clip(coords - reach, -scan, scan), scan)
-    rights = np.append(np.clip(coords + reach, -scan, scan), -scan)
-    cuts = np.unique(np.concatenate([lefts, rights]))
-    cells = np.isin(cuts[:-1], rights) & np.isin(cuts[1:], lefts)
+    rights = np.append(-scan, np.clip(coords + reach, -scan, scan))
+    ends = np.concatenate([lefts, rights])
+    order = np.argsort(ends, kind="stable")  # merges the two sorted runs
+    merged, from_left = ends[order], order < len(lefts)
+    first = np.flatnonzero(np.append(True, merged[1:] != merged[:-1]))
+    cuts = merged[first]  # each distinct end once: is some copy of it a left, a right end?
+    is_left = np.logical_or.reduceat(from_left, first)
+    is_right = ~np.logical_and.reduceat(from_left, first)
+    cells = is_right[:-1] & is_left[1:]
     mids = ((cuts[:-1] + cuts[1:]) / 2.0)[cells] if len(cuts) > 1 else cuts  # scan 0
     return (sup_high - 2.0 * reach, sup_high), (mids - reach, mids + reach)
 

@@ -5,7 +5,9 @@ pi(z + z') with cocycle = exp(-2 pi i xi' x). The formal degree is 1 under
 Lebesgue normalization: integral |<f, pi(z) g>|^2 dz = ||f||^2 ||g||^2.
 The window is always g = h_0, so a GaborSystem is its point set alone and
 the checks are grid-free: every atom has closed-form Hermite coordinates
-(atom_coordinates) and the Gram matrix is analytic. Only the sampled
+(atom_coordinates), built down the rows by the ratio recurrence C[n] =
+C[n - 1] sqrt(pi) z / sqrt(n) (in log space where exp(-pi |z|^2 / 2) would
+be subnormal), and the Gram matrix is analytic. Only the sampled
 cross-check API takes a grid, a uniform one on [-T, T] with trapezoidal
 quadrature: Waveform, tf_shift, hermite_basis, orthogonality_check,
 GaborSystem.synthesis_matrix(grid) and DualFamily.duals(grid). That API is
@@ -39,6 +41,7 @@ where that vector is real) one column: per class the complex solve's column
 count, at about a third of its cost.
 """
 
+import cmath
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -60,6 +63,10 @@ FRAME_A_FLOOR = 1e-2
 # biorthogonal_dual: a Gram whose least eigenvalue is at most
 # DUAL_EIG_TOL * max(largest, 1) counts as singular.
 DUAL_EIG_TOL = 1e-10
+
+# atom_coordinates: the largest exponent pi |z|^2 / 2 whose seed
+# exp(-pi |z|^2 / 2) starts the ratio recurrence.
+SEED_EXPONENT_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -247,17 +254,26 @@ def hermite_cutoff(points):
     return math.ceil(m + 12.0 * math.sqrt(m) + 40.0)
 
 
-def _log_modulus_and_angle(points, N):
-    """log |C[n, j]| (-inf where it vanishes) and arg z_j for atom_coordinates."""
-    from scipy.special import gammaln
-    x, xi = np.asarray(points, dtype=float).reshape(-1, 2).T
-    r2 = x * x + xi * xi
-    at_zero = r2 == 0.0
-    n = np.arange(N, dtype=float)[:, None]
-    log_mod = (0.5 * n * np.log(math.pi * np.where(at_zero, 1.0, r2))
-               - 0.5 * gammaln(n + 1.0) - 0.5 * math.pi * r2)
-    log_mod[1:, at_zero] = -np.inf  # pi(0) g = h_0
-    return log_mod, np.arctan2(xi, x)
+def _bargmann_columns(z, N, seed_phase):
+    """seed_phase_j exp(-pi |z_j|^2 / 2) (sqrt(pi) z_j)^n / sqrt(n!) for n < N.
+
+    Row n is row n - 1 times sqrt(pi) z_j / sqrt(n): one complex cumprod
+    down the rows. exp(-SEED_EXPONENT_MAX) is still a normal double; a
+    column with a smaller seed (|z| > 21) would start from a subnormal, so
+    it is evaluated in log space instead, with log n! from math.lgamma.
+    """
+    half = 0.5 * math.pi * (z.real * z.real + z.imag * z.imag)
+    C = np.empty((N, len(z)), dtype=complex)
+    C[0] = seed_phase * np.exp(-half)
+    np.multiply((math.sqrt(math.pi) / np.sqrt(np.arange(1.0, N)))[:, None], z, out=C[1:])
+    np.multiply.accumulate(C, axis=0, out=C)
+    far = half > SEED_EXPONENT_MAX
+    if np.any(far):
+        n = np.arange(N, dtype=float)[:, None]
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in range(N)])[:, None]
+        C[:, far] = seed_phase[far] * np.exp(n * np.log(math.sqrt(math.pi) * z[far])
+                                             - 0.5 * log_factorial - half[far])
+    return C
 
 
 def atom_coordinates(points, N):
@@ -265,12 +281,12 @@ def atom_coordinates(points, N):
 
     With z = x + i xi, C[n, j] = exp(pi i x xi) exp(-pi |z|^2 / 2)
     (sqrt(pi) z)^n / sqrt(n!), the Bargmann transform of pi(lambda) h_0
-    (Groechenig 2001, section 3.4); the modulus is evaluated in log space.
+    (Groechenig 2001, section 3.4). The rows follow the ratio recurrence
+    C[n] = C[n - 1] sqrt(pi) z / sqrt(n) from C[0]; an atom with
+    pi |z|^2 / 2 > SEED_EXPONENT_MAX is evaluated in log space instead.
     """
     x, xi = np.asarray(points, dtype=float).reshape(-1, 2).T
-    log_mod, angle = _log_modulus_and_angle(points, N)
-    n = np.arange(N, dtype=float)[:, None]
-    return np.exp(log_mod + 1j * (n * angle + math.pi * x * xi))
+    return _bargmann_columns(x + 1j * xi, N, np.exp(1j * math.pi * x * xi))
 
 
 def gram_matrix(sys, max_points=6000):
@@ -447,6 +463,23 @@ def solve_shapes(points, probe_count):
     return order, theta, shapes
 
 
+def _class_coordinates(reps, inside, N, order, theta):
+    """The coordinate matrix the class solves read.
+
+    atom_coordinates(reps, N) without a reflection; with one, the real rows
+    |u_n| cos((n - r) alpha) of every representative, then |u_n| sin((n - r)
+    alpha) of the `inside` ones listed first, with r = n mod order.
+    """
+    if theta is None:
+        return atom_coordinates(reps, N)
+    w = (reps[:, 0] + 1j * reps[:, 1]) * cmath.exp(-1j * theta)   # |z| exp(i alpha)
+    U = _bargmann_columns(w, N, np.ones(len(w)))   # |u_n| exp(i n alpha)
+    alpha = np.angle(w)
+    for r in range(1, order):
+        U[r::order] *= np.exp(-1j * r * alpha)
+    return np.hstack([U.real, U[:, :inside].imag])
+
+
 def _probe_residual_norms(points, probe_count):
     """Residual norms of the probes e_0 .. e_{probe_count-1} against the atoms.
 
@@ -455,15 +488,7 @@ def _probe_residual_norms(points, probe_count):
     reflection of the set makes every class solve real.
     """
     order, theta, reps, inside, N, shapes = _split_problems(points, probe_count)
-    if theta is None:
-        V = atom_coordinates(reps, N)
-    else:   # rows |u_n| cos((n - r) alpha), then |u_n| sin((n - r) alpha) inside the sector
-        log_mod, angle = _log_modulus_and_angle(reps, N)
-        phase = (np.arange(N) // order * order)[:, None] * (angle - theta)
-        modulus = np.exp(log_mod, out=log_mod)
-        V = np.empty((N, len(reps) + inside))
-        np.multiply(modulus[:, :inside], np.sin(phase[:, :inside]), out=V[:, len(reps):])
-        np.multiply(modulus, np.cos(phase, out=phase), out=V[:, :len(reps)])
+    V = _class_coordinates(reps, inside, N, order, theta)
     norms = np.empty(probe_count)
     for r, (rows, _, probes) in enumerate(shapes):
         norms[r::order] = _residual_norms(V[r::order], np.eye(rows, probes))

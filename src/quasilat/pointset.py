@@ -62,6 +62,22 @@ def lexsorted(points):
     return points
 
 
+def unique_rows(points):
+    """np.unique(points, axis=0, return_inverse=True, return_counts=True) by one lexsort.
+
+    The rows come out in lexicographic order; inverse maps every input row
+    to its unique row, and counts are the sizes of those groups.
+    """
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    new = np.ones(len(ranked), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    return ranked[starts], inverse, np.diff(np.append(starts, len(ranked)))
+
+
 def _within(coords, bounds):
     """Mask of rows with |coords[:, j]| <= bounds[j] for all j, compared per column."""
     inside = np.abs(coords[:, 0]) <= bounds[0]
@@ -274,7 +290,7 @@ def fibonacci_scheme(window_half_width=1.0):
 
 
 def _projected_points(transform, bounds, d):
-    """First d coordinates of transform @ z over integer z with |transform z| <= bounds.
+    """First d coordinates of transform z over integer z with |transform z| <= bounds.
 
     Interval arithmetic bounds z by a box. The box is walked along its leading
     axes, and each last-axis fiber is cut to the interval on which every row
@@ -282,7 +298,10 @@ def _projected_points(transform, bounds, d):
     widened by one; a row with a zero last entry keeps or drops the whole
     fiber against the same slackened bound. The candidates left are filtered
     exactly, in meshgrid ("ij") order, so the rows equal those of one filter
-    over the whole box; MAX_CANDIDATES still caps the box.
+    over the whole box; MAX_CANDIDATES still caps the box. A coordinate is
+    z_0 T[:, 0] + z_1 T[:, 1] + ..., each product rounded and summed in
+    column order, not a matrix product: a basis whose columns swap or negate
+    under a map of the coordinates gives a set that map fixes exactly.
     """
     bounds = np.asarray(bounds, dtype=float)
     amp = np.abs(np.linalg.inv(transform)) @ (bounds + 1e-12)
@@ -312,7 +331,9 @@ def _projected_points(transform, bounds, d):
     offset = start.astype(np.int64) - (np.cumsum(length) - length)
     z = np.repeat(np.hstack([lead, offset[:, None]]), length, axis=0)
     z[:, -1] += np.arange(len(z))
-    coords = z @ transform.T
+    coords = z[:, :1] * transform[:, 0]
+    for k in range(1, n):
+        coords += z[:, k:k + 1] * transform[:, k]
     return np.compress(_within(coords, bounds), coords[:, :d], axis=0)
 
 

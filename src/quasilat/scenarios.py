@@ -30,7 +30,8 @@ from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
 from .padic import PAdicModelSet, padic_cover_set, padic_density, parse_window
 from .pointset import (CutAndProjectScheme, Lattice, fibonacci_scheme, from_points,
                        lattice_points_in_box, load_pointset, model_set_generate,
-                       positive_finite, require_reach, sumset_truncated, symmetrize)
+                       positive_finite, require_reach, sumset_truncated, symmetrize,
+                       unique_rows)
 
 # Decision thresholds for the spectral flags.
 A_FLOOR = 1e-2          # frame / Riesz lower bounds below this do not count
@@ -397,12 +398,12 @@ def _run_subadditivity(sc, union, base, sublattice, dens, results, verdicts):
     stage's own.
     """
     lat = lattice_points_in_box(sublattice, union.truncation_radius)
-    rows, copies = np.unique(np.vstack([base.points, -base.points, lat.points]) + 0.0,
-                             axis=0, return_counts=True)
-    both, at = np.unique(np.vstack([rows, union.points]), axis=0, return_inverse=True)
-    if len(both) != len(rows):
+    parts = np.vstack([base.points, -base.points, lat.points]) + 0.0
+    rows, at, counts = unique_rows(np.vstack([parts, union.points]))
+    # copies in the parts (counts - u) less the union's own u (0 or 1); < 0 where no part has it
+    copies = counts - 2 * np.bincount(at[len(parts):], minlength=len(rows))
+    if np.any(copies < 0):
         raise ValueError("symmetrized union has a row that none of its parts has")
-    copies[at.reshape(-1)[len(rows):]] -= 1
     scan = dens.scan_region_radius
     per_n = [-inf for inf, _ in
              extreme_counts(np.repeat(rows, copies, axis=0), dens.radii, scan)]

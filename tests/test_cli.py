@@ -46,8 +46,10 @@ def test_version_subprocess():
 
 def test_import_and_light_scenarios_load_no_scipy():
     # SciPy submodules load inside the functions that use them, so the CLI
-    # import and scenarios without KD-trees, splines, gammaln or pivoted-QR
-    # solves leave them unloaded; the exact subadditivity count needs no KD-tree
+    # import and scenarios without KD-trees, splines or pivoted-QR solves
+    # leave them unloaded; the exact subadditivity count needs no KD-tree, and
+    # the Hermite coordinates (a ratio recurrence) need no scipy.special, so
+    # lattice-frame-half's frame, HAP and completeness checks leave it unloaded
     src = str(pathlib.Path(ql.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import json, sys\n"
@@ -57,11 +59,14 @@ def test_import_and_light_scenarios_load_no_scipy():
             "code = main(['run', 'padic-2', 'lattice-riesz-2'])\n"
             "loaded.append([m for m in heavy if m in sys.modules])\n"
             "sym = main(['run', 'symmetrized-sparse'])\n"
-            "print(json.dumps([code, loaded, sym, 'scipy.spatial' in sys.modules]))\n")
+            "spatial = 'scipy.spatial' in sys.modules\n"
+            "half = main(['run', 'lattice-frame-half'])\n"
+            "print(json.dumps([code, loaded, sym, spatial, half,\n"
+            "                  'scipy.special' in sys.modules]))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.splitlines()[-1]) == [0, [[], []], 0, False]
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, [[], []], 0, False, 0, False]
 
 
 def test_gen_writes_loadable_csv(tmp_path):

@@ -107,6 +107,34 @@ def test_square_lattice_density_near_one():
     assert report.D_minus <= report.D_plus
 
 
+def _unique_isin_extreme_boxes(coords, reach, scan):
+    """Reference: _axis_extreme_boxes's cells by np.unique and np.isin."""
+    tops = coords[(coords - reach >= -scan) & (coords - reach <= scan)]
+    sup_high = np.append(-scan + reach, tops)
+    lefts = np.append(np.clip(coords - reach, -scan, scan), scan)
+    rights = np.append(np.clip(coords + reach, -scan, scan), -scan)
+    cuts = np.unique(np.concatenate([lefts, rights]))
+    cells = np.isin(cuts[:-1], rights) & np.isin(cuts[1:], lefts)
+    mids = ((cuts[:-1] + cuts[1:]) / 2.0)[cells] if len(cuts) > 1 else cuts
+    return (sup_high - 2.0 * reach, sup_high), (mids - reach, mids + reach)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coords=st.lists(st.one_of(st.integers(-12, 12).map(lambda k: k / 4),
+                                 st.floats(-6.0, 6.0)), min_size=1, max_size=30),
+       reach=st.sampled_from([0.25, 0.5, 1.0, 2.5]).map(lambda r: r + DEDUP_TOL)
+       | st.floats(0.01, 4.0),
+       scan=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 6.0))
+def test_axis_extreme_boxes_match_unique_and_isin(coords, reach, scan):
+    # quarter-integer coordinates put ends on one another and, with the sampled
+    # reaches and scans, clip several of them to the same +-scan
+    coords = np.sort(np.array(coords, dtype=float))
+    got = density._axis_extreme_boxes(coords, reach, scan)
+    want = _unique_isin_extreme_boxes(coords, reach, scan)
+    for g, w in zip([*got[0], *got[1]], [*want[0], *want[1]]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_exact_mode_brackets_grid_mode():
     ps = ql.model_set_generate(ql.fibonacci_scheme(1.0), 100.0)
     boxes = ql.FolnerBoxes(1, (5.0, 10.0, 20.0))

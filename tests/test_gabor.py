@@ -157,6 +157,64 @@ def test_atom_coordinates_match_sampled(grid12, pts):
     assert np.max(np.abs(C - sampled)) <= 1e-8
 
 
+def _log_space_coordinates(pts, N):
+    """Reference: log |C[n, j]| (-inf where C vanishes) and arg z_j, with SciPy's gammaln."""
+    from scipy.special import gammaln
+    x, xi = pts.T
+    r2 = x * x + xi * xi
+    n = np.arange(N, dtype=float)[:, None]
+    log_mod = (0.5 * n * np.log(math.pi * np.where(r2 == 0.0, 1.0, r2))
+               - 0.5 * gammaln(n + 1.0) - 0.5 * math.pi * r2)
+    log_mod[1:, r2 == 0.0] = -np.inf   # pi(0) g = h_0
+    return log_mod, np.arctan2(xi, x)
+
+
+# unit directions at k pi / 4, exact; a multiple lies on a sector ray
+_RAYS = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)],
+                 dtype=float)
+
+
+@st.composite
+def _coordinate_points(draw):
+    """Points mixing the origin, points on the rays k pi / 4, general points
+    and points with 21 <= |z| <= 30, where the recurrence hands over to log space."""
+    def general():
+        return tuple(draw(st.floats(-12.0, 12.0)) for _ in range(2))
+
+    def ray():
+        k, t = draw(st.integers(0, 7)), draw(st.floats(0.01, 14.0))
+        return tuple(t * _RAYS[k] / np.hypot(*_RAYS[k]))
+
+    def far():
+        t, a = draw(st.floats(21.0, 30.0)), draw(st.floats(-math.pi, math.pi))
+        return (t * math.cos(a), t * math.sin(a))
+
+    kinds = {"origin": lambda: (0.0, 0.0), "general": general, "ray": ray, "far": far}
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6))
+    return np.array([kinds[k]() for k in names], dtype=float).reshape(-1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pts=_coordinate_points(), order=st.sampled_from([1, 2, 4]),
+       k=st.integers(0, 3), data=st.data())
+def test_coordinates_match_log_space(pts, order, k, data):
+    N = data.draw(st.sampled_from([1, 2, 30, ql.hermite_cutoff(pts)]))
+    log_mod, angle = _log_space_coordinates(pts, N)
+    n = np.arange(N, dtype=float)[:, None]
+    want = np.exp(log_mod + 1j * (n * angle + math.pi * pts[:, 0] * pts[:, 1]))
+    got = ql.atom_coordinates(pts, N)
+    assert np.all(np.isfinite(got)) and np.max(np.abs(got - want)) <= 1e-12
+    # the reflection branch: rows |C_n| cos((n - r) alpha), then |C_n| sin((n - r) alpha)
+    theta = k * math.pi / 4
+    inside = data.draw(st.integers(0, len(pts)))
+    phase = (np.arange(N) // order * order)[:, None] * (angle - theta)
+    modulus = np.exp(log_mod)
+    want = np.hstack([modulus * np.cos(phase), (modulus * np.sin(phase))[:, :inside]])
+    got = gabor._class_coordinates(pts, inside, N, order, theta)
+    assert got.shape == want.shape and np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_coordinate_gram_matches_closed_form():
     pts = ql.lattice_points_in_box(ql.Lattice(np.diag([2.0 ** -0.5, 0.6])), 5.0)
     C = ql.atom_coordinates(pts.points, ql.hermite_cutoff(pts.points))
@@ -392,6 +450,26 @@ def test_reflection_angle_is_exact(oversampled_system):
         moved[0, 0] += DEDUP_TOL / 2.0
         assert gabor.symmetry(moved)[1] is None
     assert gabor.symmetry(np.zeros((0, 2)))[1] == 0.0  # the empty set
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_swap_symmetric_lattice_takes_real_class_solves(monkeypatch, scale):
+    # the basis columns (0.7, 0.2) and (0.2, 0.7) swap under (x, xi) -> (xi, x);
+    # generated as sums of integer multiples of the columns, the truncation is
+    # closed under the swap bit for bit, so its class solves are real
+    basis = scale * np.array([[0.7, 0.2], [0.2, 0.7]])
+    pts = ql.lattice_points_in_box(ql.Lattice(basis), 11.0).points
+    assert gabor.symmetry(pts) == (2, math.pi / 4)
+    solve = gabor._residual_norms
+    dtypes = []
+    monkeypatch.setattr(gabor, "_residual_norms",
+                        lambda A, B: dtypes.append(A.dtype) or solve(A, B))
+    got = gabor._probe_residual_norms(pts, 10)
+    assert dtypes == [np.float64, np.float64]
+    N = ql.hermite_cutoff(pts)
+    full = _lstsq_residual_norms(ql.atom_coordinates(pts, N), np.eye(N, 10))
+    assert np.max(np.abs(got - full)) <= 1e-12
+    assert (np.max(full) > 0.1) == (scale == 2.0)  # the sparser lattice leaves residuals
 
 
 def test_hap_grid_solves_one_point_per_orbit(monkeypatch, oversampled_system):

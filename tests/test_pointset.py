@@ -53,7 +53,9 @@ def _whole_box_points(transform, bounds, d):
     lo = np.ceil(-amp - 1e-12).astype(np.int64)
     hi = np.floor(amp + 1e-12).astype(np.int64)
     z = np.indices(hi - lo + 1).reshape(len(lo), -1).T + lo
-    coords = z @ transform.T
+    coords = z[:, :1] * transform[:, 0]  # the program's coordinate rule: column sums in order
+    for k in range(1, len(lo)):
+        coords += z[:, k:k + 1] * transform[:, k]
     return coords[np.all(np.abs(coords) <= bounds, axis=1), :d]
 
 
@@ -479,3 +481,19 @@ def test_save_pointset_text_matches_per_element_format(tmp_path):
     want = "dim=2\n" + "".join(",".join(format(x, ".17g") for x in p) + "\n"
                                for p in ps.points)
     assert path.read_text() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), n=st.integers(0, 40))
+def test_unique_rows_matches_numpy_unique(data, dim, n):
+    # few distinct values, so rows repeat; +-0.0 compare equal in both
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0 ** -0.5, 1e300])
+    pts = np.array(data.draw(st.lists(value, min_size=n * dim, max_size=n * dim)),
+                   dtype=float).reshape(n, dim)
+    rows, inverse, counts = pointset.unique_rows(pts)
+    want, want_inverse, want_counts = np.unique(pts, axis=0, return_inverse=True,
+                                                return_counts=True)
+    assert rows.shape == want.shape and np.array_equal(rows, want)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(rows[inverse], pts)
