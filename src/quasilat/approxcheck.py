@@ -4,8 +4,8 @@ A set is approximately closed (with constant k) when its sumset is covered by
 k translates of the set. find_cover_set certifies an upper bound for k on the
 truncation by greedy set cover, then searches all candidate pairs when greedy
 needs three or more, so a k of at most 3 is the minimum over sumset-point
-translates (``k_minimal``); verify_cover re-checks a cover with no search
-state shared.
+translates (``k_minimal``); on a line its coverage test is one sorted search.
+verify_cover re-checks a cover on its own KD-tree, sharing no search path.
 """
 
 import itertools
@@ -74,9 +74,9 @@ def delone_report(ps, interior_margin):
     index box per point, rasterised exactly; the probes left over are
     exactly those farther than L. All of them (at most EXACT_QUERY_MAX), or a
     strided sample of that size, are queried to raise L, and the raster
-    repeats until it leaves no probe beyond L. Every value is a KD-tree
-    distance and every comparison exact, so the result equals the maximum
-    over the full grid bit for bit.
+    repeats until it leaves no probe beyond L; boxes start at closed-form
+    indices. Every value is a KD-tree distance and every comparison exact,
+    so the result equals the maximum over the full grid bit for bit.
     """
     if len(ps) == 0:
         raise ValueError("empty point set")
@@ -111,8 +111,9 @@ def delone_report(ps, interior_margin):
         far = _probes_beyond(ps.points, axis, covering)
         sample = far[::max(1, len(far) // EXACT_QUERY_MAX)]
 
-    # exact symmetry needs no tolerance query
-    symmetric = (np.array_equal(lexsorted(ps.points), lexsorted(-ps.points))
+    # exact symmetry needs no tolerance query: -pts[::-1] of sorted pts is sorted
+    pts = lexsorted(ps.points)
+    symmetric = (np.array_equal(pts, -pts[::-1])
                  or bool(np.max(tree.query(-ps.points, k=1, p=np.inf)[0]) <= DEDUP_TOL))
     identity = bool(np.min(np.max(np.abs(ps.points), axis=1)) <= DEDUP_TOL)
     return DeloneReport(sep, covering, symmetric, identity, math.prod(shape), queried)
@@ -121,9 +122,9 @@ def delone_report(ps, interior_margin):
 def _first_beyond(axis, x, t, strict):
     """Per entry x, the least j with fl(axis[j] - x) >= t (> t if strict), else len(axis).
 
-    fl(a - x) is monotone in a, so the answer is one cut of the sorted axis;
-    searchsorted on fl(x + t) lands within rounding of it, and the loops move
-    each cut onto the exact predicate.
+    fl(a - x) is monotone in a, so the answer is one cut of the uniform axis
+    (j - k) * step; ceil((x + t) / step) + k lands within rounding of it, and
+    the loops move each cut onto the exact predicate.
     """
     n = len(axis)
 
@@ -131,7 +132,7 @@ def _first_beyond(axis, x, t, strict):
         d = axis[np.clip(j, 0, n - 1)] - x
         return d > t if strict else d >= t
 
-    j = np.searchsorted(axis, x + t, side="right" if strict else "left")
+    j = np.clip(np.ceil((x + t) / axis[n // 2 + 1]) + n // 2, 0, n).astype(np.int64)
     while (move := (j > 0) & beyond(j - 1)).any():
         j[move] -= 1
     while (move := (j < n) & ~beyond(j)).any():
@@ -144,29 +145,40 @@ def _probes_beyond(points, axis, radius):
 
     Point x covers the index box whose axis i runs over the j with
     |fl(axis[j] - x_i)| <= radius, the same rounding as the KD-tree distance.
-    The boxes are summed in a difference array, one bincount per corner,
-    and integrated by a prefix sum along each axis; a point with an empty
-    range (lo == hi) adds corners that cancel.
+    The boxes are summed in a difference array, one bincount per corner
+    sign, and integrated by a prefix sum along each axis; a point with an
+    empty range (lo == hi) adds corners that cancel.
     """
     dim = points.shape[1]
     lo = _first_beyond(axis, points, -radius, False)
     hi = _first_beyond(axis, points, radius, True)
     shape = (len(axis) + 1,) * dim
-    diff = np.zeros(math.prod(shape), dtype=np.int64)
-    for corner in itertools.product((False, True), repeat=dim):
-        idx = np.ravel_multi_index(tuple(np.where(corner, hi, lo).T), shape)
-        diff += (-1) ** sum(corner) * np.bincount(idx, minlength=diff.size)
-    cover = diff.reshape(shape)
+    cover = np.zeros(math.prod(shape), dtype=np.int64)
+    for parity in (0, 1):  # corners with an even, then an odd number of hi ends
+        idx = [np.ravel_multi_index(tuple(np.where(c, hi, lo).T), shape)
+               for c in itertools.product((False, True), repeat=dim) if sum(c) % 2 == parity]
+        cover += (-1) ** parity * np.bincount(np.concatenate(idx), minlength=cover.size)
+    cover = cover.reshape(shape)
     for i in range(dim):
         np.cumsum(cover, axis=i, out=cover)
     return np.flatnonzero(cover[(slice(0, len(axis)),) * dim] == 0)
 
 
-def _coverage_matrix(candidates, targets, base_tree, tol):
-    """Boolean matrix: candidate f covers target p iff dist(p - f, base) <= tol."""
-    diffs = (targets[None, :, :] - candidates[:, None, :]).reshape(-1, targets.shape[1])
-    dist, _ = base_tree.query(diffs, k=1, p=np.inf)
-    return (dist <= tol).reshape(len(candidates), len(targets))
+def _coverage_matrix(candidates, targets, base, tol):
+    """Boolean matrix: candidate f covers target p iff dist(p - f, base) <= tol.
+
+    On a line fl(x - b) is monotone in b, so the nearer neighbour of x's
+    insertion point in the sorted base gives the KD-tree's distance bit for bit.
+    """
+    diffs = targets[None, :, :] - candidates[:, None, :]
+    if base.shape[1] > 1:
+        from scipy.spatial import cKDTree
+        dist = cKDTree(base).query(diffs.reshape(-1, base.shape[1]), k=1, p=np.inf)[0]
+        return (dist <= tol).reshape(len(candidates), len(targets))
+    line, x = lexsorted(base)[:, 0], diffs[:, :, 0]
+    j = np.searchsorted(line, x)
+    covered = np.abs(x - line[np.maximum(j - 1, 0)]) <= tol
+    return covered | (np.abs(line[np.minimum(j, len(line) - 1)] - x) <= tol)
 
 
 def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radius=None,
@@ -178,6 +190,7 @@ def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radi
     Greedy finds a 1-cover whenever one exists; when it needs three or more
     translates, the first candidate pair in that order that covers every
     target replaces its answer, so k <= 3 is minimal over the candidates.
+    A KD-tree of the base is built only in two or more dimensions.
     The default verified region is the whole sumset truncation, and a wider
     one is refused. A base truncated at BASE_REACH times the sumset radius
     holds every coverage witness s - f, so truncation effects cannot inflate
@@ -199,9 +212,7 @@ def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radi
     order = np.lexsort(tuple(sumset.points.T[::-1]) + (norms,))
     candidates = sumset.points[order]
 
-    from scipy.spatial import cKDTree
-    base_tree = cKDTree(base.points)
-    cover = _coverage_matrix(candidates, targets, base_tree, coverage_tol)
+    cover = _coverage_matrix(candidates, targets, base.points, coverage_tol)
 
     uncovered = np.ones(len(targets), dtype=bool)
     picks = []
@@ -232,7 +243,10 @@ def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radi
 
 def verify_cover(sumset, base, defect_set, coverage_tol=COVERAGE_TOL,
                  verified_region_radius=None):
-    """Independent re-check that every sumset point in the region lies in defect_set + base."""
+    """Independent re-check that every sumset point in the region lies in defect_set + base.
+
+    Deliberately no shared search path: its own KD-tree in every dimension.
+    """
     if verified_region_radius is None:
         verified_region_radius = sumset.truncation_radius
     targets = sumset.restrict(verified_region_radius).points

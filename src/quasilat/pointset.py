@@ -48,6 +48,8 @@ def _as_points(points, dim):
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite point coordinate")
     return pts
 
 
@@ -406,6 +408,7 @@ def min_separation(points, tree=None):
     """Minimum pairwise sup-norm distance; inf for fewer than two points.
 
     ``tree``, a scipy cKDTree of the same points, saves building another.
+    The least 2nd-neighbour distance over every 64th point prunes the full query.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
@@ -413,7 +416,8 @@ def min_separation(points, tree=None):
     if tree is None:
         from scipy.spatial import cKDTree
         tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2, p=np.inf)
+    bound = np.min(tree.query(pts[::64], k=2, p=np.inf)[0][:, 1])
+    dist, _ = tree.query(pts, k=2, p=np.inf, distance_upper_bound=np.nextafter(bound, np.inf))
     return float(np.min(dist[:, 1]))
 
 
@@ -444,10 +448,15 @@ def save_pointset(ps, path):
     The sidecar path is ``<path>.json`` and mirrors the source recipe verbatim.
     """
     path = str(path)
+    points = np.asarray(ps.points, dtype=float)
+    cells = np.empty(points.shape, dtype=object)
+    for c in range(ps.dim):  # each distinct bit pattern (-0.0 is not 0.0) formatted once
+        bits, inverse = np.unique(points[:, c].view(np.int64), return_inverse=True)
+        cells[:, c] = np.array(["%.17g" % v for v in bits.view(float).tolist()], object)[inverse]
     with open(path, "w") as fh:
         fh.write(f"dim={ps.dim}\n")
-        row = ",".join(["%.17g"] * ps.dim) + "\n"
-        fh.write(row * len(ps) % tuple(ps.points.ravel().tolist()))
+        row = ",".join(["%s"] * ps.dim) + "\n"
+        fh.write(row * len(ps) % tuple(cells.ravel().tolist()))
     sidecar = {"source": ps.source, "truncation_radius": ps.truncation_radius,
                "dim": ps.dim, "count": len(ps)}
     with open(path + ".json", "w") as fh:
@@ -456,19 +465,20 @@ def save_pointset(ps, path):
 
 
 def _csv_rows(lines, dim, skiprows=0):
-    """numpy's rows of comma-separated numbers (lines: a path or a list); None unless dim wide."""
+    """numpy's rows of comma-separated numbers (a path or list); None unless dim wide, finite."""
     try:
         rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=skiprows)
     except ValueError:
         return None
-    return rows if rows.shape[1] == dim else None
+    return rows if rows.shape[1] == dim and np.isfinite(rows).all() else None
 
 
 def load_pointset(path):
     """Read a point CSV written by save_pointset; the sidecar is optional.
 
     numpy's reader parses the body and skips empty lines. Only when it
-    refuses the body is the file read line by line, to name the first bad line.
+    refuses the body, or a coordinate is not finite, is the file read line by
+    line, to name the first bad line. A ``dim=`` below 1 is refused.
     """
     path = str(path)
     with open(path) as fh:
@@ -477,8 +487,10 @@ def load_pointset(path):
             raise ValueError(f"malformed point CSV {path}: missing dim= header")
         try:
             dim = int(header[4:])
-        except ValueError as exc:
-            raise ValueError(f"malformed point CSV {path}: bad dimension") from exc
+        except ValueError:
+            dim = 0
+        if dim < 1:
+            raise ValueError(f"malformed point CSV {path}: bad dimension")
         empty = not any(line.strip("\r\n") for line in fh)  # loadtxt warns on one
     pts = np.zeros((0, dim)) if empty else _csv_rows(path, dim, skiprows=1)
     if pts is None:
@@ -486,7 +498,7 @@ def load_pointset(path):
             for ln, line in enumerate(fh, start=1):
                 if ln > 1 and line.strip("\r\n") and _csv_rows([line], dim) is None:
                     raise ValueError(f"malformed point CSV {path}: line {ln} is not "
-                                     f"{dim} comma-separated numbers")
+                                     f"{dim} comma-separated finite numbers")
     try:
         with open(path + ".json") as fh:
             meta = json.load(fh)

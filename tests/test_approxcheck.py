@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -227,3 +227,44 @@ def test_cover_matches_exhaustive_pair_search(dim, scale, data):
     if cover.k <= 3:
         assert cover.to_dict()["k_minimal"]
         assert cover.k == (k_min or 3)  # no pair covers, so 3 is the minimum
+
+
+# base points and translates on a line: a one-point base, exact tol offsets
+# from base points, values past both ends of any base, and -0.0
+_LINE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-6, -1e-6, 0.5, 2.5, 1e3, -1e3]),
+                  st.floats(-50.0, 50.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(_LINE, min_size=1, max_size=10),
+       candidates=st.lists(_LINE, min_size=1, max_size=6),
+       targets=st.lists(_LINE, min_size=1, max_size=8))
+@example(base=[0.0], candidates=[0.0, -0.0],
+         targets=[1e-6, float(np.nextafter(1e-6, 1.0)), -1e-6, -5.0, 5.0])
+@example(base=[2.0, -1.0, 0.5], candidates=[1e-6],
+         targets=[-1e3, 0.5, 0.5 + 2e-6, 1e3])
+def test_coverage_matrix_on_a_line_matches_kd_tree(base, candidates, targets):
+    # the sorted search must return the KD-tree's distance bit for bit: a
+    # threshold at every distance the tree returns, and one ulp below it,
+    # tells any two different floats apart
+    base, candidates, targets = (np.array(v, dtype=float)[:, None]
+                                 for v in (base, candidates, targets))
+    diffs = (targets[None, :, :] - candidates[:, None, :]).reshape(-1, 1)
+    dist = cKDTree(base).query(diffs, k=1, p=np.inf)[0].reshape(len(candidates), -1)
+    for d in np.unique(dist):
+        for tol in (d, np.nextafter(d, -np.inf)):
+            got = approxcheck._coverage_matrix(candidates, targets, base, tol)
+            assert got.shape == dist.shape and np.array_equal(got, dist <= tol)
+
+
+def test_reverified_does_not_share_the_coverage_search(monkeypatch):
+    # a coverage search that claims every translate covers everything yields
+    # k = 1 with defect {0}; verify_cover, on its own KD-tree, must refuse it
+    base = ql.model_set_generate(ql.fibonacci_scheme(1.0), 60.0)
+    sumset = ql.sumset_truncated(base, base, 30.0)
+    monkeypatch.setattr(approxcheck, "_coverage_matrix",
+                        lambda candidates, targets, *_: np.ones((len(candidates), len(targets)),
+                                                                dtype=bool))
+    out = approxcheck.checked_cover(sumset, base)
+    assert out["k"] == 1 and out["defect_set"] == [[0.0]]
+    assert out["reverified"] is False

@@ -104,6 +104,13 @@ def test_density_rejects_malformed_csv(tmp_path, capsys):
     rc = main(["density", "--points", str(bad), "--radii", "1"])
     assert rc == 2
     assert "missing dim=" in capsys.readouterr().err
+    # a NaN once passed the reader and failed later as a negative scan radius
+    bad.write_text("dim=1\nnan\n1\n2\n")
+    assert main(["density", "--points", str(bad), "--radii", "1"]) == 2
+    assert "line 2 is not 1 comma-separated finite numbers" in capsys.readouterr().err
+    bad.write_text("dim=0\n")
+    assert main(["density", "--points", str(bad), "--radii", "1"]) == 2
+    assert "bad dimension" in capsys.readouterr().err
 
 
 def test_density_truncation_guard_exits_2(tmp_path, capsys):

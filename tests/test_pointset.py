@@ -473,14 +473,51 @@ def test_sumset_float_noise_copies_merge():
     assert rep.upper_counts == [9, 36, 81]
 
 
-def test_save_pointset_text_matches_per_element_format(tmp_path):
-    values = [0.1, 1.0 / 3.0, 1e-300, -2.5e16, 0.0, 5e-324, -1.5, 123456789.125]
-    ps = ql.from_points(np.array(values).reshape(-1, 2))
-    path = tmp_path / "v.csv"
-    ql.save_pointset(ps, path)
-    want = "dim=2\n" + "".join(",".join(format(x, ".17g") for x in p) + "\n"
-                               for p in ps.points)
-    assert path.read_text() == want
+# few distinct values, so columns repeat them; -0.0 and 0.0 stay apart by bits
+_ROW_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.79e308, -1.79e308,
+                                        1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e16]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+_ROWS = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[_ROW_VALUE] * d), max_size=12).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=_ROWS)
+@example(pts=np.array([0.1, 1.0 / 3.0, 1e-300, -2.5e16, 0.0, 5e-324, -1.5, 123456789.125,
+                       -0.0, 5e-324]).reshape(-1, 2))
+@example(pts=np.array([[-0.0], [0.0], [-0.0], [1.79e308], [-1.79e308]]))
+@example(pts=np.zeros((0, 3)))
+def test_save_pointset_text_matches_per_element_format(pts):
+    # the file's bytes are those of formatting every coordinate with %.17g
+    d = pts.shape[1]
+    want = f"dim={d}\n" + "".join(",".join("%.17g" % x for x in p) + "\n" for p in pts.tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.csv")
+        ql.save_pointset(ql.PointSet(d, pts, math.inf, {"kind": "explicit"}), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode()
+
+
+def test_non_finite_coordinates_and_bad_dimension_are_refused(tmp_path):
+    # NaN gaps in _canonical once dropped 2.0 here without a word
+    for points in ([[1.0], [math.nan], [2.0]], [[0.0, math.inf]], [-math.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            ql.from_points(points)
+    path = tmp_path / "pts.csv"
+    for body, line in (("nan\n1\n2\n", 2), ("1\n\n2\n-inf\n", 5), ("1\n1e999\n", 3)):
+        path.write_text("dim=1\n" + body)
+        with pytest.raises(ValueError, match=f"line {line} is not 1 comma-separated finite"):
+            ql.load_pointset(path)
+    # with a sidecar the points skip from_points, and are refused all the same
+    ql.save_pointset(ql.from_points([[0.5, 1.0], [-2.0, 0.0]]), path)
+    path.write_text(path.read_text().replace("0.5,1", "0.5,nan"))
+    with pytest.raises(ValueError, match="line 3 is not 2 comma-separated finite"):
+        ql.load_pointset(path)
+    for header in ("dim=0", "dim=-1"):
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="bad dimension"):
+            ql.load_pointset(path)
 
 
 @settings(max_examples=150, deadline=None)
