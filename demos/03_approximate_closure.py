@@ -13,8 +13,7 @@ import quasilat as ql
 
 def report(tag, base, sumset):
     cover = ql.find_cover_set(sumset, base)
-    ok = ql.verify_cover(sumset, base, cover.defect_set,
-                         verified_region_radius=cover.verified_region_radius)
+    ok = ql.verify_cover(sumset, base, cover.defect_set)
     flat = [round(float(v), 4) for v in cover.defect_set[:, 0]]
     print(f"  {tag}: k = {cover.k} (minimal: {cover.to_dict()['k_minimal']}), "
           f"defect translates {flat}, reverified {ok}")

@@ -32,20 +32,20 @@ def main():
     print("\nframe bounds via finite sections (Hermite test basis, N=40):")
     a = 2.0 ** -0.5
     dense = lattice_system(a, a, 10.0)
-    fb = ql.frame_bounds(dense, 40, n_step=10)
+    fb = ql.frame_bounds(dense, 40)
     print(f"  cell area 0.5 ({len(dense.points)} nodes): A = {fb.A_est:.4f}, "
           f"B = {fb.B_est:.4f}, converged {fb.converged}")
     sparse = lattice_system(3.5, 0.3, 10.0)
-    fb2 = ql.frame_bounds(sparse, 40, n_step=10)
+    fb2 = ql.frame_bounds(sparse, 40)
     print(f"  cell area 1.05 ({len(sparse.points)} nodes): A = {fb2.A_est:.2e} "
           f"-> no frame at this tolerance (A sweep {[f'{x:.1e}' for x in fb2.A_sweep]})")
 
-    riesz_sys = lattice_system(2.0, 1.0, 6.0)
-    rb = ql.riesz_bounds(riesz_sys, edge_margin=2.0)
+    # the interior family: the nodes at least 2 inside the truncation radius 6
+    interior = ql.GaborSystem(lattice_system(2.0, 1.0, 6.0).points.restrict(4.0))
+    rb = ql.riesz_bounds(interior)
     print(f"\nRiesz bounds for 2Z x Z (interior {rb.subspace_dim} nodes): "
           f"A = {rb.A_est:.4f}, B = {rb.B_est:.4f}")
 
-    interior = ql.GaborSystem(riesz_sys.points.restrict(4.0))
     dual = ql.biorthogonal_dual(interior)
     delta = ql.uniform_min_delta(interior)
     max_norm = max(w.norm() for w in dual.duals(ql.GridSpec(12.0, 0.01)))

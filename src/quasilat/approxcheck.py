@@ -21,6 +21,7 @@ COVERAGE_TOL = 1e-6      # sup-norm slack of a coverage witness: dist(s - f, bas
 BASE_REACH = 2           # cover base radius / sumset radius: every witness s - f lies in the base
 RASTER_STRIDE = 4        # candidate covering radius from every 4th probe per axis
 EXACT_QUERY_MAX = 4096   # probes beyond the candidate queried outright up to this many
+COVER_MAX_PICKS = 64     # greedy picks before a cover search gives up
 
 
 @dataclass
@@ -181,45 +182,40 @@ def _coverage_matrix(candidates, targets, base, tol):
     return covered | (np.abs(line[np.minimum(j, len(line) - 1)] - x) <= tol)
 
 
-def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radius=None,
-                   max_iterations=64):
+def find_cover_set(sumset, base):
     """Cover of the sumset truncation by translates of base: greedy, then pairs.
 
-    Candidates are the sumset's own points. Ties are broken by sup-norm, then
-    lexicographically, so a lattice always yields k = 1 with defect set {0}.
-    Greedy finds a 1-cover whenever one exists; when it needs three or more
-    translates, the first candidate pair in that order that covers every
-    target replaces its answer, so k <= 3 is minimal over the candidates.
-    A KD-tree of the base is built only in two or more dimensions.
-    The default verified region is the whole sumset truncation, and a wider
-    one is refused. A base truncated at BASE_REACH times the sumset radius
-    holds every coverage witness s - f, so truncation effects cannot inflate
-    the returned k; checked_cover refuses a shallower one.
+    Every sumset point is a target, and the candidates are the same points.
+    Ties are broken by sup-norm, then lexicographically, so a lattice always
+    yields k = 1 with defect set {0}. Greedy finds a 1-cover whenever one
+    exists (COVER_MAX_PICKS at most); when it needs three or more translates,
+    the first candidate pair in that order that covers every target replaces
+    its answer, so k <= 3 is minimal over the candidates. A base truncated
+    at BASE_REACH times the sumset radius holds every coverage witness s - f,
+    so truncation effects cannot inflate the returned k; checked_cover
+    refuses a shallower one.
     """
     if sumset.dim != base.dim:
         raise ValueError("sumset and base dimensions differ")
-    if verified_region_radius is None:
-        verified_region_radius = sumset.truncation_radius
-    targets = sumset.restrict(verified_region_radius).points
-    if len(base) == 0 and len(sumset):
+    targets, region = sumset.points, float(sumset.truncation_radius)
+    if len(base) == 0 and len(targets):
         raise CoverError("not approximately closed at this truncation: empty base")
     if len(targets) == 0:
-        return CoverResult(np.zeros((0, sumset.dim)), 0, coverage_tol,
-                           float(verified_region_radius))
+        return CoverResult(np.zeros((0, sumset.dim)), 0, COVERAGE_TOL, region)
 
     # candidate order: sup-norm ascending, then lexicographic
     norms = np.max(np.abs(sumset.points), axis=1)
     order = np.lexsort(tuple(sumset.points.T[::-1]) + (norms,))
     candidates = sumset.points[order]
 
-    cover = _coverage_matrix(candidates, targets, base.points, coverage_tol)
+    cover = _coverage_matrix(candidates, targets, base.points, COVERAGE_TOL)
 
     uncovered = np.ones(len(targets), dtype=bool)
     picks = []
     while uncovered.any():
-        if len(picks) >= max_iterations:
+        if len(picks) >= COVER_MAX_PICKS:
             raise CoverError("not approximately closed at this truncation: "
-                             f"no cover within {max_iterations} iterations")
+                             f"no cover within {COVER_MAX_PICKS} iterations")
         gains = cover[:, uncovered].sum(axis=1)
         best = int(np.argmax(gains))  # first max in (norm, lex) order
         if gains[best] == 0:
@@ -237,8 +233,7 @@ def find_cover_set(sumset, base, coverage_tol=COVERAGE_TOL, verified_region_radi
 
     defect = candidates[sorted(picks)]
     lex = np.lexsort(defect.T[::-1])
-    return CoverResult(defect[lex], len(picks), float(coverage_tol),
-                       float(verified_region_radius))
+    return CoverResult(defect[lex], len(picks), COVERAGE_TOL, region)
 
 
 def verify_cover(sumset, base, defect_set, coverage_tol=COVERAGE_TOL,
@@ -264,12 +259,11 @@ def verify_cover(sumset, base, defect_set, coverage_tol=COVERAGE_TOL,
     return bool(covered.all())
 
 
-def checked_cover(sumset, base, verified_region_radius=None):
+def checked_cover(sumset, base):
     """find_cover_set re-checked by verify_cover: the cover's dict plus ``reverified``."""
     require_reach(BASE_REACH * sumset.truncation_radius, base.truncation_radius,
                   f"cover base reach ({BASE_REACH} x the sumset radius)")
-    cover = find_cover_set(sumset, base, verified_region_radius=verified_region_radius)
+    cover = find_cover_set(sumset, base)
     out = cover.to_dict()
-    out["reverified"] = verify_cover(sumset, base, cover.defect_set, COVERAGE_TOL,
-                                     cover.verified_region_radius)
+    out["reverified"] = verify_cover(sumset, base, cover.defect_set)
     return out

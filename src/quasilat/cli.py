@@ -19,8 +19,8 @@ from .gabor import GaborSystem
 from .padic import PAdicModelSet, padic_cover_set, padic_density
 from .pointset import load_pointset, save_pointset, sumset_truncated
 from .scenarios import (GABOR_CHECKS, POINT_OPTIONS, SECTION_KEYS, builtin_scenario_names,
-                        builtin_scenario_path, json_text, parse_scenario, parse_value,
-                        point_kind, run_scenario)
+                        builtin_scenario_path, gabor_blocks, json_text, parse_scenario,
+                        parse_value, point_kind, run_scenario)
 
 
 def _emit(payload, out_path):
@@ -59,7 +59,6 @@ def _add_approx(sub):
     p.add_argument("--sumset-radius", type=float,
                    help=f"truncation of the base+base sumset; at most 1/{BASE_REACH} "
                    "of the base's, which is the default")
-    p.add_argument("--region", type=float, help="verified region radius override")
     p.add_argument("--out")
 
 
@@ -85,8 +84,6 @@ def _add_padic(sub):
         q.add_argument("-w", required=True, help="window radius, e.g. 1 or 1/2")
         q.add_argument("-n", type=int, required=True, help="max denominator exponent")
         q.add_argument("--out")
-        if name == "cover":
-            q.add_argument("--max-size", type=int)
 
 
 def _add_run(sub):
@@ -116,7 +113,7 @@ def _cmd_approx(args):
     radius = args.sumset_radius
     if radius is None:
         radius = base.truncation_radius / BASE_REACH
-    payload = checked_cover(sumset_truncated(base, base, radius), base, args.region)
+    payload = checked_cover(sumset_truncated(base, base, radius), base)
     payload["delone"] = delone_report(base, interior_margin=2.0).to_dict()
     _emit(payload, args.out)
     return 0 if payload["reverified"] else 1
@@ -124,16 +121,14 @@ def _cmd_approx(args):
 
 def _cmd_gabor(args):
     system = GaborSystem(load_pointset(args.points))
-    run = GABOR_CHECKS["frame" if args.gabor_cmd == "frame-bounds" else args.gabor_cmd][0]
-    block, _ = run(system, vars(args))
-    _emit(block, args.out)
+    check = "frame" if args.gabor_cmd == "frame-bounds" else args.gabor_cmd
+    _emit(gabor_blocks(system, [check], vars(args))[check][0], args.out)
     return 0
 
 
 def _cmd_padic(args):
     ms = PAdicModelSet.build(args.p, args.w, args.n)
-    rep = (padic_density(ms) if args.padic_cmd == "density"
-           else padic_cover_set(ms, max_cover_size=args.max_size))
+    rep = padic_density(ms) if args.padic_cmd == "density" else padic_cover_set(ms)
     _emit(rep.to_dict(), args.out)
     return 0
 

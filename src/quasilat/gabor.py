@@ -57,11 +57,14 @@ D_PI = 1.0
 # the sweep has converged when its last two lower bounds differ by at most
 # FRAME_REL_TOL * max(last, FRAME_A_FLOOR).
 FRAME_GUARD = 6.0
+FRAME_STEP = 10         # the sweep's section sizes: FRAME_STEP, 2 FRAME_STEP, ... and N
 FRAME_REL_TOL = 0.1
 FRAME_A_FLOOR = 1e-2
 
-# biorthogonal_dual: a Gram whose least eigenvalue is at most
-# DUAL_EIG_TOL * max(largest, 1) counts as singular.
+# gram_matrix refuses a family of more than GRAM_MAX_POINTS atoms, and
+# biorthogonal_dual counts a Gram whose least eigenvalue is at most
+# DUAL_EIG_TOL * max(largest, 1) as singular.
+GRAM_MAX_POINTS = 6000
 DUAL_EIG_TOL = 1e-10
 
 # atom_coordinates: the largest exponent pi |z|^2 / 2 whose seed
@@ -289,7 +292,7 @@ def atom_coordinates(points, N):
     return _bargmann_columns(x + 1j * xi, N, np.exp(1j * math.pi * x * xi))
 
 
-def gram_matrix(sys, max_points=6000):
+def gram_matrix(sys):
     """Hermitian Gram G[i][j] = <pi(lambda_j) g, pi(lambda_i) g> in closed form.
 
     G[i][j] = exp(-pi |lambda_j - lambda_i|^2 / 2 + pi i (xi_j - xi_i)(x_j + x_i)).
@@ -297,8 +300,8 @@ def gram_matrix(sys, max_points=6000):
     n = len(sys.points)
     if n == 0:
         raise ValueError("empty point set")
-    if n > max_points:
-        raise ValueError(f"Gram size cap exceeded ({n} > {max_points}); "
+    if n > GRAM_MAX_POINTS:
+        raise ValueError(f"Gram size cap exceeded ({n} > {GRAM_MAX_POINTS}); "
                          "restrict to an interior truncation first")
     x, xi = sys.points.points.T
     dx, dxi = x[None, :] - x[:, None], xi[None, :] - xi[:, None]
@@ -311,14 +314,14 @@ def frame_guard(test_basis_size):
     return math.sqrt(test_basis_size / math.pi) + FRAME_GUARD
 
 
-def frame_bounds(sys, test_basis_size, n_step=10):
+def frame_bounds(sys, test_basis_size):
     """Finite-section frame bound estimates on the span of Hermite functions.
 
     M[i][j] = sum over lambda of <pi(lambda) g, h_i><h_j, pi(lambda) g>; the
-    estimates are the extremal eigenvalues of M for growing basis size, with
-    A_est non-increasing and B_est non-decreasing in the size. Requires the
-    point truncation to cover the basis concentration radius sqrt(N/pi) plus
-    the guard margin.
+    estimates are the extremal eigenvalues of M's leading sections (sizes
+    FRAME_STEP, 2 FRAME_STEP, ... and N), A_est non-increasing and B_est
+    non-decreasing in the size. Requires the point truncation to cover the
+    basis concentration radius sqrt(N/pi) plus the guard margin.
     """
     N = int(test_basis_size)
     require_reach(frame_guard(N), sys.points.truncation_radius,
@@ -327,7 +330,7 @@ def frame_bounds(sys, test_basis_size, n_step=10):
     M = C @ C.conj().T
     M = 0.5 * (M + M.conj().T)
 
-    sizes = sorted(set(range(n_step, N, n_step)) | {N})
+    sizes = sorted(set(range(FRAME_STEP, N, FRAME_STEP)) | {N})
     eigs = [np.linalg.eigvalsh(M[:k, :k]) for k in sizes]
     a_sweep = [max(float(e[0]), 0.0) for e in eigs]
     b_sweep = [float(e[-1]) for e in eigs]
@@ -337,15 +340,10 @@ def frame_bounds(sys, test_basis_size, n_step=10):
                           sizes, a_sweep, b_sweep)
 
 
-def riesz_bounds(sys, edge_margin=0.0):
-    """Riesz bound estimates: extremal Gram eigenvalues on the interior sub-family."""
-    radius = sys.points.truncation_radius - edge_margin
-    interior = sys.points.restrict(radius)
-    if len(interior) == 0:
-        raise ValueError("no interior points at this edge margin")
-    eigs = np.linalg.eigvalsh(gram_matrix(GaborSystem(interior)))
-    return SpectralBounds(max(float(eigs[0]), 0.0), float(eigs[-1]),
-                          len(interior), True)
+def riesz_bounds(sys):
+    """Riesz bound estimates: the extremal Gram eigenvalues of the family given."""
+    eigs = np.linalg.eigvalsh(gram_matrix(sys))
+    return SpectralBounds(max(float(eigs[0]), 0.0), float(eigs[-1]), len(sys.points), True)
 
 
 @dataclass

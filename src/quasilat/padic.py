@@ -17,8 +17,6 @@ from functools import cached_property
 from itertools import chain, compress, cycle, repeat
 from typing import NamedTuple
 
-from .errors import CoverError
-
 
 def _is_prime(p):
     if p < 2:
@@ -207,22 +205,19 @@ class PAdicCoverResult:
                 "verified": self.verified}
 
 
-def padic_cover_set(ms, max_cover_size=None):
+def padic_cover_set(ms):
     """Minimal cover of the sumset Lambda + Lambda by translates of Lambda.
 
     In numerators over p^N the sumset is the integer range [-2M, 2M], and a
     centre f covers s exactly when |s - f| <= M. The sweep takes the leftmost
     uncovered s and the centre min(s + M, 2M), a sumset element whose
     translate covers s and everything up to s + 2M; on a line this choice is
-    optimal, so k is the minimum: 1 when M = 0 and 2 otherwise. Raises
-    CoverError if more than max_cover_size translates would be needed.
+    optimal, so k is the minimum: 1 when M = 0 and 2 otherwise. Every
+    truncation is covered, so the sweep never refuses.
     """
     m = _numerator_bound(ms.p, ms.w, ms.n_max)
     centres, s = [], -2 * m
     while s <= 2 * m:
-        if max_cover_size is not None and len(centres) >= max_cover_size:
-            raise CoverError(f"cover needs more than {max_cover_size} translates "
-                             "at this truncation")
         centres.append(min(s + m, 2 * m))
         s = centres[-1] + m + 1
     # the centres lie in the sumset and their windows [c - M, c + M] leave no

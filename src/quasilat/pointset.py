@@ -478,17 +478,16 @@ def load_pointset(path):
 
     numpy's reader parses the body and skips empty lines. Only when it
     refuses the body, or a coordinate is not finite, is the file read line by
-    line, to name the first bad line. A ``dim=`` below 1 is refused.
+    line, to name the first bad line. A ``dim=`` that is not ASCII digits, or
+    is below 1, is refused.
     """
     path = str(path)
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("dim="):
             raise ValueError(f"malformed point CSV {path}: missing dim= header")
-        try:
-            dim = int(header[4:])
-        except ValueError:
-            dim = 0
+        digits = header[4:]
+        dim = int(digits) if digits.isascii() and digits.isdigit() else 0
         if dim < 1:
             raise ValueError(f"malformed point CSV {path}: bad dimension")
         empty = not any(line.strip("\r\n") for line in fh)  # loadtxt warns on one

@@ -38,13 +38,15 @@ A_FLOOR = 1e-2          # frame / Riesz lower bounds below this do not count
 COMPLETE_FLOOR = 1e-3   # max probe residual for the completeness proxy
 HAP_FLOOR = 0.05        # max local approximation residual
 DELTA_FLOOR = 1e-2      # uniform minimality gap
+DENSITY_RTOL = 0.02     # relative tolerance of density_matches_formula
 PADIC_MAX_K = 3         # largest p-adic cover size a [padic] scenario accepts
 DEFAULT_SLACK = 0.05
 
 # Sizes of the truncated Gabor checks, the same in every builtin. Any Riesz
 # margin is valid: a sub-family's Gram is a principal submatrix, so its
 # spectrum interlaces into [A, B].
-RIESZ_MARGIN = 2.0      # riesz/dual drop the points this close to the truncation edge
+RIESZ_MARGIN = 2.0      # the INTERIOR_CHECKS drop the points this close to the truncation edge
+INTERIOR_CHECKS = {"riesz", "dual"}
 HAP_BOX = 6.0           # half-width of the local box around each HAP x-grid point
 HAP_X_EXTENT = 1.0      # the HAP x-grid spans [-extent, extent] on both axes
 HAP_X_COUNT = 5         # HAP x-grid points per axis
@@ -167,11 +169,15 @@ def validate_scenario(sc):
             raise ScenarioValidationError(f"[padic] {exc}") from exc
         return
     try:  # checks the kind, its keys and a csv path; a window or q its construction refuses
-        _, density, reach, _ = point_kind(sc.points)
+        reach = point_kind(sc.points)[2]
     except (ValueError, DegenerateLatticeError) as exc:
         raise ScenarioValidationError(f"[points] {exc}") from exc
     g = sc.gabor
     checks = g.get("checks", ())
+    if "complete" in checks and sc.points["kind"] != "lattice" and not sc.approx:
+        raise ScenarioValidationError(
+            "[gabor] checks lists complete, whose bound D_minus >= d_pi / k holds for "
+            "k-approximate lattices: it needs kind = lattice or an [approx] block for k")
     widest = max(sc.density["truncation"], BASE_REACH * sc.approx.get("sumset_radius", 0),
                  g.get("radius", 0))
     # (needed, truncation, what): every box that the run counts or solves on
@@ -182,7 +188,7 @@ def validate_scenario(sc):
             ({"frame"}, frame_guard(g["hermite_n"]),
              f"guard radius sqrt(hermite_n / pi) + {FRAME_GUARD:g}"),
             ({"hap"}, HAP_X_EXTENT + HAP_BOX, "hap box reach"),
-            ({"riesz", "dual"}, RIESZ_MARGIN, "riesz margin"))
+            (INTERIOR_CHECKS, RIESZ_MARGIN, "riesz margin"))
             if not users.isdisjoint(checks)]
     for needed, truncation, what in reaches:
         try:
@@ -190,10 +196,7 @@ def validate_scenario(sc):
         except InsufficientTruncationError as exc:
             raise ScenarioValidationError(str(exc)) from exc
     # [expect] key -> (what it pins, why this scenario lacks it, whether it has it)
-    pinnable = {"k": ("the cover size k", "needs an [approx] block", bool(sc.approx)),
-                "density_rtol": ("the tolerance of density_matches_formula",
-                                 f"does not run on {sc.points['kind']} points "
-                                 "(no closed-form density)", density is not None)}
+    pinnable = {"k": ("the cover size k", "needs an [approx] block", bool(sc.approx))}
     for check, (_, flag, *_) in GABOR_CHECKS.items():
         pinnable[flag] = (f"the flag of the {check} check", "[gabor] checks does not list",
                           check in checks)
@@ -289,17 +292,13 @@ def _check_frame(system, opt):
     return fb.to_dict(), fb.converged and fb.A_est > A_FLOOR
 
 
-def _check_riesz(system, opt):
-    require_reach(RIESZ_MARGIN, system.points.truncation_radius, "riesz margin")
-    rb = riesz_bounds(system, edge_margin=RIESZ_MARGIN)
+def _check_riesz(interior, opt):
+    rb = riesz_bounds(interior)
     return rb.to_dict(), rb.A_est > A_FLOOR
 
 
-def _check_dual(system, opt):
+def _check_dual(interior, opt):
     """Minimality gap of the interior family; a singular Gram has no dual and no flag."""
-    pts = system.points
-    require_reach(RIESZ_MARGIN, pts.truncation_radius, "riesz margin")
-    interior = GaborSystem(pts.restrict(pts.truncation_radius - RIESZ_MARGIN))
     delta = uniform_min_delta(interior)
     try:
         dual = biorthogonal_dual(interior)
@@ -350,7 +349,7 @@ def _check_complete(system, opt):
              "solve_shapes": [list(s) for s in shapes]}, res < COMPLETE_FLOOR)
 
 
-# check -> (runner(system, [gabor] values) -> (report block, flag value), flag name,
+# check -> (runner(family, [gabor] values) -> (report block, flag value), flag name,
 # verdict, density the flag bounds, whether the bound is divided by k), in
 # verdict order. A flag bounding D_minus implies D_minus >= d_pi (1 - slack)
 # [/ k]; one bounding D_plus implies D_plus <= d_pi (1 + slack). Only the
@@ -382,9 +381,21 @@ SECTION_KEYS = {
               "hermite_n": (_hermite_n, 40)},
     "padic": {"p": (int, REQUIRED), "w": (parse_window, REQUIRED), "n_max": (int, REQUIRED),
               "max_deviation": (float, 1.0)},
-    "expect": {"k": (int, None), "density_rtol": (float, 0.02),
-               **{flag: (_bool, None) for flag in EXPECT_FLAGS}},
+    "expect": {"k": (int, None), **{flag: (_bool, None) for flag in EXPECT_FLAGS}},
 }
+
+
+def gabor_blocks(system, checks, opt):
+    """check -> (report block, flag value) for each of checks, run in order; the
+    INTERIOR_CHECKS share one interior family."""
+    pts, interior = system.points, None
+    if not INTERIOR_CHECKS.isdisjoint(checks):
+        require_reach(RIESZ_MARGIN, pts.truncation_radius, "riesz margin")
+        interior = GaborSystem(pts.restrict(pts.truncation_radius - RIESZ_MARGIN))
+        if len(interior.points) == 0:
+            raise ValueError(f"the riesz margin {RIESZ_MARGIN:g} leaves no interior point")
+    return {name: GABOR_CHECKS[name][0](interior if name in INTERIOR_CHECKS else system, opt)
+            for name in checks}
 
 
 def _run_subadditivity(sc, union, base, sublattice, dens, results, verdicts):
@@ -437,12 +448,11 @@ def run_scenario(sc):
     results["density"] = {**dens.to_dict(), "point_count": len(ps)}
 
     if formula is not None:
-        rtol = sc.expect["density_rtol"]
         err = max(abs(dens.D_minus - formula), abs(dens.D_plus - formula)) / formula
         verdicts.append(_verdict(
             "density_matches_formula",
             "max(|D- - rho|, |D+ - rho|) / rho <= rtol, rho = window measure / covolume",
-            True, err, rtol, err <= rtol, note=f"rho = {formula!r}"))
+            True, err, DENSITY_RTOL, err <= DENSITY_RTOL, note=f"rho = {formula!r}"))
 
     k = 1  # the cover's k; [expect] k only pins it
     if sc.approx:
@@ -457,9 +467,8 @@ def run_scenario(sc):
     if sc.gabor:
         system = GaborSystem(generate(sc.gabor["radius"]))
         results["gabor"] = {"radius": sc.gabor["radius"], "point_count": len(system.points)}
-        for name in sc.gabor["checks"]:
-            run, flag = GABOR_CHECKS[name][:2]
-            results["gabor"][name], flags[flag] = run(system, sc.gabor)
+        for name, (block, value) in gabor_blocks(system, sc.gabor["checks"], sc.gabor).items():
+            results["gabor"][name], flags[GABOR_CHECKS[name][1]] = block, value
 
     if sc.points["kind"] == "symmetrized_sparse":
         parts = _sparse_parts(sc.points["q"], ps.truncation_radius)

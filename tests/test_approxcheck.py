@@ -164,22 +164,25 @@ def test_lattice_covers_itself():
 
 
 def test_verified_region_restriction():
+    # the cover's region is the sumset's truncation: a smaller one is a restricted sumset
     base, sumset = toy_pair()
-    cover = ql.find_cover_set(sumset, base, verified_region_radius=1.0)
+    cover = ql.find_cover_set(sumset.restrict(1.0), base)
     assert cover.k == 1  # {0} reaches -1..1
     assert ql.verify_cover(sumset, base, cover.defect_set,
                            verified_region_radius=1.0)
-    empty = ql.find_cover_set(sumset, base, verified_region_radius=0.0)
+    empty = ql.find_cover_set(sumset.restrict(0.0), base)
     assert empty.k == 1  # only the origin remains a target
     assert ql.verify_cover(sumset, base, [], verified_region_radius=-1.0)
 
 
-def test_cover_failure_modes():
+def test_cover_failure_modes(monkeypatch):
     base, sumset = toy_pair()
-    with pytest.raises(ql.CoverError, match="iterations"):
-        ql.find_cover_set(sumset, base, max_iterations=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(approxcheck, "COVER_MAX_PICKS", 1)
+        with pytest.raises(ql.CoverError, match="iterations"):
+            ql.find_cover_set(sumset, base)
     with pytest.raises(ql.CoverError, match="empty base"):
-        ql.find_cover_set(sumset, ql.from_points([]), coverage_tol=1e-6)
+        ql.find_cover_set(sumset, ql.from_points([]))
     origin = ql.from_points([0.0])
     far = ql.from_points([5.0], truncation_radius=5.0)
     with pytest.raises(ql.CoverError, match="no candidate"):

@@ -143,12 +143,7 @@ def test_approx_command(tmp_path):
     assert blob["k"] == 1
     assert blob["reverified"] is True
     assert blob["delone"]["min_separation"] == 1.0
-    # a verified region wider than the sumset truncation would claim unseen points
-    assert main(["approx", "--base", str(base), "--sumset-radius", "10",
-                 "--region", "1000"]) == 2
-    assert main(["approx", "--base", str(base), "--sumset-radius", "10",
-                 "--region", "5", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["verified_region_radius"] == 5.0
+    assert blob["verified_region_radius"] == 10.0  # the whole sumset truncation
 
 
 def test_approx_refuses_a_sumset_beyond_half_the_base(tmp_path, capsys):
@@ -176,16 +171,20 @@ def test_approx_refuses_a_sumset_beyond_half_the_base(tmp_path, capsys):
     (["gabor", "hap", "--x-grid", "5"], "unrecognized arguments: --x-grid"),
     (["gabor", "hap", "--x-extent", "1"], "unrecognized arguments: --x-extent"),
     (["gabor", "complete", "--probes", "10"], "unrecognized arguments: --probes"),
+    (["approx", "--region", "5"], "unrecognized arguments: --region"),
+    (["padic", "cover", "--max-size", "8"], "unrecognized arguments: --max-size"),
 ], ids=["scan-region", "sumset", "coverage-tol", "delone-margin", "hermite-step", "hermite",
-        "edge-margin-riesz", "edge-margin-dual", "K", "x-grid", "x-extent", "probes"])
+        "edge-margin-riesz", "edge-margin-dual", "K", "x-grid", "x-extent", "probes",
+        "region", "max-size"])
 def test_retired_flags_exit_2(tmp_path, capsys, argv, message):
-    # each flag was only ever given one value; the value is now a constant. No
-    # flag takes a prefix, so --sumset and --hermite are not --sumset-radius
-    # and --hermite-N
+    # each flag was only ever given one value; the value is now a constant
+    # (--region: the sumset truncation; --max-size: none, as a p-adic cover
+    # needs at most 2 translates). No flag takes a prefix, so --sumset and
+    # --hermite are not --sumset-radius and --hermite-N
     points = str(gen_line(tmp_path))
-    flag = "--base" if argv[0] == "approx" else "--points"
+    given = {"approx": ["--base", points], "padic": ["-p", "2", "-w", "1", "-n", "3"]}
     with pytest.raises(SystemExit) as exit_info:
-        main([*argv[:-2], flag, points, *argv[-2:]])
+        main([*argv[:-2], *given.get(argv[0], ["--points", points]), *argv[-2:]])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
 
@@ -329,18 +328,22 @@ def test_gabor_riesz_and_dual_refuse_a_truncation_inside_the_margin(tmp_path, ca
     for cmd in ("riesz", "dual"):
         assert main(["gabor", cmd, "--points", str(pts)]) == 2
         assert "riesz margin 2.0 exceeds the truncation radius 1.5" in capsys.readouterr().err
+    # a truncation past the margin with every point near its edge leaves no family
+    ql.save_pointset(ql.from_points([[2.5, 0.0], [-2.5, 1.0]], 2, 2.5), pts)
+    for cmd in ("riesz", "dual"):
+        assert main(["gabor", cmd, "--points", str(pts)]) == 2
+        assert "the riesz margin 2 leaves no interior point" in capsys.readouterr().err
 
 
-def test_padic_commands(tmp_path, capsys):
+def test_padic_commands(tmp_path):
     out = tmp_path / "padic.json"
     rc = main(["padic", "density", "-p", "2", "-w", "1", "-n", "6",
                "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["density"] == "2"
-    rc = main(["padic", "cover", "-p", "2", "-w", "1", "-n", "3",
-               "--max-size", "1"])
-    assert rc == 2
-    assert "cover" in capsys.readouterr().err.lower()
+    rc = main(["padic", "cover", "-p", "2", "-w", "1", "-n", "3", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["k"] == 2
 
 
 def test_run_list(capsys):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import pathlib
 import re
@@ -8,7 +9,8 @@ import sys
 import pytest
 
 import quasilat as ql
-from quasilat.cli import main
+from quasilat.cli import build_parser, main
+from quasilat.scenarios import SECTION_KEYS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -60,6 +62,22 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
         "[density]\nradii = 2, 4\ntruncation = 10\n")
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_counts_every_option_and_key():
+    # the sentence under "Command line" counts both, so a new option or key
+    # changes README in the same change
+    def options(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                yield from (o for sub in action.choices.values() for o in options(sub))
+            elif not isinstance(action, argparse._HelpAction):
+                yield action
+
+    stated = re.search(r"the CLI\s+has (\d+) options, and scenario files have (\d+) keys",
+                       README)
+    counted = (len(list(options(build_parser()))), sum(map(len, SECTION_KEYS.values())))
+    assert stated and counted == tuple(map(int, stated.groups())) == (36, 24)
 
 
 def test_readme_scenario_is_the_builtin(tmp_path):

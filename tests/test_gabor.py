@@ -126,7 +126,7 @@ def test_synthesis_columns_are_unit_atoms(grid12):
             ql.GaborSystem(ql.from_points(far)).synthesis_matrix(grid12)
 
 
-def test_gram_matches_closed_form(grid12):
+def test_gram_matches_closed_form(grid12, monkeypatch):
     sys = ql.GaborSystem(ql.lattice_points_in_box(ql.Lattice(np.diag([2.0, 1.0])), 2.0))
     G = ql.gram_matrix(sys)
     ref = closed_form_gram(sys.points.points)
@@ -134,8 +134,9 @@ def test_gram_matches_closed_form(grid12):
     # the sampled synthesis matrix cross-checks the closed form
     V = sys.synthesis_matrix(grid12)
     assert np.max(np.abs(V.conj().T @ V - G)) < 1e-9
+    monkeypatch.setattr(ql.gabor, "GRAM_MAX_POINTS", 2)
     with pytest.raises(ValueError, match="cap"):
-        ql.gram_matrix(sys, max_points=2)
+        ql.gram_matrix(sys)
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,10 +243,11 @@ def test_residuals_stable_in_coordinate_count(monkeypatch):
     assert before[1] > 0.1 and before[3] > 0.1  # nontrivial residuals compared too
 
 
-def test_frame_bounds_monotone_sweeps():
+def test_frame_bounds_monotone_sweeps(monkeypatch):
     lat = ql.Lattice(np.diag([2.0 ** -0.5, 2.0 ** -0.5]))
     sys = ql.GaborSystem(ql.lattice_points_in_box(lat, 10.0))
-    fb = ql.frame_bounds(sys, 20, n_step=5)
+    monkeypatch.setattr(ql.gabor, "FRAME_STEP", 5)
+    fb = ql.frame_bounds(sys, 20)
     assert fb.converged
     assert 0.5 < fb.A_est <= fb.B_est < 4.0
     assert all(a1 <= a0 + 1e-10 for a0, a1 in zip(fb.A_sweep, fb.A_sweep[1:]))
@@ -261,12 +263,12 @@ def test_frame_bounds_guard():
 
 def test_riesz_bounds_nearly_orthonormal():
     sys = sparse_system()
-    rb = ql.riesz_bounds(sys, edge_margin=0.0)
+    rb = ql.riesz_bounds(sys)
     assert rb.subspace_dim == 25
     assert rb.A_est == pytest.approx(1.0, abs=0.02)
     assert rb.B_est == pytest.approx(1.0, abs=0.02)
-    with pytest.raises(ValueError):
-        ql.riesz_bounds(sys, edge_margin=10.0)
+    with pytest.raises(ValueError):  # an empty family has no Gram
+        ql.riesz_bounds(ql.GaborSystem(ql.from_points(np.zeros((0, 2)), 2)))
 
 
 def test_biorthogonal_dual_properties(grid12, gauss12):

@@ -110,8 +110,6 @@ def test_cover_small_depth_matches_exhaustive(golden):
     assert cover.k == golden["padic_2_1"]["cover_k_exhaustive"]
     d = cover.to_dict()
     assert d["k"] == cover.k
-    with pytest.raises(ql.CoverError):
-        ql.padic_cover_set(ms, max_cover_size=1)
 
 
 def _exhaustive_min_cover(sums, w):

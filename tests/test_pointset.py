@@ -514,8 +514,9 @@ def test_non_finite_coordinates_and_bad_dimension_are_refused(tmp_path):
     path.write_text(path.read_text().replace("0.5,1", "0.5,nan"))
     with pytest.raises(ValueError, match="line 3 is not 2 comma-separated finite"):
         ql.load_pointset(path)
-    for header in ("dim=0", "dim=-1"):
-        path.write_text(header + "\n")
+    # int() would read 10, 2 and 2 from the last three: only ASCII digits are a dimension
+    for header in ("dim=0", "dim=-1", "dim=1_0", "dim=+2", "dim=\u0662"):
+        path.write_text(header + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="bad dimension"):
             ql.load_pointset(path)
 

@@ -167,12 +167,13 @@ def test_retired_keys_are_unknown(tmp_path, capsys):
     # each key was only ever set to one value: the cover base is twice
     # sumset_radius, coverage_tol is COVERAGE_TOL, the frame sweep steps by 10,
     # a p-adic cover may have at most 3 translates, and the Riesz margin, HAP
-    # grid and probe count are the scenarios module's constants
+    # grid, probe count and density tolerance are the scenarios module's constants
     cases = [(FULL.replace("sumset_radius = 4", "sumset_radius = 4\nbase_radius = 8"),
               "approx", "base_radius"),
              (FULL.replace("sumset_radius = 4", "sumset_radius = 4\ncoverage_tol = 1e-6"),
               "approx", "coverage_tol"),
-             (PADIC + "max_k = 3\n", "padic", "max_k")]
+             (PADIC + "max_k = 3\n", "padic", "max_k"),
+             (TINY + "\n[expect]\ndensity_rtol = 0.02\n", "expect", "density_rtol")]
     for key, value in (("hermite_step", 10), ("riesz_margin", 2), ("hap_box", 6),
                        ("hap_x_extent", 1.0), ("hap_x_count", 5), ("probe_count", 10)):
         cases.append((FULL.replace("checks = riesz", f"checks = riesz\n{key} = {value}"),
@@ -293,9 +294,7 @@ def test_expect_pins_need_what_they_pin(tmp_path, capsys, monkeypatch):
     cases = [(TINY + "\n[expect]\nframe = true\n",
               "[expect] frame pins the flag of the frame check"),
              (TINY + "\n[expect]\nk = 1\n",
-              "[expect] k pins the cover size k, which needs an [approx] block"),
-             (sparse + "\n[expect]\ndensity_rtol = 0.02\n",
-              "[expect] density_rtol pins the tolerance of density_matches_formula")]
+              "[expect] k pins the cover size k, which needs an [approx] block")]
     for text, message in cases:
         path = write_cfg(tmp_path, text)
         with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
@@ -321,7 +320,7 @@ def _with_value(text, section, key, value):
 
 def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch):
     # a value that does not parse is refused at parse time, so no earlier
-    # target runs first: [expect] k and density_rtol, a junk value for every
+    # target runs first: [expect] k, a junk value for every
     # key whose parser can refuse one, the [padic] prime and depth checks, a %
     # (cfgs are read without interpolation, so it is the parser that refuses),
     # box radii that FolnerBoxes refuses and radii that are not positive and finite;
@@ -332,7 +331,6 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
     approx = TINY + "\n[approx]\nsumset_radius = 2\n"
     cases = [(approx + "\n[expect]\nk = two\n", "[expect] k = "),
              (approx + "\n[expect]\nk = 2.0\n", "[expect] k = "),
-             (TINY + "\n[expect]\ndensity_rtol = 0.02x\n", "[expect] density_rtol = "),
              (PADIC.replace("p = 2", "p = 4"), "[padic] p = 4 is not prime"),
              (PADIC.replace("n_max = 3", "n_max = -1"), "[padic] n_max must be nonnegative"),
              (TINY.replace("truncation = 10", "truncation = 10 %"),
@@ -362,7 +360,7 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
                 base = PADIC if section == "padic" else FULL
                 cases.append((_with_value(base, section, key, "junk"),
                               f"[{section}] {key} = 'junk': "))
-    assert len(cases) == 22 + 22
+    assert len(cases) == 21 + 21
     for text, message in cases:
         path = write_cfg(tmp_path, text)
         with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
@@ -371,7 +369,7 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
         captured = capsys.readouterr()
         assert ran == [] and captured.out == ""
         assert message in captured.err
-    ql.parse_scenario(write_cfg(tmp_path, approx + "\n[expect]\nk = 2\ndensity_rtol = 1e-3\n"))
+    ql.parse_scenario(write_cfg(tmp_path, approx + "\n[expect]\nk = 2\n"))
 
 
 K_FROM_COVER = """
@@ -415,7 +413,30 @@ def test_k_comes_from_the_cover(tmp_path):
             assert (verdicts["expected_k"]["lhs"], verdicts["expected_k"]["rhs"]) == (2, 1)
 
 
-def test_dual_on_a_non_minimal_set_clears_the_flag(tmp_path):
+def test_complete_needs_a_lattice_or_a_cover(tmp_path, capsys, monkeypatch):
+    # D_minus >= d_pi / k is proven for k-approximate lattices: a kind that is
+    # not a lattice needs [approx] for its k, else it would be tested as if k = 1
+    ran = []
+    monkeypatch.setattr(ql.cli, "run_scenario", ran.append)
+    sparse = TINY.replace("kind = lattice", "kind = symmetrized_sparse").replace("basis = 1",
+                                                                                "q = 4")
+    gabor = "\n[gabor]\nradius = 8\nchecks = hap, complete\n"
+    no_cover = K_FROM_COVER.replace("[approx]\nsumset_radius = 4\n", "")
+    message = "[gabor] checks lists complete, whose bound D_minus >= d_pi / k holds for"
+    for text in (sparse + gabor, no_cover):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
+            ql.parse_scenario(path)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert message in captured.err
+    square = TINY.replace("basis = 1", "basis = 1, 0, 0, 1")
+    for text in (square + gabor, sparse + gabor.replace(", complete", ""), K_FROM_COVER):
+        ql.parse_scenario(write_cfg(tmp_path, text))
+
+
+def test_dual_on_a_non_minimal_set_clears_the_flag(tmp_path, monkeypatch):
     # (1/sqrt2) Z^2 has density 2: its Gram is numerically singular, so no dual
     text = """
 [scenario]
@@ -435,8 +456,8 @@ checks = dual
 
 [expect]
 minimal = false
-density_rtol = 0.05
 """
+    monkeypatch.setattr(ql.scenarios, "DENSITY_RTOL", 0.05)
     report = ql.run_scenario(ql.parse_scenario(write_cfg(tmp_path, text)))
     assert report.passed
     block = report.results["gabor"]["dual"]
