@@ -22,20 +22,20 @@ and h_n to (-1)^n h_n. So the coordinates of pi(R lambda) g are those of
 pi(lambda) g times i^n (rotation) or (-1)^n (parity), up to a unimodular
 phase. If R preserves the set, the span of the atoms is the orthogonal sum
 over the classes n mod order(R) of the spans of one representative per
-orbit, restricted to that class, and a probe h_k is solved in class k mod
-order alone. symmetry detects it by exact comparison only:
-a set that is symmetric up to rounding takes the plain (order 1) solve.
+orbit, restricted to that class: a probe's squared residual sums over its
+classes (h_k lies in class k mod order, pi(z) g in all). symmetry detects R by
+exact comparison only: a set symmetric up to rounding takes the order 1 solve.
 On the critical lattice Z^2 the largest probe residual, ~0.114 at h_9,
 sits in class 1 mod 4 with the next largest, h_1 and h_5.
 
 A reflection S z = exp(2 i theta) conj(z) of the set (symmetry's theta,
 exact) makes every class solve real: g is real, so S acts anti-unitarily.
 The coordinates u_n(z) = exp(-i n theta) exp(-pi |z|^2 / 2) (sqrt(pi) z)^n /
-sqrt(n!) differ from C by row and column phases, which keep each probe's
-residual norm, and u(S z) = conj(u(z)); so the span is closed under
-conjugation and a real probe projects to a real vector. The sector theta <=
-arg z <= theta + pi/order meets each dihedral orbit once. With alpha = arg z
-- theta, a point inside it gives the real and imaginary parts of
+sqrt(n!) differ from C by column phases and row phases, which a probe takes
+too, and u(S z) = conj(u(z)); so the span is closed under conjugation, its
+projector is real, and a probe's real and imaginary parts are solved apart.
+The sector theta <= arg z <= theta + pi/order meets each dihedral orbit once.
+With alpha = arg z - theta, a point inside it gives the real and imaginary parts of
 exp(-i r alpha) u on class r, a point on its rays (alpha = 0 or pi/order,
 where that vector is real) one column: per class the complex solve's column
 count, at about a third of its cost.
@@ -44,11 +44,12 @@ count, at about a third of its cost.
 import cmath
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotMinimalError, ShiftRangeError
-from .pointset import DEDUP_TOL, PointSet, _within, lexsorted, require_reach
+from .pointset import DEDUP_TOL, Lattice, PointSet, _within, column_sums, lexsorted, require_reach
 
 # Formal degree of the representation under Lebesgue normalization.
 D_PI = 1.0
@@ -234,10 +235,15 @@ class GaborSystem:
     """The Gaussian coherent system pi(Lambda) g, g = h_0, over a 2d point set Lambda."""
 
     points: PointSet
+    lattice: Lattice = None   # the lattice Lambda truncates, if known; hap_residual centres on it
 
     def __post_init__(self):
         if self.points.dim != 2:
             raise ValueError("Gabor systems need dim-2 point sets (time, frequency)")
+
+    @cached_property
+    def class_split(self):   # completeness_residual's, which solve_shapes reads
+        return _split_problems(self.points.points)
 
     def synthesis_matrix(self, grid):
         """Weighted sample matrix on grid: column j = sqrt(quad weights) * pi(lambda_j) g."""
@@ -350,14 +356,15 @@ def riesz_bounds(sys):
 class DualFamily:
     """Biorthogonal duals h_lambda = sum_mu Ginv[mu, lambda] pi(mu) g.
 
-    <pi(lambda) g, h_mu> = delta and ||h_lambda||^2 = Ginv[lambda, lambda], so
-    B_sup needs no waveform; `duals(grid)` samples the dual waveforms.
+    <pi(lambda) g, h_mu> = delta and ||h_lambda||^2 = Ginv[lambda, lambda], so B_sup
+    and uniform_min_delta's delta need no waveform; `duals(grid)` samples the duals.
     """
 
     system: GaborSystem = field(repr=False)
     inverse_gram: np.ndarray = field(repr=False)
     B_sup: float
     biorth_residual: float
+    delta: float
 
     def duals(self, grid):
         W = self.system.synthesis_matrix(grid) @ self.inverse_gram
@@ -372,7 +379,8 @@ def biorthogonal_dual(sys):
         raise NotMinimalError("not minimal at tolerance: Gram matrix numerically singular")
     Ginv = (U / eigs) @ U.conj().T
     residual = float(np.max(np.abs(G @ Ginv - np.eye(len(eigs)))))
-    return DualFamily(sys, Ginv, float(np.max(np.real(np.diag(Ginv)))), residual)
+    return DualFamily(sys, Ginv, float(np.max(np.real(np.diag(Ginv)))), residual,
+                      _min_delta(eigs, U))
 
 
 def uniform_min_delta(sys):
@@ -381,7 +389,10 @@ def uniform_min_delta(sys):
     """
     if len(sys.points) == 0:
         raise ValueError("empty point set")
-    eigs, U = np.linalg.eigh(gram_matrix(sys))
+    return _min_delta(*np.linalg.eigh(gram_matrix(sys)))
+
+
+def _min_delta(eigs, U):
     if eigs[0] <= 0.0:
         return 0.0
     return float(1.0 / math.sqrt(np.max(np.sum(np.abs(U) ** 2 / eigs, axis=1))))
@@ -444,21 +455,19 @@ def _orbit_representatives(points, order, theta):
     return points[keep | ((x == 0) & (xi == 0))], 0
 
 
-def _split_problems(points, probe_count):
-    """Symmetry, representatives, N and the (rows, columns, probes) of each class with a probe."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    order, theta = symmetry(pts)
-    reps, inside = _orbit_representatives(pts, order, theta)
-    N = max(hermite_cutoff(pts), probe_count)
-    shapes = [(len(range(r, N, order)), len(reps) + inside, len(range(r, probe_count, order)))
-              for r in range(min(order, probe_count))]
-    return order, theta, reps, inside, N, shapes
+def _split_problems(points):
+    """(order, theta, representatives, how many lie inside the sector, hermite_cutoff)."""
+    order, theta = symmetry(points)
+    return (order, theta, *_orbit_representatives(points, order, theta), hermite_cutoff(points))
 
 
-def solve_shapes(points, probe_count):
-    """Rotation order, reflection angle and the (rows, columns, probes) of each class solve."""
-    order, theta, _, _, _, shapes = _split_problems(points, probe_count)
-    return order, theta, shapes
+def solve_shapes(sys, probe_count):
+    """(order, theta, (rows, columns, probes) of each class solve) of completeness_residual."""
+    order, theta, reps, inside, cutoff = sys.class_split
+    N = max(cutoff, probe_count)
+    return order, theta, [(len(range(r, N, order)), len(reps) + inside,
+                           len(range(r, probe_count, order)))
+                          for r in range(min(order, probe_count))]
 
 
 def _class_coordinates(reps, inside, N, order, theta):
@@ -478,35 +487,56 @@ def _class_coordinates(reps, inside, N, order, theta):
     return np.hstack([U.real, U[:, :inside].imag])
 
 
-def _probe_residual_norms(points, probe_count):
-    """Residual norms of the probes e_0 .. e_{probe_count-1} against the atoms.
+def _probe_residual_norms(split, probes):
+    """Residual norms against a split's atoms of e_0 .. e_{p-1} or pi(z) g, for probes p or z.
 
-    Class r holds the coordinate rows n = r mod order and the probes
-    k = r mod order, with targets e_{k // order} among those rows; a
-    reflection of the set makes every class solve real.
+    Each class with a nonzero probe block is solved once, and a probe's norm is the
+    hypot of its class norms; with a reflection it enters as its real and imaginary parts.
     """
-    order, theta, reps, inside, N, shapes = _split_problems(points, probe_count)
-    V = _class_coordinates(reps, inside, N, order, theta)
-    norms = np.empty(probe_count)
-    for r, (rows, _, probes) in enumerate(shapes):
-        norms[r::order] = _residual_norms(V[r::order], np.eye(rows, probes))
+    order, theta, reps, inside, cutoff = split
+    k = int(probes) if np.ndim(probes) == 0 else len(probes)
+    B = (np.eye(max(cutoff, k), k) if np.ndim(probes) == 0 else
+         _class_coordinates(probes, k, max(cutoff, hermite_cutoff(probes)), 1, theta))
+    V = _class_coordinates(reps, inside, len(B), order, theta)
+    norms = np.zeros(k)
+    for r in range(order):
+        cols = np.flatnonzero(np.any(B[r::order] != 0, axis=0))
+        if len(cols):
+            np.hypot.at(norms, cols % k, _residual_norms(V[r::order], B[r::order, cols]))
     return norms
 
 
 def hap_residual(sys, x, box_radius):
     """Least-squares distance from pi(x) g to span{pi(lambda) g : lambda in x + box}.
 
-    The box x + [-box_radius, box_radius]^2 must fit inside the point
-    truncation, otherwise the residual would be inflated by missing points.
-    pi(x)^* pi(lambda) g is pi(lambda - x) g up to a phase, so the distance is
-    that from g = h_0 to the atoms at lambda - x, computed in coordinates
-    centred at x.
+    x is a point, or an (m, 2) x-grid, whose m residuals come with the number of
+    solves. The box must fit inside the point truncation, or missing points would
+    inflate the residual. pi(c)^* maps pi(lambda) g to pi(lambda - c) g up to a
+    phase, with c = x, or on sys.lattice B Z^2, whose integer set N_x must reproduce
+    the rows, c = B j for j the midpoint of N_x's extremes: B (N_x - j), in column
+    sums like the rows, is exactly symmetric when N_x - j is. x with equal centred
+    sets share one solve, with the probes pi(x - c) g as its right-hand sides.
     """
-    x = np.asarray(x, dtype=float).reshape(2)
-    require_reach(np.max(np.abs(x)) + box_radius, sys.points.truncation_radius, "local box reach")
-    local = sys.points.points - x
-    local = local[_within(local, [box_radius + DEDUP_TOL] * 2)]
-    return float(_probe_residual_norms(local, 1)[0])
+    xs = np.asarray(x, dtype=float).reshape(-1, 2)
+    require_reach(np.max(np.abs(xs)) + box_radius, sys.points.truncation_radius, "local box reach")
+    pts, B = sys.points.points, getattr(sys.lattice, "basis", None)
+    problems = {}   # centred atom set -> [atoms, x-grid indices, probe points]
+    for i, at in enumerate(xs):
+        near = pts[_within(pts - at, [box_radius + DEDUP_TOL] * 2)]
+        key, atoms, c = i, near - at, at
+        if B is not None and len(near):
+            n = np.rint(np.linalg.solve(B, near.T).T) + 0.0
+            if not np.array_equal(column_sums(n, B), near):
+                raise ValueError("the lattice basis does not reproduce the point rows")
+            j = (n.min(axis=0) + n.max(axis=0)) / 2
+            key, atoms, c = lexsorted(n - j).tobytes(), column_sums(n - j, B), column_sums(j, B)
+        group = problems.setdefault(key, [atoms, [], []])
+        group[1].append(i)
+        group[2].append(at - c)
+    out = np.empty(len(xs))
+    for atoms, at, probes in problems.values():
+        out[at] = _probe_residual_norms(_split_problems(atoms), np.reshape(probes, (-1, 2)))
+    return float(out[0]) if np.ndim(x) == 1 else (out, len(problems))
 
 
 def completeness_residual(sys, probe_count):
@@ -518,4 +548,4 @@ def completeness_residual(sys, probe_count):
     """
     if probe_count < 1:
         raise ValueError("need at least one probe")
-    return float(np.max(_probe_residual_norms(sys.points.points, probe_count)))
+    return float(np.max(_probe_residual_norms(sys.class_split, probe_count)))

@@ -300,10 +300,9 @@ def _projected_points(transform, bounds, d):
     widened by one; a row with a zero last entry keeps or drops the whole
     fiber against the same slackened bound. The candidates left are filtered
     exactly, in meshgrid ("ij") order, so the rows equal those of one filter
-    over the whole box; MAX_CANDIDATES still caps the box. A coordinate is
-    z_0 T[:, 0] + z_1 T[:, 1] + ..., each product rounded and summed in
-    column order, not a matrix product: a basis whose columns swap or negate
-    under a map of the coordinates gives a set that map fixes exactly.
+    over the whole box; MAX_CANDIDATES still caps the box. The coordinates
+    are column_sums(z, transform), not a matrix product: a basis whose columns
+    swap or negate under a map of the coordinates gives a set that map fixes exactly.
     """
     bounds = np.asarray(bounds, dtype=float)
     amp = np.abs(np.linalg.inv(transform)) @ (bounds + 1e-12)
@@ -333,10 +332,16 @@ def _projected_points(transform, bounds, d):
     offset = start.astype(np.int64) - (np.cumsum(length) - length)
     z = np.repeat(np.hstack([lead, offset[:, None]]), length, axis=0)
     z[:, -1] += np.arange(len(z))
-    coords = z[:, :1] * transform[:, 0]
-    for k in range(1, n):
-        coords += z[:, k:k + 1] * transform[:, k]
+    coords = column_sums(z, transform)
     return np.compress(_within(coords, bounds), coords[:, :d], axis=0)
+
+
+def column_sums(z, transform):
+    """z_0 T[:, 0] + z_1 T[:, 1] + ... for each row z, each product rounded and summed in order."""
+    coords = z[..., :1] * transform[:, 0]
+    for k in range(1, transform.shape[1]):
+        coords += z[..., k:k + 1] * transform[:, k]
+    return coords
 
 
 def lattice_points_in_box(lattice, radius):

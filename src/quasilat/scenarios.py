@@ -219,11 +219,11 @@ def _product(*lines):
 
 
 def point_kind(points):
-    """(generate, density, reach, factors) of parsed [points] values, as parse_section
+    """(generate, density, reach, factors, lattice) of parsed [points] values, as parse_section
     or the `quasilat gen` flags give them; the one place that knows the point kinds.
-    generate(radius) truncates the set, density is its closed form or None, reach
-    is a csv file's truncation radius (the file is read here, once), else inf, and
-    factors(radius), None unless the kind is a product, is the truncation's Product."""
+    generate(radius) truncates the set, density is its closed form or None, reach is a
+    csv file's truncation radius (the file is read here, once), else inf, factors(radius)
+    the truncation's Product if the kind is one, and lattice the kind's Lattice, if any."""
     kind = points["kind"]
     if kind == "lattice":
         if not points.get("basis"):
@@ -232,7 +232,8 @@ def point_kind(points):
         diag = np.diag(lattice.basis)
         factors = (_product(*(partial(lattice_points_in_box, Lattice([[b]])) for b in diag))
                    if np.array_equal(lattice.basis, np.diag(diag)) else None)
-        return partial(lattice_points_in_box, lattice), 1.0 / lattice.covolume, math.inf, factors
+        return (partial(lattice_points_in_box, lattice), 1.0 / lattice.covolume, math.inf,
+                factors, lattice)
     if kind in ("fibonacci", "fibonacci_product"):
         scheme = fibonacci_scheme(points["window"])
         lines = [partial(model_set_generate, scheme)]
@@ -241,11 +242,12 @@ def point_kind(points):
             total[[0, 2], :2], total[1, 2] = scheme.total_basis, points["beta"]
             scheme = CutAndProjectScheme(total, 2, 1, scheme.window)
             lines.append(partial(lattice_points_in_box, Lattice([[points["beta"]]])))
-        return partial(model_set_generate, scheme), scheme.density(), math.inf, _product(*lines)
+        return (partial(model_set_generate, scheme), scheme.density(), math.inf,
+                _product(*lines), None)
     if kind == "symmetrized_sparse":
         q = points["q"]
         Lattice(np.diag([q, 1.0])).covolume  # the sublattice refuses q = 0, NaN and +-inf
-        return lambda radius: symmetrize(*_sparse_parts(q, radius), radius), None, math.inf, None
+        return lambda r: symmetrize(*_sparse_parts(q, r), r), None, math.inf, None, None
     if kind == "csv":
         if not (path := points.get("path")):
             raise ScenarioValidationError("csv points need a path")
@@ -253,7 +255,7 @@ def point_kind(points):
             ps = load_pointset(path)
         except (OSError, ValueError) as exc:
             raise ScenarioValidationError(f"points csv {path!r}: {exc}") from exc
-        return ps.restrict, None, ps.truncation_radius, None
+        return ps.restrict, None, ps.truncation_radius, None, None
     raise ScenarioValidationError(f"unknown points kind: {kind!r}")
 
 
@@ -299,41 +301,39 @@ def _check_riesz(interior, opt):
 
 def _check_dual(interior, opt):
     """Minimality gap of the interior family; a singular Gram has no dual and no flag."""
-    delta = uniform_min_delta(interior)
     try:
         dual = biorthogonal_dual(interior)
     except NotMinimalError:
-        return {"B_sup": None, "biorth_residual": None, "delta": delta}, False
-    return ({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual, "delta": delta},
-            delta > DELTA_FLOOR)
+        return {"B_sup": None, "biorth_residual": None, "delta": uniform_min_delta(interior)}, False
+    return ({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual,
+             "delta": dual.delta}, dual.delta > DELTA_FLOOR)
 
 
 def _check_hap(system, opt):
-    """HAP residuals over the x-grid, one solve per orbit of grid points.
+    """HAP residuals over the x-grid from one hap_residual call on one point per orbit,
+    whose solves count the distinct centred atom sets; on a lattice that is often one.
 
-    A rotation or reflection S that preserves the point set maps the box
-    around x onto the box around S x, so residual(S x) = residual(x). The
-    axis is symmetric, so S acts on the doubled index offsets
-    w = (2 i - n + 1) + i (2 j - n + 1) from the grid centre as on z = x + i xi.
+    A rotation or reflection S that preserves the point set maps the box around x onto
+    the box around S x, so residual(S x) = residual(x). The axis is symmetric, so S acts
+    on the doubled offsets w = (2 i - n + 1) + i (2 j - n + 1) from the centre as on x + i xi.
     """
     axis = np.linspace(-HAP_X_EXTENT, HAP_X_EXTENT, HAP_X_COUNT)
     n = len(axis)
-    pts = system.points.points
-    order, theta = symmetry(pts)
-    residuals = [[None] * n for _ in range(n)]
-    solves = 0
+    order, theta = symmetry(system.points.points)
+    rep = {}   # grid cell -> the first cell met of its orbit
     for i in range(n):
         for j in range(n):
-            if residuals[i][j] is not None:
+            if (i, j) in rep:
                 continue
-            value = hap_residual(system, (axis[i], axis[j]), HAP_BOX)
-            solves += 1
             w = complex(2 * i - n + 1, 2 * j - n + 1)
             orbit = [w * 1j ** (4 // order * k) for k in range(order)]
             if theta is not None:   # z -> exp(2 i theta) conj(z)
                 orbit += [1j ** round(4 * theta / math.pi) * v.conjugate() for v in orbit]
             for v in orbit:
-                residuals[round(v.real + n - 1) // 2][round(v.imag + n - 1) // 2] = value
+                rep[round(v.real + n - 1) // 2, round(v.imag + n - 1) // 2] = (i, j)
+    cells = list(dict.fromkeys(rep.values()))
+    values, solves = hap_residual(system, [(axis[i], axis[j]) for i, j in cells], HAP_BOX)
+    residuals = [[float(values[cells.index(rep[i, j])]) for j in range(n)] for i in range(n)]
     worst = float(np.max(residuals))
     return ({"box_radius": HAP_BOX, "x_axis": [float(v) for v in axis],
              "residuals": residuals, "max_residual": worst, "rotation_order": order,
@@ -343,7 +343,7 @@ def _check_hap(system, opt):
 
 def _check_complete(system, opt):
     res = completeness_residual(system, PROBE_COUNT)
-    order, theta, shapes = solve_shapes(system.points.points, PROBE_COUNT)
+    order, theta, shapes = solve_shapes(system, PROBE_COUNT)
     return ({"probe_count": PROBE_COUNT, "max_residual": res, "rotation_order": order,
              "reflection_axis": None if theta is None else theta / math.pi,
              "solve_shapes": [list(s) for s in shapes]}, res < COMPLETE_FLOOR)
@@ -442,7 +442,7 @@ def run_scenario(sc):
         return _finalize(sc, *_run_padic(sc))
 
     results, verdicts, flags = {}, [], {}
-    generate, formula, _, factors = point_kind(sc.points)
+    generate, formula, _, factors, lattice = point_kind(sc.points)
     ps = (factors or generate)(sc.density["truncation"])  # rows only where rows are read
     dens = density_scan(ps, FolnerBoxes(ps.dim, sc.density["radii"]))
     results["density"] = {**dens.to_dict(), "point_count": len(ps)}
@@ -465,7 +465,7 @@ def run_scenario(sc):
                                      True, 0, 1, False))
 
     if sc.gabor:
-        system = GaborSystem(generate(sc.gabor["radius"]))
+        system = GaborSystem(generate(sc.gabor["radius"]), lattice)
         results["gabor"] = {"radius": sc.gabor["radius"], "point_count": len(system.points)}
         for name, (block, value) in gabor_blocks(system, sc.gabor["checks"], sc.gabor).items():
             results["gabor"][name], flags[GABOR_CHECKS[name][1]] = block, value

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import quasilat as ql
@@ -228,8 +229,13 @@ def test_gabor_commands_match_scenario_blocks(tmp_path):
             out = tmp_path / f"{check}.json"
             assert main(["gabor", check, "--points", str(pts),
                          "--out", str(out)] + extra) == 0
-            block = blocks["frame" if check == "frame-bounds" else check]
-            assert json.loads(out.read_text()) == block, (radius, check)
+            got, block = json.loads(out.read_text()), blocks[
+                "frame" if check == "frame-bounds" else check]
+            if check == "hap":  # the scenario knows its lattice and centres each box on it
+                assert got.pop("solves") > block.pop("solves")
+                for key in ("residuals", "max_residual"):
+                    assert np.max(np.abs(np.subtract(got.pop(key), block.pop(key)))) <= 1e-12
+            assert got == block, (radius, check)
 
 
 @pytest.mark.parametrize("cmd, flag, key, value", [

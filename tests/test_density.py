@@ -325,7 +325,7 @@ def test_builtin_sets_take_the_expected_counting_path(name, product):
     # a product kind hands the scan the factors of its rows, bit for bit, and
     # the factored scan reports what the scan of the rows reports
     sc = ql.parse_scenario(builtin_scenario_path(name))
-    generate, _, _, factors = point_kind(sc.points)
+    generate, _, _, factors, _ = point_kind(sc.points)
     radius = sc.density["truncation"]
     ps = generate(radius)
     assert (density._PrefixCounter(ps.points).table is None) == product
@@ -361,14 +361,15 @@ def test_factored_scan_of_diagonal_lattices_matches_rows(diagonal, same):
     # equal axes (same spacing up to sign) share their extreme boxes
     if same:
         diagonal = [diagonal[0] * (-1) ** j for j in range(len(diagonal))]
-    generate, _, _, factors = point_kind({"kind": "lattice", "basis": np.diag(diagonal).tolist()})
+    generate, _, _, factors, _ = point_kind({"kind": "lattice",
+                                             "basis": np.diag(diagonal).tolist()})
     _assert_factored_scan_matches_rows(generate, factors, 5.0, (1.0, 1.5, 2.5))
 
 
 @settings(max_examples=25, deadline=None)
 @given(window=st.floats(0.3, 2.0), beta=_spacing)
 def test_factored_scan_of_fibonacci_products_matches_rows(window, beta):
-    generate, _, _, factors = point_kind({"kind": "fibonacci_product", "window": window,
+    generate, _, _, factors, _ = point_kind({"kind": "fibonacci_product", "window": window,
                                           "beta": beta})
     _assert_factored_scan_matches_rows(generate, factors, 9.0, (1.0, 2.0, 4.0))
 

@@ -377,7 +377,7 @@ def test_rotation_class_solves_match_full_svd(want, scale, ks, probes):
     N = max(ql.hermite_cutoff(system.points.points), probes)
     C = ql.atom_coordinates(system.points.points, N)
     full = _lstsq_residual_norms(C, np.eye(N, probes))
-    assert np.max(np.abs(gabor._probe_residual_norms(system.points.points, probes)
+    assert np.max(np.abs(gabor._probe_residual_norms(system.class_split, probes)
                          - full)) <= 1e-12
     assert abs(ql.completeness_residual(system, probes) - np.max(full)) <= 1e-12
     N = ql.hermite_cutoff(system.points.points)
@@ -423,13 +423,13 @@ def test_reflection_class_solves_match_full_svd(want, axis, scale, ks, probes, d
     perm = data.draw(st.permutations(range(len(x))))
     assert gabor.symmetry(system.points.points[perm]) == (order, theta)
     # each real class solve has the column count of the complex one
-    order, _, shapes = gabor.solve_shapes(system.points.points, probes)
+    order, _, shapes = gabor.solve_shapes(system, probes)
     reps, _ = gabor._orbit_representatives(system.points.points, order, None)
     assert [cols for _, cols, _ in shapes] == [len(reps)] * min(order, probes)
     N = max(ql.hermite_cutoff(system.points.points), probes)
     C = ql.atom_coordinates(system.points.points, N)
     full = _lstsq_residual_norms(C, np.eye(N, probes))
-    assert np.max(np.abs(gabor._probe_residual_norms(system.points.points, probes)
+    assert np.max(np.abs(gabor._probe_residual_norms(system.class_split, probes)
                          - full)) <= 1e-12
     assert abs(ql.completeness_residual(system, probes) - np.max(full)) <= 1e-12
     N = ql.hermite_cutoff(system.points.points)
@@ -466,7 +466,7 @@ def test_swap_symmetric_lattice_takes_real_class_solves(monkeypatch, scale):
     dtypes = []
     monkeypatch.setattr(gabor, "_residual_norms",
                         lambda A, B: dtypes.append(A.dtype) or solve(A, B))
-    got = gabor._probe_residual_norms(pts, 10)
+    got = gabor._probe_residual_norms(gabor._split_problems(pts), 10)
     assert dtypes == [np.float64, np.float64]
     N = ql.hermite_cutoff(pts)
     full = _lstsq_residual_norms(ql.atom_coordinates(pts, N), np.eye(N, 10))
@@ -520,6 +520,55 @@ def test_hap_grid_orbits_under_a_diagonal_reflection(monkeypatch):
     direct = [[ql.hap_residual(system, (a, b), 4.0) for b in axis] for a in axis]
     assert np.max(np.abs(np.subtract(block["residuals"], direct))) <= 1e-12
     assert np.ptp(direct) > 0.1  # a residual map that varies over the grid
+
+
+HAP_AXIS = np.linspace(-1.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("basis, solves", [
+    (np.eye(2) * 2 ** -0.5, 1), (np.eye(2), 4), (np.diag([3.5, 0.3]), 4),
+    ([[1.4, 0.4], [0.4, 1.4]], 16), (0.5 * np.array([[3.0, 1.0], [0.0, 1.0]]), 3)])
+def test_lattice_hap_matches_the_general_path(monkeypatch, basis, solves):
+    # the grid of the scenario check; on Z^2 the box edges at integer x pass
+    # through lattice points, so the centred sets there are one point wider
+    lattice = ql.Lattice(basis)
+    points = ql.lattice_points_in_box(lattice, 7.5)
+    grid = [(a, b) for a in HAP_AXIS for b in HAP_AXIS]
+    general, count = ql.hap_residual(ql.GaborSystem(points), grid, 6.0)
+    solve = gabor._residual_norms
+    shapes = []
+    monkeypatch.setattr(gabor, "_residual_norms",
+                        lambda A, B: shapes.append(A.shape) or solve(A, B))
+    centred, got = ql.hap_residual(ql.GaborSystem(points, lattice), grid, 6.0)
+    assert (count, got) == (25, solves)
+    assert np.max(np.abs(centred - general)) <= 1e-12
+    if solves == 1:   # I / sqrt 2: one 17 x 17 block, four real class solves
+        assert len(shapes) == 4 and max(cols for _, cols in shapes) < 80
+    # a single x takes the same path
+    assert abs(ql.hap_residual(ql.GaborSystem(points, lattice), grid[7], 6.0)
+               - general[7]) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 1.6), b=st.floats(0.5, 1.6),
+       shear=st.one_of(st.just(0.0), st.floats(-0.8, 0.8)),
+       xs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1,
+                   max_size=4))
+def test_lattice_hap_property(a, b, shear, xs):
+    lattice = ql.Lattice([[a, shear], [0.0, b]])
+    points = ql.lattice_points_in_box(lattice, 4.5)
+    centred, _ = ql.hap_residual(ql.GaborSystem(points, lattice), xs, 3.0)
+    general, _ = ql.hap_residual(ql.GaborSystem(points), xs, 3.0)
+    assert np.max(np.abs(centred - general)) <= 1e-12
+
+
+def test_lattice_hap_refuses_a_basis_that_misses_the_rows():
+    points = ql.lattice_points_in_box(ql.Lattice(np.eye(2) * 2 ** -0.5), 7.5)
+    # one unit in the last place off: the integer coordinates are right, the rows are not
+    for basis in (np.eye(2) * np.nextafter(2 ** -0.5, 0.0), np.eye(2) * 0.7):
+        system = ql.GaborSystem(points, ql.Lattice(basis))
+        with pytest.raises(ValueError, match="does not reproduce"):
+            ql.hap_residual(system, (0.5, 0.0), 6.0)
 
 
 def test_critical_lattice_completeness_residual():

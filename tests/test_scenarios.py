@@ -469,6 +469,31 @@ minimal = false
     assert main(["run", str(write_cfg(tmp_path, text))]) == 0
 
 
+def test_dual_and_complete_blocks_decompose_once(monkeypatch):
+    # the dual block takes delta from the dual's own eigh of the Gram, and the
+    # complete block its shapes from the split completeness_residual solved on
+    system = ql.GaborSystem(ql.lattice_points_in_box(ql.Lattice(np.diag([2.0, 1.0])), 4.0))
+    delta = ql.uniform_min_delta(system)
+    eighs, splits = [], []
+    eigh, split = np.linalg.eigh, ql.gabor._split_problems
+    monkeypatch.setattr(np.linalg, "eigh", lambda G: eighs.append(G.shape) or eigh(G))
+    monkeypatch.setattr(ql.gabor, "_split_problems", lambda p: splits.append(len(p)) or split(p))
+    dual, _ = ql.scenarios.GABOR_CHECKS["dual"][0](system, {})
+    complete, _ = ql.scenarios.GABOR_CHECKS["complete"][0](system, {})
+    assert (len(eighs), len(splits)) == (1, 1)
+    assert dual["delta"] == delta
+    assert complete["max_residual"] == ql.completeness_residual(system, complete["probe_count"])
+
+
+def test_lattice_frame_half_hap_is_one_solve():
+    # every x-grid point of the builtin sees the same 17 x 17 block of the
+    # lattice once centred, so the 25 residuals share one class split
+    sc = ql.parse_scenario(ql.builtin_scenario_path("lattice-frame-half"))
+    hap = ql.run_scenario(sc).results["gabor"]["hap"]
+    assert (hap["solves"], hap["rotation_order"], hap["reflection_axis"]) == (1, 4, 0.0)
+    assert hap["max_residual"] < 1e-14
+
+
 def _box_counts(points, centres, radius):
     """Brute-force count of points in each closed box centre + [-radius, radius]^2."""
     inside = np.abs(points[None, :, :] - centres[:, None, :]) <= radius + DEDUP_TOL
