@@ -144,8 +144,8 @@ def _cmd_run(args):
     for target in args.targets:
         if target == "all":
             paths.extend(builtin_scenario_path(n) for n in builtin_scenario_names())
-        elif os.path.exists(target):
-            paths.append(target)
+        elif os.path.exists(target) or os.path.dirname(target) or target.endswith(".cfg"):
+            paths.append(target)   # a path; parse_scenario names a missing one
         else:
             paths.append(builtin_scenario_path(target))
     all_passed = True

@@ -22,7 +22,12 @@ class ShiftRangeError(QuasilatError):
 
 
 class NotMinimalError(QuasilatError):
-    """Gram matrix is numerically singular; no biorthogonal family exists."""
+    """Gram matrix is numerically singular; no biorthogonal family exists. delta is
+    the minimality gap from the same decomposition of the Gram matrix."""
+
+    def __init__(self, message, delta):
+        super().__init__(message)
+        self.delta = delta
 
 
 class CoverError(QuasilatError):

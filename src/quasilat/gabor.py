@@ -242,7 +242,7 @@ class GaborSystem:
             raise ValueError("Gabor systems need dim-2 point sets (time, frequency)")
 
     @cached_property
-    def class_split(self):   # completeness_residual's, which solve_shapes reads
+    def class_split(self):   # completeness_residual's; solve_shapes and hap_residual read it
         return _split_problems(self.points.points)
 
     def synthesis_matrix(self, grid):
@@ -376,7 +376,8 @@ def biorthogonal_dual(sys):
     G = gram_matrix(sys)
     eigs, U = np.linalg.eigh(G)
     if eigs[0] <= DUAL_EIG_TOL * max(float(eigs[-1]), 1.0):
-        raise NotMinimalError("not minimal at tolerance: Gram matrix numerically singular")
+        raise NotMinimalError("not minimal at tolerance: Gram matrix numerically singular",
+                              _min_delta(eigs, U))
     Ginv = (U / eigs) @ U.conj().T
     residual = float(np.max(np.abs(G @ Ginv - np.eye(len(eigs)))))
     return DualFamily(sys, Ginv, float(np.max(np.real(np.diag(Ginv)))), residual,
@@ -509,34 +510,44 @@ def _probe_residual_norms(split, probes):
 def hap_residual(sys, x, box_radius):
     """Least-squares distance from pi(x) g to span{pi(lambda) g : lambda in x + box}.
 
-    x is a point, or an (m, 2) x-grid, whose m residuals come with the number of
-    solves. The box must fit inside the point truncation, or missing points would
-    inflate the residual. pi(c)^* maps pi(lambda) g to pi(lambda - c) g up to a
-    phase, with c = x, or on sys.lattice B Z^2, whose integer set N_x must reproduce
-    the rows, c = B j for j the midpoint of N_x's extremes: B (N_x - j), in column
-    sums like the rows, is exactly symmetric when N_x - j is. x with equal centred
-    sets share one solve, with the probes pi(x - c) g as its right-hand sides.
+    x is a point, or m points in any order, whose m residuals come with the number
+    of solves; each box must fit inside the point truncation. An x whose exact image
+    S x under a rotation or reflection of the set (class_split's) came earlier reads
+    that residual, since S maps the one box onto the other. pi(c)^* maps pi(lambda) g
+    to pi(lambda - c) g up to a phase, with c = x, or on sys.lattice B Z^2, whose
+    integer set N_x must reproduce the rows, c = B j for j the midpoint of N_x's
+    extremes: B (N_x - j) is exactly symmetric when N_x - j is. x whose lexsorted
+    centred sets (near - x or N_x - j) are bitwise equal share one solve, with the
+    probes pi(x - c) g as its right-hand sides.
     """
     xs = np.asarray(x, dtype=float).reshape(-1, 2)
     require_reach(np.max(np.abs(xs)) + box_radius, sys.points.truncation_radius, "local box reach")
     pts, B = sys.points.points, getattr(sys.lattice, "basis", None)
-    problems = {}   # centred atom set -> [atoms, x-grid indices, probe points]
+    order, theta = sys.class_split[:2] if len(xs) > 1 else (1, None)
+    solved, reads = {}, np.arange(len(xs))   # x + i xi -> index; the index each x reads
+    problems = {}   # centred atom set -> (atoms, [(x index, probe point)])
     for i, at in enumerate(xs):
+        turns = [complex(*at) * 1j ** (4 // order * k) for k in range(order)]
+        if theta is not None:   # z -> exp(2 i theta) conj(z)
+            turns += [1j ** round(4 * theta / math.pi) * z.conjugate() for z in turns]
+        reads[i] = next((solved[z] for z in turns if z in solved), i)
+        if reads[i] < i:
+            continue
+        solved[turns[0]] = i
         near = pts[_within(pts - at, [box_radius + DEDUP_TOL] * 2)]
-        key, atoms, c = i, near - at, at
+        centred, atoms, c = near - at, near - at, at
         if B is not None and len(near):
             n = np.rint(np.linalg.solve(B, near.T).T) + 0.0
             if not np.array_equal(column_sums(n, B), near):
                 raise ValueError("the lattice basis does not reproduce the point rows")
             j = (n.min(axis=0) + n.max(axis=0)) / 2
-            key, atoms, c = lexsorted(n - j).tobytes(), column_sums(n - j, B), column_sums(j, B)
-        group = problems.setdefault(key, [atoms, [], []])
-        group[1].append(i)
-        group[2].append(at - c)
+            centred, atoms, c = n - j, column_sums(n - j, B), column_sums(j, B)
+        problems.setdefault(lexsorted(centred).tobytes(), (atoms, []))[1].append((i, at - c))
     out = np.empty(len(xs))
-    for atoms, at, probes in problems.values():
-        out[at] = _probe_residual_norms(_split_problems(atoms), np.reshape(probes, (-1, 2)))
-    return float(out[0]) if np.ndim(x) == 1 else (out, len(problems))
+    for atoms, members in problems.values():
+        at, probes = zip(*members)
+        out[list(at)] = _probe_residual_norms(_split_problems(atoms), np.reshape(probes, (-1, 2)))
+    return float(out[0]) if np.ndim(x) == 1 else (out[reads], len(problems))
 
 
 def completeness_residual(sys, probe_count):

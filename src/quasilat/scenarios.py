@@ -26,7 +26,7 @@ from .errors import (DegenerateLatticeError, InsufficientTruncationError, NotMin
                      ScenarioValidationError)
 from .gabor import (D_PI, FRAME_GUARD, GaborSystem, biorthogonal_dual,
                     completeness_residual, frame_bounds, frame_guard, hap_residual,
-                    riesz_bounds, solve_shapes, symmetry, uniform_min_delta)
+                    riesz_bounds, solve_shapes)
 from .padic import PAdicModelSet, padic_cover_set, padic_density, parse_window
 from .pointset import (CutAndProjectScheme, Lattice, fibonacci_scheme, from_points,
                        lattice_points_in_box, load_pointset, model_set_generate,
@@ -100,6 +100,8 @@ def _checks(text):
     checks = [c.strip() for c in text.split(",") if c.strip()]
     if unknown := [c for c in checks if c not in GABOR_CHECKS]:
         raise ValueError(f"unknown gabor checks {unknown}; known: {', '.join(GABOR_CHECKS)}")
+    if repeated := sorted({c for c in checks if checks.count(c) > 1}):
+        raise ValueError(f"gabor checks {repeated} are listed more than once")
     return checks
 
 
@@ -303,41 +305,21 @@ def _check_dual(interior, opt):
     """Minimality gap of the interior family; a singular Gram has no dual and no flag."""
     try:
         dual = biorthogonal_dual(interior)
-    except NotMinimalError:
-        return {"B_sup": None, "biorth_residual": None, "delta": uniform_min_delta(interior)}, False
+    except NotMinimalError as exc:
+        return {"B_sup": None, "biorth_residual": None, "delta": exc.delta}, False
     return ({"B_sup": dual.B_sup, "biorth_residual": dual.biorth_residual,
              "delta": dual.delta}, dual.delta > DELTA_FLOOR)
 
 
 def _check_hap(system, opt):
-    """HAP residuals over the x-grid from one hap_residual call on one point per orbit,
-    whose solves count the distinct centred atom sets; on a lattice that is often one.
-
-    A rotation or reflection S that preserves the point set maps the box around x onto
-    the box around S x, so residual(S x) = residual(x). The axis is symmetric, so S acts
-    on the doubled offsets w = (2 i - n + 1) + i (2 j - n + 1) from the centre as on x + i xi.
-    """
+    """HAP residuals over the x-grid; hap_residual decides which points share a solve."""
     axis = np.linspace(-HAP_X_EXTENT, HAP_X_EXTENT, HAP_X_COUNT)
-    n = len(axis)
-    order, theta = symmetry(system.points.points)
-    rep = {}   # grid cell -> the first cell met of its orbit
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in rep:
-                continue
-            w = complex(2 * i - n + 1, 2 * j - n + 1)
-            orbit = [w * 1j ** (4 // order * k) for k in range(order)]
-            if theta is not None:   # z -> exp(2 i theta) conj(z)
-                orbit += [1j ** round(4 * theta / math.pi) * v.conjugate() for v in orbit]
-            for v in orbit:
-                rep[round(v.real + n - 1) // 2, round(v.imag + n - 1) // 2] = (i, j)
-    cells = list(dict.fromkeys(rep.values()))
-    values, solves = hap_residual(system, [(axis[i], axis[j]) for i, j in cells], HAP_BOX)
-    residuals = [[float(values[cells.index(rep[i, j])]) for j in range(n)] for i in range(n)]
-    worst = float(np.max(residuals))
-    return ({"box_radius": HAP_BOX, "x_axis": [float(v) for v in axis],
-             "residuals": residuals, "max_residual": worst, "rotation_order": order,
-             "reflection_axis": None if theta is None else theta / math.pi,
+    values, solves = hap_residual(system, [(a, b) for a in axis for b in axis], HAP_BOX)
+    order, theta = system.class_split[:2]
+    worst = float(np.max(values))
+    return ({"box_radius": HAP_BOX, "x_axis": axis.tolist(),
+             "residuals": values.reshape(len(axis), -1).tolist(), "max_residual": worst,
+             "rotation_order": order, "reflection_axis": None if theta is None else theta / math.pi,
              "solves": solves}, worst < HAP_FLOOR)
 
 

@@ -238,6 +238,26 @@ def test_gabor_commands_match_scenario_blocks(tmp_path):
             assert got == block, (radius, check)
 
 
+def test_gabor_hap_on_a_csv_shares_equal_centred_sets(tmp_path):
+    # a CSV carries no lattice, so each box is centred at x; on Z^2 the grid
+    # points an integer offset apart (the corners, the edge midpoints and the
+    # centre) see one centred set and share a solve: 4 where one per orbit took 6
+    pts = tmp_path / "z2.csv"
+    assert main(["gen", "--kind", "lattice", "--basis", "1,0,0,1",
+                 "--radius", "11", "--out", str(pts)]) == 0
+    out = tmp_path / "hap.json"
+    assert main(["gabor", "hap", "--points", str(pts), "--out", str(out)]) == 0
+    block = json.loads(out.read_text())
+    assert (block["solves"], block["rotation_order"], block["reflection_axis"]) == (4, 4, 0.0)
+    # the first cell of each D4 orbit in row-major order, solved alone, gives the
+    # same bits as the shared solves; the rest of its orbit reads that value
+    grid, axis = np.array(block["residuals"]), block["x_axis"]
+    assert np.array_equal(grid, grid.T) and np.array_equal(grid, grid[::-1])
+    system = ql.GaborSystem(ql.load_pointset(pts))
+    for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
+        assert grid[i, j] == ql.hap_residual(system, (axis[i], axis[j]), block["box_radius"])
+
+
 @pytest.mark.parametrize("cmd, flag, key, value", [
     ("frame-bounds", "--hermite-N", "hermite_n", "0"),
 ])
@@ -404,7 +424,16 @@ def test_incomplete_scenario_blocks_exit_2(tmp_path, capsys):
 def test_run_unknown_target_exits_2(capsys):
     rc = main(["run", "definitely-not-a-scenario"])
     assert rc == 2
-    assert capsys.readouterr().err
+    assert "unknown builtin scenario 'definitely-not-a-scenario'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["dir/missing.cfg", "missing.cfg", "dir/missing"])
+def test_run_missing_path_names_the_file(tmp_path, capsys, monkeypatch, target):
+    # a target with a path separator or a .cfg suffix is a path, not a builtin name
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", target]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario file not found: {target}" in err and "builtin" not in err
 
 
 def test_run_validates_every_target_before_running_any(tmp_path, capsys, monkeypatch):

@@ -525,28 +525,70 @@ def test_hap_grid_orbits_under_a_diagonal_reflection(monkeypatch):
 HAP_AXIS = np.linspace(-1.0, 1.0, 5)
 
 
-@pytest.mark.parametrize("basis, solves", [
-    (np.eye(2) * 2 ** -0.5, 1), (np.eye(2), 4), (np.diag([3.5, 0.3]), 4),
-    ([[1.4, 0.4], [0.4, 1.4]], 16), (0.5 * np.array([[3.0, 1.0], [0.0, 1.0]]), 3)])
-def test_lattice_hap_matches_the_general_path(monkeypatch, basis, solves):
+LATTICE_HAP_CASES = [   # basis, solves without and with the lattice
+    (np.eye(2) * 2 ** -0.5, 6, 1), (np.eye(2), 4, 4), (np.diag([3.5, 0.3]), 9, 4),
+    ([[1.4, 0.4], [0.4, 1.4]], 9, 8), (0.5 * np.array([[3.0, 1.0], [0.0, 1.0]]), 3, 3)]
+
+
+@pytest.mark.parametrize("basis, general_solves, solves", LATTICE_HAP_CASES,
+                         ids=[f"basis{i}-{case[2]}" for i, case in enumerate(LATTICE_HAP_CASES)])
+def test_lattice_hap_matches_the_general_path(monkeypatch, basis, general_solves, solves):
     # the grid of the scenario check; on Z^2 the box edges at integer x pass
     # through lattice points, so the centred sets there are one point wider
     lattice = ql.Lattice(basis)
     points = ql.lattice_points_in_box(lattice, 7.5)
     grid = [(a, b) for a in HAP_AXIS for b in HAP_AXIS]
     general, count = ql.hap_residual(ql.GaborSystem(points), grid, 6.0)
+    # a single x shares nothing: each grid point gets its own x-centred solve
+    single = [ql.hap_residual(ql.GaborSystem(points), x, 6.0) for x in grid]
     solve = gabor._residual_norms
     shapes = []
     monkeypatch.setattr(gabor, "_residual_norms",
                         lambda A, B: shapes.append(A.shape) or solve(A, B))
     centred, got = ql.hap_residual(ql.GaborSystem(points, lattice), grid, 6.0)
-    assert (count, got) == (25, solves)
-    assert np.max(np.abs(centred - general)) <= 1e-12
+    assert (count, got) == (general_solves, solves)
+    assert np.max(np.abs(general - single)) <= 1e-12
+    assert np.max(np.abs(centred - single)) <= 1e-12
     if solves == 1:   # I / sqrt 2: one 17 x 17 block, four real class solves
         assert len(shapes) == 4 and max(cols for _, cols in shapes) < 80
     # a single x takes the same path
     assert abs(ql.hap_residual(ql.GaborSystem(points, lattice), grid[7], 6.0)
-               - general[7]) <= 1e-12
+               - single[7]) <= 1e-12
+
+
+@pytest.mark.parametrize("basis, on_lattice, solves", [
+    (np.eye(2) * 2 ** -0.5, False, 6), (np.diag([2 ** -0.5, 0.6]), False, 9),
+    ([[1.4, 0.4], [0.4, 1.4]], False, 9), (np.diag([2 ** -0.5, 0.6]), True, 4)])
+def test_hap_shares_solves_in_any_order(basis, on_lattice, solves):
+    # no two orbits of these grids share a centred set, so the count is the
+    # same whichever point of an orbit comes first (on Z^2 it is not: (1, 0.5) and
+    # (0, 0.5) see one centred set, and their orbits hold (0.5, 1) and (0.5, 0),
+    # which see its mirror image)
+    lattice = ql.Lattice(basis)
+    system = ql.GaborSystem(ql.lattice_points_in_box(lattice, 7.5),
+                            lattice if on_lattice else None)
+    grid = np.array([(a, b) for a in HAP_AXIS for b in HAP_AXIS])
+    values, count = ql.hap_residual(system, grid, 4.0)
+    assert count == solves
+    for seed in range(4):
+        perm = np.random.default_rng(seed).permutation(len(grid))
+        shuffled, got = ql.hap_residual(system, grid[perm], 4.0)
+        assert got == solves
+        assert np.max(np.abs(shuffled - values[perm])) <= 1e-12
+
+
+def test_hap_image_one_ulp_off_gets_its_own_solve(oversampled_system):
+    # (-0.5, 0.25) is the exact mirror image of (0.5, 0.25) under (x, xi) -> (-x, xi),
+    # a symmetry of (1/sqrt2) Z^2; one unit in the last place off, it is not
+    x = (0.5, 0.25)
+    mirror = (-0.5, 0.25)
+    off = (np.nextafter(-0.5, -1.0), 0.25)
+    values, solves = ql.hap_residual(oversampled_system, [x, mirror], 4.0)
+    assert solves == 1 and values[0] == values[1]
+    values, solves = ql.hap_residual(oversampled_system, [x, off], 4.0)
+    assert solves == 2
+    assert values[1] == ql.hap_residual(oversampled_system, off, 4.0)
+    assert abs(values[1] - values[0]) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -233,6 +233,12 @@ def test_restrict_refuses_radius_beyond_truncation():
     with pytest.raises(ql.InsufficientTruncationError, match="exceeds the truncation radius"):
         ps.restrict(10.0)
     assert len(ps.restrict(3.0)) == 49
+    # a radius past the truncation by rounding only fits: 0.1 + 0.2 > 0.3 in floats
+    ps = ql.lattice_points_in_box(ql.Lattice(np.eye(2) * 0.1), 0.3)
+    assert 0.1 + 0.2 > 0.3 and len(ps.restrict(0.1 + 0.2)) == len(ps) == 49
+    pointset.require_reach(0.3 + DEDUP_TOL, 0.3, "box")
+    with pytest.raises(ql.InsufficientTruncationError, match="box"):
+        pointset.require_reach(0.3 + 2 * DEDUP_TOL, 0.3, "box")
 
 
 def test_min_separation_paths():
@@ -461,6 +467,9 @@ def test_canonical_properties(pts, data):
 def test_canonical_drops_copy_separated_in_lex_order():
     pts = np.array([[1.0, 5.0], [1.0 + 5e-13, 0.0], [1.0 + 1e-12, 5.0]])
     np.testing.assert_array_equal(_canonical(pts), pts[:2])
+    # a chain 0.6 DEDUP_TOL apart twice: the middle point is dropped, the last is not
+    chain = np.array([[0.0], [0.6 * DEDUP_TOL], [1.2 * DEDUP_TOL]])
+    np.testing.assert_array_equal(_canonical(chain), chain[[0, 2]])
 
 
 def test_sumset_float_noise_copies_merge():

@@ -146,6 +146,10 @@ def test_parse_rejects_inconsistent_gabor(tmp_path):
     no_radius = TINY + "\n[gabor]\nchecks = riesz\n"
     with pytest.raises(ql.ScenarioValidationError, match="missing radius"):
         ql.parse_scenario(write_cfg(tmp_path, no_radius))
+    twice = TINY + "\n[gabor]\nradius = 8\nchecks = riesz, hap, riesz\n"
+    with pytest.raises(ql.ScenarioValidationError, match="\\['riesz'\\] are listed more than once"):
+        ql.parse_scenario(write_cfg(tmp_path, twice))
+    assert main(["run", str(write_cfg(tmp_path, twice))]) == 2
 
 
 def test_parse_rejects_unknown_sections_and_keys(tmp_path):
@@ -470,10 +474,16 @@ minimal = false
 
 
 def test_dual_and_complete_blocks_decompose_once(monkeypatch):
-    # the dual block takes delta from the dual's own eigh of the Gram, and the
-    # complete block its shapes from the split completeness_residual solved on
+    # the dual block takes delta from the dual's own eigh of the Gram, singular or
+    # not, and the complete block its shapes from the split completeness_residual solved on
     system = ql.GaborSystem(ql.lattice_points_in_box(ql.Lattice(np.diag([2.0, 1.0])), 4.0))
     delta = ql.uniform_min_delta(system)
+    # 0.5 Z^2 has a singular Gram: 169 atoms at radius 3, whose least eigenvalue
+    # rounds below 0 (delta 0), and 25 at radius 1, whose delta is positive
+    singular = [ql.GaborSystem(ql.lattice_points_in_box(ql.Lattice(0.5 * np.eye(2)), r))
+                for r in (3.0, 1.0)]
+    singular_deltas = [ql.uniform_min_delta(s) for s in singular]
+    assert singular_deltas[1] > 0.0
     eighs, splits = [], []
     eigh, split = np.linalg.eigh, ql.gabor._split_problems
     monkeypatch.setattr(np.linalg, "eigh", lambda G: eighs.append(G.shape) or eigh(G))
@@ -483,6 +493,11 @@ def test_dual_and_complete_blocks_decompose_once(monkeypatch):
     assert (len(eighs), len(splits)) == (1, 1)
     assert dual["delta"] == delta
     assert complete["max_residual"] == ql.completeness_residual(system, complete["probe_count"])
+    for family, want in zip(singular, singular_deltas):
+        eighs.clear()
+        block, flag = ql.scenarios.GABOR_CHECKS["dual"][0](family, {})
+        assert eighs == [(len(family.points),) * 2]
+        assert block == {"B_sup": None, "biorth_residual": None, "delta": want} and not flag
 
 
 def test_lattice_frame_half_hap_is_one_solve():
