@@ -10,11 +10,21 @@ import quasilat as ql
 from quasilat import PAdicRational
 
 
+def padic_norm(q):
+    """|a/p^k|_p = p^(k - v_p(a)) as an exact Fraction; |0|_p = 0."""
+    if q.a == 0:
+        return Fraction(0)
+    a, v = q.a, 0
+    while a % q.p == 0:
+        a, v = a // q.p, v + 1
+    return Fraction(q.p) ** (q.k - v)
+
+
 def main():
     q = PAdicRational.make(2, 3, 4)
     print(f"canonical form 3/2^4: a={q.a}, k={q.k}, value {q.value()}, "
-          f"|.|_2 = {ql.padic_norm(q)}")
-    print(f"|12|_2 = {ql.padic_norm(PAdicRational.make(2, 12, 0))} "
+          f"|.|_2 = {padic_norm(q)}")
+    print(f"|12|_2 = {padic_norm(PAdicRational.make(2, 12, 0))} "
           f"(2-adic valuation 2)")
 
     ms = ql.PAdicModelSet.build(2, 1, 10)

@@ -29,6 +29,25 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKERS = 2
 
 MUTANTS = [
+    # product point sets stay factored
+    ("extreme boxes reused for any equal-length axis", "density.py",
+     "if np.array_equal(c, coords)]", "if len(c) == len(coords)]",
+     ["test_density.py::test_exact_scan_at_tolerance_edges"]),
+    ("one factor point dropped", "scenarios.py",
+     "Product([line(radius).points[:, 0] for line in lines], radius)",
+     "Product([line(radius).points[1:, 0] for line in lines], radius)",
+     ["test_density.py::test_factored_scan_of_diagonal_lattices_matches_rows"]),
+    # Hermite coordinates by the ratio recurrence, subadditivity by one lexsort
+    ("no log-space guard on the coordinate seed", "gabor.py",
+     "SEED_EXPONENT_MAX = 700.0", "SEED_EXPONENT_MAX = 1e9",
+     ["test_gabor.py::test_coordinates_match_log_space"]),
+    ("unique_rows: np.all for np.any", "pointset.py",
+     "new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)",
+     "new[1:] = np.all(ranked[1:] != ranked[:-1], axis=1)",
+     ["test_pointset.py::test_unique_rows_matches_numpy_unique"]),
+    ("subadditivity copies less the union's row once", "scenarios.py",
+     "copies = counts - 2 * np.bincount", "copies = counts - 1 * np.bincount",
+     ["test_scenarios.py::test_subadditivity_excess_is_exact"]),
     # covers on a line by one sorted search
     ("line cover: lower neighbour index shifted by one", "approxcheck.py",
      "line[np.maximum(j - 1, 0)]", "line[np.maximum(j - 2, 0)]",
@@ -108,6 +127,19 @@ MUTANTS = [
      "os.path.exists(target) or os.path.dirname(target) or target.endswith(\".cfg\")",
      "os.path.exists(target)",
      ["test_cli.py::test_run_missing_path_names_the_file"]),
+    # report names, report files and sidecars
+    ("a report name holding / accepted", "scenarios.py",
+     'if text in ("", ".", "..") or "/" in text or', 'if text in ("", ".", "..") or',
+     ["test_cli.py::test_run_refuses_a_name_that_leaves_the_out_dir"]),
+    ("two targets with one report file accepted", "cli.py",
+     "names.count(n) > 1", "names.count(n) > 2",
+     ["test_cli.py::test_run_refuses_two_targets_with_one_report_file"]),
+    ("sidecar count not checked against the CSV body", "pointset.py",
+     '(("count", len(pts)), ("dim", dim))', '(("dim", dim),)',
+     ["test_cli.py::test_sidecar_count_and_dim_must_match_the_csv"]),
+    ("a csv scenario read again to run", "scenarios.py",
+     "sc.point_kind or point_kind(sc.points)", "point_kind(sc.points)",
+     ["test_cli.py::test_csv_scenario_restricts_to_each_radius"]),
     # exactness claims of earlier changes
     ("extreme boxes: logical_or for logical_and", "density.py",
      "is_right = ~np.logical_and.reduceat", "is_right = ~np.logical_or.reduceat",

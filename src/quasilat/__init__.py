@@ -18,12 +18,12 @@ from .pointset import (CutAndProjectScheme, Lattice, PointSet, Window,
                        load_pointset, min_separation, model_set_generate,
                        regenerate, save_pointset, sumset_truncated, symmetrize)
 from .density import (DensityReport, FolnerBoxes, count_in_translate,
-                      density_scan, translate_count_grid, van_hove_ratio)
+                      density_scan, translate_count_grid)
 from .approxcheck import (CoverResult, DeloneReport, delone_report,
                           find_cover_set, verify_cover)
 from .padic import (PAdicCoverResult, PAdicDensityReport, PAdicModelSet,
                     PAdicRational, enumerate_model_set, padic_cover_set,
-                    padic_density, padic_norm, parse_window)
+                    padic_density, parse_window)
 from .gabor import (D_PI, DualFamily, GaborSystem, GridSpec, SpectralBounds,
                     Waveform, atom_coordinates, biorthogonal_dual, cocycle,
                     completeness_residual, frame_bounds, gaussian_window,

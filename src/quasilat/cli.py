@@ -148,8 +148,13 @@ def _cmd_run(args):
             paths.append(target)   # a path; parse_scenario names a missing one
         else:
             paths.append(builtin_scenario_path(target))
+    scenarios = [parse_scenario(p) for p in paths]  # validate all first
+    names = [sc.name for sc in scenarios]
+    if args.out_dir and (twice := sorted({n for n in names if names.count(n) > 1})):
+        raise ScenarioValidationError(
+            f"two targets would write {os.path.join(args.out_dir, twice[0])}.json")
     all_passed = True
-    for report in map(run_scenario, [parse_scenario(p) for p in paths]):  # validate all first
+    for report in map(run_scenario, scenarios):
         for line in report.verdict_lines():
             print(line)
         all_passed = all_passed and report.passed

@@ -43,21 +43,6 @@ class FolnerBoxes:
         return (2.0 * self.radii[n]) ** self.dim
 
 
-def van_hove_ratio(boxes, n, half_width):
-    """Relative measure of the half_width-thickened boundary of the n-th box.
-
-    Closed form ((2r+2a)^d - max(2r-2a, 0)^d) / (2r)^d; tends to 0 in n for
-    fixed a, which is the strong Folner property of the box sequence.
-    """
-    if half_width < 0:
-        raise ValueError("half_width must be nonnegative")
-    r = boxes.radii[n]
-    d = boxes.dim
-    outer = (2.0 * r + 2.0 * half_width) ** d
-    inner = max(2.0 * r - 2.0 * half_width, 0.0) ** d
-    return (outer - inner) / (2.0 * r) ** d
-
-
 @dataclass
 class DensityReport:
     """Per-box inf/sup counts plus extrapolated lower/upper densities."""
@@ -264,22 +249,20 @@ def _extrapolate(radii, values):
     return float(max(coef[0], 0.0)), float(coef[1])
 
 
-def density_scan(ps, boxes, translate_step=None, scan_region_radius=None):
+def density_scan(ps, boxes, translate_step=None):
     """Lower/upper Beurling density estimates of a PointSet or Product over the boxes.
 
-    With translate_step=None (default) each per-box count is the exact
-    inf/sup over every translate in the scan region. With an explicit step
-    the extrema are taken over the uniform grid step*Z^d instead, which is
-    cheaper in high dimension but can miss the worst translate phase.
+    The scan region is [-s, s]^d with s = max(truncation - largest box radius, 0),
+    so every box stays inside the truncation. With translate_step=None (default)
+    each per-box count is the exact inf/sup over every translate in it. With an
+    explicit step the extrema are taken over the uniform grid step*Z^d instead,
+    which is cheaper in high dimension but can miss the worst translate phase.
     """
     if boxes.dim != ps.dim:
         raise ValueError("box dimension must match point set dimension")
     r_max = boxes.radii[-1]
-    if scan_region_radius is None:
-        scan_region_radius = max(ps.truncation_radius - r_max, 0.0)
-    if not (scan := float(scan_region_radius)) >= 0:  # NaN too; 0 scans the centre alone
-        raise ValueError("scan_region_radius must be nonnegative")
-    require_reach(scan + r_max, ps.truncation_radius, "scan region plus largest box")
+    scan = max(ps.truncation_radius - r_max, 0.0)
+    require_reach(r_max, ps.truncation_radius, "largest box")
     if translate_step is not None:
         positive_finite(translate_step, "translate_step")
 

@@ -81,19 +81,6 @@ class PAdicRational(NamedTuple):
         return Fraction(self.a, self.p ** self.k)
 
 
-def padic_norm(q):
-    """|a/p^k|_p = p^(k - v_p(a)) as an exact Fraction; |0|_p = 0."""
-    if q.a == 0:
-        return Fraction(0)
-    v = 0
-    a = abs(q.a)
-    while a % q.p == 0:
-        a //= q.p
-        v += 1
-    e = q.k - v
-    return Fraction(q.p ** e) if e >= 0 else Fraction(1, q.p ** (-e))
-
-
 @dataclass(frozen=True)
 class PAdicModelSet:
     """Z[1/p] elements of denominator exponent <= n_max with real part in [-w, w]."""

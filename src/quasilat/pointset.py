@@ -386,12 +386,7 @@ def symmetrize(ps, sublattice, radius):
 
 
 def sumset_truncated(a, b, radius):
-    """All pairwise sums with sup-norm <= radius, deduplicated.
-
-    The recipe records ``boundary_safe``: True only when one operand's truncation
-    exceeds the requested radius plus the other operand's truncation, the
-    sufficient condition for the truncated sumset to list every sum in the box.
-    """
+    """All pairwise sums with sup-norm <= radius, deduplicated."""
     if a.dim != b.dim:
         raise ValueError("sumset operands must share a dimension")
     radius = positive_finite(radius)
@@ -402,10 +397,7 @@ def sumset_truncated(a, b, radius):
     else:
         sums = (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, a.dim)
         pts = _canonical(sums[_within(sums, [radius + DEDUP_TOL] * a.dim)])
-    safe = (a.truncation_radius >= radius + b.truncation_radius - 1e-12
-            or b.truncation_radius >= radius + a.truncation_radius - 1e-12)
-    src = {"kind": "sumset", "a": a.source, "b": b.source,
-           "radius": radius, "boundary_safe": bool(safe)}
+    src = {"kind": "sumset", "a": a.source, "b": b.source, "radius": radius}
     return PointSet(a.dim, pts, radius, src)
 
 
@@ -479,7 +471,8 @@ def _csv_rows(lines, dim, skiprows=0):
 
 
 def load_pointset(path):
-    """Read a point CSV written by save_pointset; the sidecar is optional.
+    """Read a point CSV written by save_pointset; the sidecar is optional, but its
+    count and dim, where it has them, must be the body's row count and dim.
 
     numpy's reader parses the body and skips empty lines. Only when it
     refuses the body, or a coordinate is not finite, is the file read line by
@@ -508,6 +501,9 @@ def load_pointset(path):
             meta = json.load(fh)
     except FileNotFoundError:
         meta = {}
+    for key, body in (("count", len(pts)), ("dim", dim)):
+        if meta.get(key, body) != body:
+            raise ValueError(f"sidecar {path}.json has {key} {meta[key]}, the CSV body {body}")
     if meta.get("source") is None:
         return from_points(pts, dim, meta.get("truncation_radius"))
     if meta.get("truncation_radius") is None:

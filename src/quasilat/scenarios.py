@@ -58,8 +58,9 @@ POINT_OPTIONS = {"window": 1.0, "beta": 0.5, "q": 4.0}
 
 @dataclass
 class Scenario:
-    """The parsed sections (empty where unused) and `settings`, the file as
-    written (name, slack and raw sections), which a report quotes and hashes."""
+    """The parsed sections (empty where unused), `settings`, the file as written
+    (name, slack and raw sections), which a report quotes and hashes, and the
+    point_kind of [points] that validation resolved, so a csv is read once."""
     name: str
     points: dict
     density: dict
@@ -69,6 +70,7 @@ class Scenario:
     expect: dict = field(default_factory=dict)
     slack: float = DEFAULT_SLACK
     settings: dict = field(default_factory=dict)
+    point_kind: tuple = None
 
 
 def _floats(text):
@@ -103,6 +105,12 @@ def _checks(text):
     if repeated := sorted({c for c in checks if checks.count(c) > 1}):
         raise ValueError(f"gabor checks {repeated} are listed more than once")
     return checks
+
+
+def _report_name(text):
+    if text in ("", ".", "..") or "/" in text or "\\" in text:
+        raise ValueError("is not a report file name: it is empty, . or .., or holds / or \\")
+    return text
 
 
 def _hermite_n(text):
@@ -171,7 +179,7 @@ def validate_scenario(sc):
             raise ScenarioValidationError(f"[padic] {exc}") from exc
         return
     try:  # checks the kind, its keys and a csv path; a window or q its construction refuses
-        reach = point_kind(sc.points)[2]
+        sc.point_kind = point_kind(sc.points)
     except (ValueError, DegenerateLatticeError) as exc:
         raise ScenarioValidationError(f"[points] {exc}") from exc
     g = sc.gabor
@@ -184,7 +192,7 @@ def validate_scenario(sc):
                  g.get("radius", 0))
     # (needed, truncation, what): every box that the run counts or solves on
     reaches = [(max(sc.density["radii"]), sc.density["truncation"], "[density] largest box"),
-               (widest, reach, f"points csv {sc.points['path']!r}: the widest radius")]
+               (widest, sc.point_kind[2], f"points csv {sc.points['path']!r}: the widest radius")]
     if g:
         reaches += [(needed, g["radius"], f"[gabor] {what}") for users, needed, what in (
             ({"frame"}, frame_guard(g["hermite_n"]),
@@ -354,7 +362,7 @@ EXPECT_FLAGS = tuple(row[1] for row in GABOR_CHECKS.values())
 # the parsed section unless written. configparser lowercases keys.
 REQUIRED = object()
 SECTION_KEYS = {
-    "scenario": {"name": (str, "unnamed"), "slack": (float, DEFAULT_SLACK)},
+    "scenario": {"name": (_report_name, "unnamed"), "slack": (float, DEFAULT_SLACK)},
     "points": {"kind": (str, REQUIRED), "basis": (_basis, None), "path": (str, ""),
                **{key: (float, default) for key, default in POINT_OPTIONS.items()}},
     "density": {"radii": (_radii, REQUIRED), "truncation": (positive_finite, REQUIRED)},
@@ -388,7 +396,8 @@ def _run_subadditivity(sc, union, base, sublattice, dens, results, verdicts):
     count(parts in B) - count(union in B) is the count in B of the other
     rows, repeats included. The worst excess of the union over its parts is
     minus the exact inf of that count. The union's D_plus is the density
-    stage's own.
+    stage's own; base and the sublattice share the union's truncation, so
+    their scans cover the union's scan region.
     """
     lat = lattice_points_in_box(sublattice, union.truncation_radius)
     parts = np.vstack([base.points, -base.points, lat.points]) + 0.0
@@ -401,7 +410,7 @@ def _run_subadditivity(sc, union, base, sublattice, dens, results, verdicts):
     per_n = [-inf for inf, _ in
              extreme_counts(np.repeat(rows, copies, axis=0), dens.radii, scan)]
     boxes = FolnerBoxes(union.dim, tuple(dens.radii))
-    db, dl = (density_scan(ps, boxes, scan_region_radius=scan).D_plus for ps in (base, lat))
+    db, dl = (density_scan(ps, boxes).D_plus for ps in (base, lat))
     du = dens.D_plus
     rhs = 2.0 * db + dl * (1.0 + sc.slack)
     results["subadditivity"] = {"radii": dens.radii, "max_excess_per_n": per_n,
@@ -424,7 +433,7 @@ def run_scenario(sc):
         return _finalize(sc, *_run_padic(sc))
 
     results, verdicts, flags = {}, [], {}
-    generate, formula, _, factors, lattice = point_kind(sc.points)
+    generate, formula, _, factors, lattice = sc.point_kind or point_kind(sc.points)
     ps = (factors or generate)(sc.density["truncation"])  # rows only where rows are read
     dens = density_scan(ps, FolnerBoxes(ps.dim, sc.density["radii"]))
     results["density"] = {**dens.to_dict(), "point_count": len(ps)}

@@ -121,6 +121,25 @@ def test_density_truncation_guard_exits_2(tmp_path, capsys):
     assert "truncation" in capsys.readouterr().err
 
 
+def test_sidecar_count_and_dim_must_match_the_csv(tmp_path, capsys):
+    path = gen_line(tmp_path, radius=30.0)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))  # one row deleted: 60 rows, the sidecar says 61
+    with pytest.raises(ValueError, match=r"line\.csv\.json has count 61, the CSV body 60"):
+        ql.load_pointset(path)
+    assert main(["density", "--points", str(path), "--radii", "5"]) == 2
+    assert "line.csv.json has count 61" in capsys.readouterr().err
+    path.write_text("".join(lines))
+    sidecar = pathlib.Path(f"{path}.json")
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "dim": 2}))
+    with pytest.raises(ValueError, match=r"line\.csv\.json has dim 2, the CSV body 1"):
+        ql.load_pointset(path)
+    del meta["count"], meta["dim"]  # a sidecar without them is not checked against the body
+    sidecar.write_text(json.dumps(meta))
+    assert len(ql.load_pointset(path)) == 61
+
+
 def test_density_sidecar_without_truncation_radius_exits_2(tmp_path, capsys):
     path = gen_line(tmp_path)
     sidecar = pathlib.Path(f"{path}.json")
@@ -294,7 +313,7 @@ def test_csv_scenario_restricts_to_each_radius(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ql.scenarios, "load_pointset",
                         lambda path: loads.append(path) or ql.load_pointset(path))
     report = ql.run_scenario(ql.parse_scenario(cfg))
-    assert loads == [str(pts)] * 2  # once to validate, once to run, at any radius
+    assert loads == [str(pts)]  # once, by validation; the run restricts it to each radius
     assert report.scenario["name"] == "csv-z2 5%"
     assert report.scenario["points"]["path"] == str(pts)
     results = report.results
@@ -387,6 +406,37 @@ def test_run_scenario_file_and_out_dir(tmp_path, capsys):
     assert "ALL PASS" in capsys.readouterr().out
     blob = json.loads((out_dir / "cli-tiny.json").read_text())
     assert blob["passed"] is True
+
+
+def test_run_refuses_a_name_that_leaves_the_out_dir(tmp_path, capsys):
+    # a report is written to <out-dir>/<name>.json, so a name that is a path
+    # would write beside or below the directory; nothing runs or prints first
+    out_dir = tmp_path / "reports"
+    for name in ("..", ".", "../evil", "sub/x", "a\\b"):
+        cfg = tmp_path / "named.cfg"
+        cfg.write_text(TINY_SCENARIO.replace("name = cli-tiny", f"name = {name}"))
+        assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"[scenario] name = {name!r}: " in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["named.cfg"]
+    with pytest.raises(ql.ScenarioValidationError, match="name"):
+        ql.scenarios.parse_value("scenario", "name", "")
+
+
+def test_run_refuses_two_targets_with_one_report_file(tmp_path, capsys):
+    # both cfgs leave name at its default, so both reports would be unnamed.json
+    out_dir = tmp_path / "reports"
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"t{i}.cfg"))
+        pathlib.Path(paths[-1]).write_text(TINY_SCENARIO.replace("name = cli-tiny\n", ""))
+    for targets, report in ((paths, "unnamed"), (["lattice-riesz-2"] * 2, "lattice-riesz-2")):
+        assert main(["run", *targets, "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"two targets would write {out_dir / report}.json" in captured.err
+    assert not out_dir.exists()
+    assert main(["run", *paths]) == 0  # without --out-dir nothing is overwritten
 
 
 def test_run_failing_scenario_exits_1(tmp_path, capsys):

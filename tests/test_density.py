@@ -27,16 +27,6 @@ def test_folner_boxes_validation_and_measure():
         ql.FolnerBoxes(1, (-1.0, 2.0))
 
 
-def test_van_hove_ratio_closed_form_and_decay():
-    boxes = ql.FolnerBoxes(2, (10.0, 20.0, 40.0))
-    assert ql.van_hove_ratio(boxes, 0, 1.0) == pytest.approx(0.4)
-    assert ql.van_hove_ratio(boxes, 1, 1.0) == pytest.approx(0.2)
-    assert ql.van_hove_ratio(boxes, 2, 1.0) == pytest.approx(0.1)
-    assert ql.van_hove_ratio(boxes, 0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        ql.van_hove_ratio(boxes, 0, -1.0)
-
-
 def test_count_in_translate_exact_values():
     ps = ql.lattice_points_in_box(ql.Lattice(np.eye(2)), 10.0)
     assert ql.count_in_translate(ps, (0.0, 0.0), 1.0) == 9
@@ -59,16 +49,16 @@ def test_translate_count_grid_phases():
 
 
 def test_exact_extrema_hand_case_1d():
-    ps = ql.from_points([0.0, 1.0, 3.0], truncation_radius=10.0)
-    report = ql.density_scan(ps, ql.FolnerBoxes(1, (1.0,)), scan_region_radius=2.0)
+    ps = ql.from_points([0.0, 1.0, 3.0], truncation_radius=3.0)  # scan region [-2, 2]
+    report = ql.density_scan(ps, ql.FolnerBoxes(1, (1.0,)))
     assert report.lower_counts == [0]
     assert report.upper_counts == [2]
     assert report.translate_step is None
 
 
 def test_exact_extrema_hand_case_2d():
-    ps = ql.from_points([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], truncation_radius=5.0)
-    report = ql.density_scan(ps, ql.FolnerBoxes(2, (1.0,)), scan_region_radius=1.0)
+    ps = ql.from_points([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], truncation_radius=2.0)
+    report = ql.density_scan(ps, ql.FolnerBoxes(2, (1.0,)))  # scan region [-1, 1]^2
     assert report.lower_counts == [1]
     assert report.upper_counts == [3]
 
@@ -149,15 +139,16 @@ def test_exact_mode_brackets_grid_mode():
 def test_exact_mode_finds_worst_phase_missed_by_grid():
     # spacing 1/sqrt2 with a scan grid anchored at -scan and commensurate with
     # the step: the uniform grid sees only a few phases, the exact mode must
-    # not exceed any directly measured translate count
+    # not exceed any directly measured translate count; truncation 40 leaves
+    # the scan region [-10, 10]
     alpha = 2.0 ** -0.5
-    ps = ql.lattice_points_in_box(ql.Lattice(np.array([[alpha]])), 200.0)
+    ps = ql.lattice_points_in_box(ql.Lattice(np.array([[alpha]])), 40.0)
     boxes = ql.FolnerBoxes(1, (30.0,))
-    exact = ql.density_scan(ps, boxes, scan_region_radius=10.0)
+    exact = ql.density_scan(ps, boxes)
+    assert exact.scan_region_radius == 10.0
     probe = ql.count_in_translate(ps, (alpha / 2.0,), 30.0)
     assert exact.lower_counts[0] <= probe
-    grid = ql.density_scan(ps, boxes, translate_step=alpha / 2.0,
-                           scan_region_radius=10.0)
+    grid = ql.density_scan(ps, boxes, translate_step=alpha / 2.0)
     assert exact.lower_counts[0] <= grid.lower_counts[0]
     assert exact.upper_counts[0] >= grid.upper_counts[0]
 
@@ -174,15 +165,11 @@ def test_density_scan_guards():
     ps = unit_line(10.0)
     with pytest.raises(ql.InsufficientTruncationError):
         ql.density_scan(ps, ql.FolnerBoxes(1, (15.0,)))
-    with pytest.raises(ql.InsufficientTruncationError):
-        ql.density_scan(ps, ql.FolnerBoxes(1, (5.0,)), scan_region_radius=6.0)
     with pytest.raises(ValueError):
         ql.density_scan(ps, ql.FolnerBoxes(1, (5.0,)), translate_step=0.0)
-    # a scan radius may be 0 (the centred box alone), but not negative or NaN
-    for scan in (-1.0, -1e-300, math.nan):
-        with pytest.raises(ValueError, match="scan_region_radius must be nonnegative"):
-            ql.density_scan(ps, ql.FolnerBoxes(1, (5.0,)), scan_region_radius=scan)
-    centred = ql.density_scan(ps, ql.FolnerBoxes(1, (5.0,)), scan_region_radius=0)
+    # a box as wide as the truncation leaves the centred box alone
+    centred = ql.density_scan(ps.restrict(5.0), ql.FolnerBoxes(1, (5.0,)))
+    assert centred.scan_region_radius == 0.0
     assert centred.lower_counts == centred.upper_counts == [11]
     with pytest.raises(ValueError):
         ql.density_scan(ps, ql.FolnerBoxes(2, (5.0,)))
@@ -261,15 +248,15 @@ def test_exact_scan_at_tolerance_edges(radius):
         return (1, 2) if overlap else (0, 1)
     for offset in offsets:
         xs = _chain(-3.3, radius, offset, 6)
-        ps = ql.from_points(xs, truncation_radius=10.0)
-        rep = ql.density_scan(ps, ql.FolnerBoxes(1, (radius,)), scan_region_radius=scan)
+        ps = ql.from_points(xs, truncation_radius=10.0).restrict(radius + scan)
+        rep = ql.density_scan(ps, ql.FolnerBoxes(1, (radius,)))
         counts = (rep.lower_counts[0], rep.upper_counts[0])
         assert counts == _brute_force_extremes(ps.points, radius, scan) == expected(offset)
     for ox, oy in [(1.5, -0.5), (3.0, 1.5), ("+ulp", 3.0), (-1.5, "-ulp"), (0.0, -3.0)]:
         xs, ys = _chain(-3.3, radius, ox, 6), _chain(-2.7, radius, oy, 6)
         ps = ql.from_points(np.stack(np.meshgrid(xs, ys, indexing="ij"), -1).reshape(-1, 2),
-                            truncation_radius=10.0)
-        rep = ql.density_scan(ps, ql.FolnerBoxes(2, (radius,)), scan_region_radius=scan)
+                            truncation_radius=10.0).restrict(radius + scan)
+        rep = ql.density_scan(ps, ql.FolnerBoxes(2, (radius,)))
         counts = (rep.lower_counts[0], rep.upper_counts[0])
         (lx, ux), (ly, uy) = expected(ox), expected(oy)
         assert counts == _brute_force_extremes(ps.points, radius, scan) == (lx * ly, ux * uy)

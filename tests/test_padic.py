@@ -33,14 +33,6 @@ def test_canonical_form():
     assert PAdicRational.make(3, 5, 2).value() == Fraction(5, 9)
 
 
-def test_padic_norm_values():
-    assert ql.padic_norm(PAdicRational.make(2, 8, 0)) == Fraction(1, 8)
-    assert ql.padic_norm(PAdicRational.make(2, 1, 2)) == Fraction(4)
-    assert ql.padic_norm(PAdicRational.make(2, 3, 2)) == Fraction(4)
-    assert ql.padic_norm(PAdicRational.make(2, 6, 0)) == Fraction(1, 2)
-    assert ql.padic_norm(PAdicRational.make(2, 0, 0)) == Fraction(0)
-
-
 def test_enumeration_small_case():
     elems = ql.enumerate_model_set(2, 1, 3)
     by_k = {}

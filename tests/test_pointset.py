@@ -183,15 +183,11 @@ def test_symmetrize_union():
         ql.symmetrize(base, ql.Lattice(np.eye(2)), 4.0)
 
 
-def test_sumset_truncated_values_and_safety_flag():
+def test_sumset_truncated_values_and_refusals():
     a = ql.from_points([0.0, 1.0])
     s = ql.sumset_truncated(a, a, 2.0)
     np.testing.assert_allclose(s.points[:, 0], [0.0, 1.0, 2.0])
-    assert s.source["boundary_safe"] is False  # operand truncation 1 < 2 + 1
-
-    wide = ql.from_points([0.0, 1.0], truncation_radius=3.0)
-    s2 = ql.sumset_truncated(wide, a, 2.0)
-    assert s2.source["boundary_safe"] is True
+    assert s.truncation_radius == 2.0
 
     with pytest.raises(ValueError):
         ql.sumset_truncated(a, ql.from_points([[0.0, 0.0]]), 1.0)

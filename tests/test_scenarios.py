@@ -324,8 +324,8 @@ def _with_value(text, section, key, value):
 
 def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch):
     # a value that does not parse is refused at parse time, so no earlier
-    # target runs first: [expect] k, a junk value for every
-    # key whose parser can refuse one, the [padic] prime and depth checks, a %
+    # target runs first: [expect] k, a junk value ("junk/", which only str
+    # takes) for every key whose parser can refuse one, the [padic] prime and depth checks, a %
     # (cfgs are read without interpolation, so it is the parser that refuses),
     # box radii that FolnerBoxes refuses and radii that are not positive and finite;
     # a Fibonacci window that is not positive and finite, a q whose sublattice
@@ -362,9 +362,9 @@ def test_expect_values_parse_before_anything_runs(tmp_path, capsys, monkeypatch)
         for key, (parse, _) in rows.items():
             if parse is not str:  # a str value is never refused
                 base = PADIC if section == "padic" else FULL
-                cases.append((_with_value(base, section, key, "junk"),
-                              f"[{section}] {key} = 'junk': "))
-    assert len(cases) == 21 + 21
+                cases.append((_with_value(base, section, key, "junk/"),
+                              f"[{section}] {key} = 'junk/': "))
+    assert len(cases) == 21 + 22
     for text, message in cases:
         path = write_cfg(tmp_path, text)
         with pytest.raises(ql.ScenarioValidationError, match=re.escape(message)):
